@@ -25,7 +25,7 @@ spec = ExperimentSpec(
     output_path=str(out),
 )
 
-report = run_experiment(spec, threads=4)
+report = run_experiment(spec)
 print(f"wrote {report.csv_path} ({len(report.records)} trials) and {report.json_path}\n")
 
 cells = report.summary["cells"]

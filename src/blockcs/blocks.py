@@ -100,7 +100,7 @@ class BlockSignal:
     """Dense coefficient vector bound to a block structure.
 
     Immutable: the coefficient array is copied on construction and marked
-    read-only, so signals can be shared freely across threads.
+    read-only, so signals can be shared freely between callers.
     """
 
     coeffs: np.ndarray

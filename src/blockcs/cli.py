@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: recover, ric, bound, oracle, counterexample, sweep,
-verify-identities.  Exit codes: 0 success, 1 invalid input, 2 I/O error,
-3 non-convergence in a required solve.
+verify-identities.  Exit codes: 0 success, 1 invalid input (including an
+enumeration over the cap and observations no point can satisfy), 2 I/O
+error, 3 non-convergence in a required solve.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -22,7 +23,13 @@ from .experiments import (
     spec_from_json,
 )
 from .oracle import NoSparseFitError, brute_force_l20
-from .ric import error_bound_loose, error_bound_tight, exact_block_ric, DEFAULT_ENUMERATION_CAP
+from .ric import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
+    error_bound_loose,
+    error_bound_tight,
+    exact_block_ric,
+)
 from .serialize import (
     load_json,
     load_matrix,
@@ -31,7 +38,7 @@ from .serialize import (
     save_json,
     signal_to_json,
 )
-from .solvers import SolverConfig, solve_noiseless, solve_noisy
+from .solvers import InfeasibleProblemError, SolverConfig, solve_noiseless, solve_noisy
 
 __all__ = ["main"]
 
@@ -174,16 +181,7 @@ def _cmd_sweep(args) -> int:
         overrides["seed"] = args.seed
     if args.out:
         overrides["output_path"] = args.out
-    if overrides:
-        spec = ExperimentSpec(
-            kind=spec.kind,
-            seed=overrides.get("seed", spec.seed),
-            grid=spec.grid,
-            solver=spec.solver,
-            output_path=overrides.get("output_path", spec.output_path),
-            success_tol=spec.success_tol,
-        )
-    report = run_experiment(spec, threads=args.threads)
+    report = run_experiment(replace(spec, **overrides))
     print(f"wrote {report.csv_path} and {report.json_path}")
     return 0
 
@@ -195,7 +193,7 @@ def _cmd_verify_identities(args) -> int:
         grid={"trials": args.trials, "max_blocks": args.max_blocks},
         output_path=args.out or "identities",
     )
-    report = run_experiment(spec, threads=args.threads)
+    report = run_experiment(spec)
     print(json.dumps(report.summary, indent=2, sort_keys=True))
     return 0 if report.summary["all_below_1e-10"] else 1
 
@@ -204,7 +202,6 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="experiment seed")
     common.add_argument("--out", type=str, default=None, help="output path")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
     common.add_argument("--config", type=str, default=None, help="JSON experiment spec")
 
     parser = _Parser(prog="blockcs", description="Block-sparse compressed sensing toolkit")
@@ -267,13 +264,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError, EnumerationCapError, InfeasibleProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
 

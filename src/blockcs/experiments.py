@@ -2,7 +2,7 @@
 threshold counterexample demonstration, and machine-readable reporting.
 
 Every trial draws from its own Philox stream keyed by (experiment seed,
-trial id), so serial and parallel execution produce identical records.
+trial id), so a trial's record depends only on the spec and its trial id.
 Per-trial records go to CSV (17-significant-digit floats, exact round-trip);
 aggregate summaries go to JSON.  The wall_time column is the only
 nondeterministic field in the outputs.
@@ -10,10 +10,10 @@ nondeterministic field in the outputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -348,37 +348,42 @@ def _recovery_trial(spec: ExperimentSpec, trial_id: int, params: dict) -> TrialR
     )
 
 
-def _run_recovery_trials(spec: ExperimentSpec, threads: int):
+def _recovery_grid(spec: ExperimentSpec, m_values, s_values, rhos, trials: int, compute_ric: bool):
+    """Run `_recovery_trial` over m x s x rho x trial, numbering trials in that order."""
     g = spec.grid
-    d, l = int(g.get("d", 2)), int(g["l"])
     base = {
-        "d": d,
-        "l": l,
-        "m": int(g["m"]),
-        "s": int(g["s"]),
+        "d": int(g.get("d", 2)),
+        "l": int(g["l"]),
         "t": float(g.get("t", 1.0)),
         "ensemble": str(g.get("ensemble", "gaussian")),
-        "compute_ric": bool(g.get("compute_ric", True)),
+        "compute_ric": compute_ric,
     }
-    rhos = g.get("rho", 0.0)
-    rhos = [float(r) for r in (rhos if isinstance(rhos, (list, tuple)) else [rhos])]
-    trials = int(g.get("trials", 1))
-    jobs = []
-    tid = 0
-    for rho in rhos:
-        for _ in range(trials):
-            jobs.append((tid, dict(base, rho=rho)))
-            tid += 1
-    records = _run_jobs(spec, jobs, _recovery_trial, threads)
+    grid = itertools.product(m_values, s_values, rhos, range(trials))
+    return [
+        _recovery_trial(spec, tid, dict(base, m=m, s=s, rho=rho))
+        for tid, (m, s, rho, _) in enumerate(grid)
+    ]
 
+
+def _success_cells(records, cell_key) -> dict[str, dict]:
     cells: dict[str, dict] = {}
     for rec in records:
-        key = f"m={rec.m},s={rec.s},rho={format_float(rec.rho)}"
-        cell = cells.setdefault(key, {"trials": 0, "successes": 0})
+        cell = cells.setdefault(cell_key(rec), {"trials": 0, "successes": 0})
         cell["trials"] += 1
         cell["successes"] += int(bool(rec.success))
     for cell in cells.values():
         cell["success_rate"] = cell["successes"] / cell["trials"]
+    return cells
+
+
+def _run_recovery_trials(spec: ExperimentSpec):
+    g = spec.grid
+    rhos = g.get("rho", 0.0)
+    rhos = [float(r) for r in (rhos if isinstance(rhos, (list, tuple)) else [rhos])]
+    records = _recovery_grid(
+        spec, [int(g["m"])], [int(g["s"])], rhos, int(g.get("trials", 1)),
+        bool(g.get("compute_ric", True)),
+    )
     violations = [
         max(0.0, rec.recovery_error - rec.bound_tight)
         for rec in records
@@ -389,57 +394,29 @@ def _run_recovery_trials(spec: ExperimentSpec, threads: int):
         "success_rate": sum(int(bool(r.success)) for r in records) / len(records),
         "max_bound_violation": max(violations) if violations else 0.0,
         "condition_certified": sum(int(r.condition_ok) for r in records),
-        "cells": cells,
+        "cells": _success_cells(records, lambda r: f"m={r.m},s={r.s},rho={format_float(r.rho)}"),
     }
     return records, summary
 
 
-def _phase_trial(spec: ExperimentSpec, trial_id: int, params: dict) -> TrialRecord:
-    return _recovery_trial(spec, trial_id, params)
-
-
-def _run_phase_transition(spec: ExperimentSpec, threads: int):
+def _run_phase_transition(spec: ExperimentSpec):
     g = spec.grid
-    d = int(g.get("d", 2))
-    l = int(g["l"])
     s_values = [int(s) for s in g["s_values"]]
     m_values = [int(m) for m in g["m_values"]]
-    trials = int(g.get("trials", 10))
-    base = {
-        "d": d,
-        "l": l,
-        "t": float(g.get("t", 1.0)),
-        "rho": 0.0,
-        "ensemble": str(g.get("ensemble", "gaussian")),
-        "compute_ric": bool(g.get("compute_ric", False)),
-    }
-    jobs = []
-    tid = 0
-    for m in m_values:
-        for s in s_values:
-            for _ in range(trials):
-                jobs.append((tid, dict(base, m=m, s=s)))
-                tid += 1
-    records = _run_jobs(spec, jobs, _phase_trial, threads)
-
-    cells: dict[str, dict] = {}
-    for rec in records:
-        key = f"m={rec.m},s={rec.s}"
-        cell = cells.setdefault(key, {"trials": 0, "successes": 0})
-        cell["trials"] += 1
-        cell["successes"] += int(bool(rec.success))
-    for cell in cells.values():
-        cell["success_rate"] = cell["successes"] / cell["trials"]
+    records = _recovery_grid(
+        spec, m_values, s_values, [0.0], int(g.get("trials", 10)),
+        bool(g.get("compute_ric", False)),
+    )
     summary = {
         "trials": len(records),
-        "cells": cells,
+        "cells": _success_cells(records, lambda r: f"m={r.m},s={r.s}"),
         "m_values": m_values,
         "s_values": s_values,
     }
     return records, summary
 
 
-def _run_counterexample(spec: ExperimentSpec, threads: int):
+def _run_counterexample(spec: ExperimentSpec):
     g = spec.grid
     start = time.perf_counter()
     report = demo_counterexample(
@@ -508,7 +485,7 @@ def _ric_trial(spec: ExperimentSpec, trial_id: int, params: dict) -> TrialRecord
     )
 
 
-def _run_ric_sweep(spec: ExperimentSpec, threads: int):
+def _run_ric_sweep(spec: ExperimentSpec):
     g = spec.grid
     orders = [int(o) for o in g.get("orders", [1, 2])]
     matrices = int(g.get("matrices", g.get("trials", 1)))
@@ -519,13 +496,10 @@ def _run_ric_sweep(spec: ExperimentSpec, threads: int):
         "t": float(g.get("t", 1.0)),
         "ensemble": str(g.get("ensemble", "gaussian")),
     }
-    jobs = []
-    tid = 0
-    for idx in range(matrices):
-        for order in orders:
-            jobs.append((tid, dict(base, matrix_index=idx, order=order)))
-            tid += 1
-    records = _run_jobs(spec, jobs, _ric_trial, threads)
+    records = [
+        _ric_trial(spec, tid, dict(base, matrix_index=idx, order=order))
+        for tid, (idx, order) in enumerate(itertools.product(range(matrices), orders))
+    ]
     per_order: dict[str, dict] = {}
     for rec in records:
         cell = per_order.setdefault(f"order={rec.s}", {"deltas": []})
@@ -537,7 +511,7 @@ def _run_ric_sweep(spec: ExperimentSpec, threads: int):
     return records, summary
 
 
-def _run_identity_suite(spec: ExperimentSpec, threads: int):
+def _run_identity_suite(spec: ExperimentSpec):
     g = spec.grid
     trials = int(g.get("trials", 200))
     max_blocks = int(g.get("max_blocks", 8))
@@ -549,7 +523,6 @@ def _run_identity_suite(spec: ExperimentSpec, threads: int):
     }
     polytope_checked = 0
     records: list[TrialRecord] = []
-    tid = 0
     for trial in range(trials):
         rng = generator(spec.seed, trial)
         s = int(rng.integers(2, max_blocks + 1))
@@ -587,7 +560,7 @@ def _run_identity_suite(spec: ExperimentSpec, threads: int):
             worst[name] = max(worst[name], res)
         records.append(
             TrialRecord(
-                trial_id=tid,
+                trial_id=trial,
                 seed_stream=stream_key(spec.seed, trial),
                 m=rows,
                 n=structure.total_dim,
@@ -605,7 +578,6 @@ def _run_identity_suite(spec: ExperimentSpec, threads: int):
                 wall_time=0.0,
             )
         )
-        tid += 1
     summary = {
         "trials": trials,
         "max_residuals": worst,
@@ -643,16 +615,6 @@ def _random_polytope_member(rng, structure: BlockStructure, s: int, alpha: float
     return BlockSignal(coeffs, structure)
 
 
-def _run_jobs(spec: ExperimentSpec, jobs, fn, threads: int) -> list[TrialRecord]:
-    if threads <= 1:
-        results = [fn(spec, tid, params) for tid, params in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn, spec, tid, params) for tid, params in jobs]
-            results = [f.result() for f in futures]
-    return sorted(results, key=lambda rec: rec.trial_id)
-
-
 _RUNNERS = {
     "RECOVERY_TRIALS": _run_recovery_trials,
     "PHASE_TRANSITION": _run_phase_transition,
@@ -662,14 +624,14 @@ _RUNNERS = {
 }
 
 
-def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentReport:
+def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Execute the experiment grid deterministically and write its outputs.
 
     Writes `<output_path>.csv` (per-trial records) and `<output_path>.json`
     (summary).  Outputs for identical (spec, seed) are identical apart from
     the wall_time column.
     """
-    records, summary = _RUNNERS[spec.kind](spec, max(1, int(threads)))
+    records, summary = _RUNNERS[spec.kind](spec)
     header = {
         "kind": spec.kind,
         "seed": spec.seed,

@@ -13,10 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sensing import SensingMatrix
+if TYPE_CHECKING:
+    from .blocks import BlockStructure
+    from .sensing import SensingMatrix
 
 __all__ = [
     "RicCertificate",
@@ -59,6 +62,18 @@ class RicCertificate:
     supports_enumerated: int
 
 
+def _restricted_eig_ranges(entries: np.ndarray, structure: BlockStructure, s: int):
+    """Yield (support, lowest, highest) eigenvalue of the Gram submatrix of
+    `entries` for every block support of size `s`, in lexicographic order."""
+    l = structure.num_blocks
+    block_cols = [structure.block_indices([i]) for i in range(l)]
+    for sup in itertools.combinations(range(l), s):
+        cols = np.concatenate([block_cols[i] for i in sup])
+        sub = entries[:, cols]
+        w = np.linalg.eigvalsh(sub.T @ sub)
+        yield sup, w[0], w[-1]
+
+
 def exact_block_ric(
     phi: SensingMatrix, s: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> RicCertificate:
@@ -87,17 +102,10 @@ def exact_block_ric(
             f"C({l}, {s}) = {num_supports} block supports exceeds the enumeration cap {cap}",
             num_supports,
         )
-    entries = phi.entries
-    block_cols = [structure.block_indices([i]) for i in range(l)]
-
     delta = -np.inf
     worst: tuple[int, ...] = ()
     min_eig, max_eig = np.inf, -np.inf
-    for sup in itertools.combinations(range(l), s):
-        cols = np.concatenate([block_cols[i] for i in sup])
-        sub = entries[:, cols]
-        w = np.linalg.eigvalsh(sub.T @ sub)
-        lo, hi = w[0], w[-1]
+    for sup, lo, hi in _restricted_eig_ranges(phi.entries, structure, s):
         min_eig = min(min_eig, lo)
         max_eig = max(max_eig, hi)
         deviation = max(hi - 1.0, 1.0 - lo)
@@ -121,8 +129,8 @@ class ConditionReport:
     `threshold` is t/(4-t) when t is admissible, else None.
     `effective_order` is the integer order floor(t*s) at which the constant
     is measured when t*s is not an integer.  `reason` is None when the
-    condition holds, else one of "t_out_of_range", "ts_below_two",
-    "delta_not_below_threshold".
+    condition holds, else one of "t_out_of_range", "invalid_delta" (delta
+    negative or not finite), "ts_below_two", "delta_not_below_threshold".
     """
 
     ok: bool
@@ -163,6 +171,8 @@ def check_condition(delta: float, t: float, s: int) -> ConditionReport:
         return ConditionReport(False, t, s, delta, None, _effective_order(t, s), "t_out_of_range")
     threshold = t / (4.0 - t)
     eff = _effective_order(t, s)
+    if not 0.0 <= delta < math.inf:
+        return ConditionReport(False, t, s, delta, threshold, eff, "invalid_delta")
     if t * s < 2.0 - 1e-12:
         return ConditionReport(False, t, s, delta, threshold, eff, "ts_below_two")
     if not delta < threshold:

@@ -4,12 +4,12 @@ and the explicit square operator that sits exactly at the recovery threshold.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BlockSignal, BlockStructure
+from .ric import _restricted_eig_ranges
 from .seeding import generator
 
 __all__ = [
@@ -83,19 +83,6 @@ def gaussian_matrix(m: int, structure: BlockStructure, seed: int) -> SensingMatr
     return SensingMatrix(entries, structure)
 
 
-def _support_eig_range(entries: np.ndarray, structure: BlockStructure, s: int):
-    """Extremal eigenvalues of Gram submatrices over all block supports of size s."""
-    l = structure.num_blocks
-    lo, hi = np.inf, -np.inf
-    for sup in itertools.combinations(range(l), s):
-        cols = structure.block_indices(sup)
-        sub = entries[:, cols]
-        w = np.linalg.eigvalsh(sub.T @ sub)
-        lo = min(lo, w[0])
-        hi = max(hi, w[-1])
-    return lo, hi
-
-
 def spread_kernel_matrix(
     m: int,
     structure: BlockStructure,
@@ -131,7 +118,9 @@ def spread_kernel_matrix(
     w, U = np.linalg.eigh(proj)
     basis = U[:, w > 0.5]  # orthonormal basis of the complement, n x m
     entries = basis.T
-    lo, hi = _support_eig_range(entries, structure, int(balance_order))
+    lo, hi = np.inf, -np.inf
+    for _, w_lo, w_hi in _restricted_eig_ranges(entries, structure, int(balance_order)):
+        lo, hi = min(lo, w_lo), max(hi, w_hi)
     c = 2.0 / (hi + lo)
     return SensingMatrix(np.sqrt(c) * entries, structure)
 

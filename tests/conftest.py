@@ -26,3 +26,9 @@ def random_block_sparse(rng, structure, s) -> BlockSignal:
         sl = structure.block_slice(int(i))
         coeffs[sl] = rng.standard_normal(sl.stop - sl.start)
     return BlockSignal(coeffs, structure)
+
+
+def strip_wall_time(csv_text: str) -> str:
+    """Trial CSV text without its last column, wall_time, the only nondeterministic field."""
+    lines = (ln if ln.startswith("#") else ln.rsplit(",", 1)[0] for ln in csv_text.splitlines())
+    return "\n".join(lines) + "\n"

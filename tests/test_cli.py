@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockcs import BlockStructure, gaussian_matrix, sharpness_instance, apply
+from blockcs import BlockStructure, SensingMatrix, gaussian_matrix, sharpness_instance, apply
 from blockcs.cli import main
 from blockcs.serialize import matrix_to_json, save_json, signal_from_json, structure_to_json
+from conftest import strip_wall_time
 
 
 @pytest.fixture
@@ -58,6 +59,27 @@ def test_ric_subcommand(instance_files):
 def test_ric_invalid_order_exit_one(instance_files):
     _, matrix_path, _, _ = instance_files
     assert main(["ric", "--matrix", matrix_path, "--order", "99"]) == 1
+
+
+def test_ric_over_enumeration_cap_exit_one(instance_files, capsys):
+    _, matrix_path, _, _ = instance_files
+    assert main(["ric", "--matrix", matrix_path, "--order", "3", "--cap", "5"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_recover_infeasible_exit_one(tmp_path, capsys):
+    phi = SensingMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), BlockStructure.uniform(1, 2))
+    save_json(matrix_to_json(phi), tmp_path / "phi.json")
+    (tmp_path / "b.json").write_text(json.dumps([0.0, 0.0, 1.0]))
+    code = main(["recover", "--matrix", str(tmp_path / "phi.json"), "--obs", str(tmp_path / "b.json")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_json_exit_one(tmp_path, capsys):
+    (tmp_path / "phi.json").write_text("{not json")
+    assert main(["ric", "--matrix", str(tmp_path / "phi.json"), "--order", "1"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_missing_file_exit_two(tmp_path):
@@ -137,18 +159,20 @@ def test_sweep_subcommand_and_determinism(tmp_path, capsys):
     cfg_path.write_text(json.dumps(config))
     assert main(["sweep", "--config", str(cfg_path)]) == 0
     assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep2")]) == 0
-
-    def strip_wall(path):
-        rows = []
-        for ln in Path(path).read_text().splitlines():
-            rows.append(ln if ln.startswith(("#", "trial_id")) else ",".join(ln.split(",")[:-1]))
-        return rows
-
-    assert strip_wall(tmp_path / "sweep1.csv") == strip_wall(tmp_path / "sweep2.csv")
+    assert strip_wall_time((tmp_path / "sweep1.csv").read_text()) == strip_wall_time(
+        (tmp_path / "sweep2.csv").read_text()
+    )
 
 
 def test_sweep_requires_config():
     assert main(["sweep"]) == 1
+
+
+def test_sweep_rejects_threads_flag(tmp_path):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({"kind": "IDENTITY_SUITE", "grid": {"trials": 1},
+                                    "output_path": str(tmp_path / "ids")}))
+    assert main(["sweep", "--config", str(cfg_path), "--threads", "2"]) == 1
 
 
 def test_verify_identities_subcommand(tmp_path, capsys):

@@ -6,16 +6,7 @@ import pytest
 
 from blockcs import ExperimentSpec, demo_counterexample, run_experiment
 from blockcs.experiments import records_from_csv, records_to_csv, spec_from_json, spec_to_json
-
-
-def _strip_wall_time(csv_text: str) -> str:
-    lines = []
-    for line in csv_text.splitlines():
-        if line.startswith("#") or line.startswith("trial_id"):
-            lines.append(line)
-        else:
-            lines.append(",".join(line.split(",")[:-1]))
-    return "\n".join(lines)
+from conftest import strip_wall_time
 
 
 def test_spec_validation():
@@ -116,17 +107,17 @@ def test_recovery_trials_certified_bounds_present(tmp_path):
             assert rec.recovery_error <= rec.bound_tight
 
 
-def test_run_deterministic_across_threads(tmp_path):
+def test_run_deterministic(tmp_path):
     grid = {"l": 6, "d": 2, "m": 10, "s": 2, "ensemble": "gaussian",
             "compute_ric": False, "trials": 6}
     spec1 = ExperimentSpec(kind="RECOVERY_TRIALS", seed=9, grid=grid,
                            output_path=str(tmp_path / "a"))
     spec2 = ExperimentSpec(kind="RECOVERY_TRIALS", seed=9, grid=grid,
                            output_path=str(tmp_path / "b"))
-    rep1 = run_experiment(spec1, threads=1)
-    rep2 = run_experiment(spec2, threads=3)
-    a = _strip_wall_time(Path(rep1.csv_path).read_text())
-    b = _strip_wall_time(Path(rep2.csv_path).read_text())
+    rep1 = run_experiment(spec1)
+    rep2 = run_experiment(spec2)
+    a = strip_wall_time(Path(rep1.csv_path).read_text())
+    b = strip_wall_time(Path(rep2.csv_path).read_text())
     assert a == b
     s1 = json.loads(Path(rep1.json_path).read_text())
     s2 = json.loads(Path(rep2.json_path).read_text())
@@ -141,7 +132,7 @@ def test_phase_transition_monotone_trend(tmp_path):
               "trials": 6, "ensemble": "gaussian"},
         output_path=str(tmp_path / "phase"),
     )
-    report = run_experiment(spec, threads=2)
+    report = run_experiment(spec)
     cells = report.summary["cells"]
     # success is nonincreasing in s for each m, with one-cell slack
     for m in (8, 12, 16, 20, 24):

@@ -137,6 +137,15 @@ def test_check_condition_rejects_small_order():
     assert not report.ok
 
 
+@pytest.mark.parametrize("delta", [-0.5, -1e-300, math.nan, math.inf, -math.inf])
+def test_check_condition_rejects_invalid_delta(delta):
+    report = check_condition(delta, 1.0, 2)
+    assert not report.ok
+    assert report.reason == "invalid_delta"
+    with pytest.raises(ValueError, match="invalid_delta"):
+        error_bound_tight(1.0, 2, delta, 0.1, 0.0)
+
+
 def test_check_condition_effective_order():
     report = check_condition(0.05, 0.9, 3)  # t*s = 2.7
     assert report.ok
