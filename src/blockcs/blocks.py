@@ -91,6 +91,8 @@ def _frozen_array(values, n=None) -> np.ndarray:
         raise ValueError(f"expected a 1-D coefficient vector, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"coefficient length {arr.shape[0]} does not match structure dimension {n}")
+    if not np.isfinite(arr).all():
+        raise ValueError("coefficients must be finite (no NaN or inf)")
     arr.flags.writeable = False
     return arr
 

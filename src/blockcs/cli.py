@@ -80,6 +80,13 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
+def _emit(payload, out: str | None) -> None:
+    if out:
+        save_json(payload, out)
+    else:
+        print(json.dumps(payload, indent=2))
+
+
 def _cmd_recover(args) -> int:
     phi = _load_matrix_arg(args.matrix, args.structure)
     b = _load_vector(args.obs)
@@ -100,10 +107,7 @@ def _cmd_recover(args) -> int:
         "error_vector_norm": result.error_vector_norm,
         "rho": args.rho,
     }
-    if args.out:
-        save_json(payload, args.out)
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit(payload, args.out)
     return 0 if result.converged else 3
 
 
@@ -121,10 +125,7 @@ def _cmd_ric(args) -> int:
         "supports_enumerated": cert.supports_enumerated,
         "wall_time": elapsed,
     }
-    if args.out:
-        save_json(payload, args.out)
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit(payload, args.out)
     return 0
 
 
@@ -135,10 +136,7 @@ def _cmd_bound(args) -> int:
     if args.variant in ("loose", "both"):
         reports.append(error_bound_loose(args.t, args.s, args.delta, args.rho, args.tail))
     payload = [asdict(rep) for rep in reports]
-    if args.out:
-        save_json({"bounds": payload}, args.out)
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit({"bounds": payload} if args.out else payload, args.out)
     return 0
 
 
@@ -157,10 +155,7 @@ def _cmd_oracle(args) -> int:
         }
     except NoSparseFitError as exc:
         payload = {"found": False, "best_residual": exc.best_residual, "message": str(exc)}
-    if args.out:
-        save_json(payload, args.out)
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit(payload, args.out)
     return 0
 
 
@@ -173,8 +168,6 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if not args.config:
-        raise _UsageError("sweep requires --config FILE with an experiment spec")
     spec = spec_from_json(load_json(args.config))
     overrides = {}
     if args.seed is not None:
@@ -189,7 +182,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify_identities(args) -> int:
     spec = ExperimentSpec(
         kind="IDENTITY_SUITE",
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         grid={"trials": args.trials, "max_blocks": args.max_blocks},
         output_path=args.out or "identities",
     )
@@ -200,9 +193,7 @@ def _cmd_verify_identities(args) -> int:
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="experiment seed")
     common.add_argument("--out", type=str, default=None, help="output path")
-    common.add_argument("--config", type=str, default=None, help="JSON experiment spec")
 
     parser = _Parser(prog="blockcs", description="Block-sparse compressed sensing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,9 +240,12 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_counterexample)
 
     p = sub.add_parser("sweep", parents=[common], help="run an experiment spec")
+    p.add_argument("--config", required=True, help="JSON experiment spec")
+    p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("verify-identities", parents=[common], help="randomized identity suite")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--max-blocks", type=int, default=8)
     p.set_defaults(fn=_cmd_verify_identities)

@@ -47,13 +47,15 @@ __all__ = [
     "records_from_csv",
 ]
 
-EXPERIMENT_KINDS = (
-    "RECOVERY_TRIALS",
-    "PHASE_TRANSITION",
-    "COUNTEREXAMPLE",
-    "RIC_SWEEP",
-    "IDENTITY_SUITE",
-)
+# experiment kind -> grid keys it has no default for
+_REQUIRED_GRID_KEYS = {
+    "RECOVERY_TRIALS": ("l", "m", "s"),
+    "PHASE_TRANSITION": ("l", "m_values", "s_values"),
+    "COUNTEREXAMPLE": (),
+    "RIC_SWEEP": ("l", "m"),
+    "IDENTITY_SUITE": (),
+}
+EXPERIMENT_KINDS = tuple(_REQUIRED_GRID_KEYS)
 
 _RIC_AUTO_CAP = 10_000  # compute exact constants automatically below this many supports
 
@@ -76,6 +78,9 @@ class ExperimentSpec:
             raise ValueError("grid must be a non-empty mapping of parameter ranges")
         if int(self.grid.get("trials", 1)) < 1:
             raise ValueError("trial count must be >= 1")
+        for key in _REQUIRED_GRID_KEYS[self.kind]:
+            if key not in self.grid:
+                raise ValueError(f"{self.kind} grid lacks the required key {key!r}")
         if self.success_tol <= 0:
             raise ValueError("success_tol must be positive")
 
@@ -500,13 +505,11 @@ def _run_ric_sweep(spec: ExperimentSpec):
         _ric_trial(spec, tid, dict(base, matrix_index=idx, order=order))
         for tid, (idx, order) in enumerate(itertools.product(range(matrices), orders))
     ]
-    per_order: dict[str, dict] = {}
+    deltas: dict[str, list] = {}
     for rec in records:
-        cell = per_order.setdefault(f"order={rec.s}", {"deltas": []})
-        cell["deltas"].append(rec.delta)
-    for cell in per_order.values():
-        ds = cell.pop("deltas")
-        cell.update(min=min(ds), max=max(ds), mean=sum(ds) / len(ds))
+        deltas.setdefault(f"order={rec.s}", []).append(rec.delta)
+    per_order = {key: {"min": min(ds), "max": max(ds), "mean": sum(ds) / len(ds)}
+                 for key, ds in deltas.items()}
     summary = {"matrices": matrices, "orders": orders, "per_order": per_order}
     return records, summary
 
@@ -551,12 +554,7 @@ def _run_identity_suite(spec: ExperimentSpec):
         polytope_decompose(member, alpha, sp)
         polytope_checked += 1
 
-        for name, res in (
-            ("subset_sum", r1),
-            ("subset_inner_product", r2),
-            ("subset_energy_difference", r3),
-            ("disjoint_pair_energy", r4),
-        ):
+        for name, res in zip(worst, (r1, r2, r3, r4)):
             worst[name] = max(worst[name], res)
         records.append(
             TrialRecord(

@@ -5,14 +5,13 @@ diagnostic used to audit solver runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BlockSignal, best_block_approx, mixed_norm_2_1
-from .ric import EnumerationCapError, DEFAULT_ENUMERATION_CAP
+from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, _support_columns
 from .sensing import SensingMatrix
 
 __all__ = [
@@ -66,6 +65,8 @@ def brute_force_l20(
 
     Raises
     ------
+    ValueError
+        If `s_max` is outside [0, l] or the observation is misshapen or non-finite.
     EnumerationCapError
         If the total number of supports up to s_max exceeds `cap`.
     NoSparseFitError
@@ -76,44 +77,35 @@ def brute_force_l20(
     s_max = int(s_max)
     if not 0 <= s_max <= l:
         raise ValueError(f"s_max={s_max} outside [0, {l}]")
-    total = sum(math.comb(l, k) for k in range(s_max + 1))
-    if total > cap:
-        raise EnumerationCapError(
-            f"sum of C({l}, k) for k <= {s_max} is {total}, exceeding the cap {cap}",
-            total,
-        )
+    _check_cap(sum(math.comb(l, k) for k in range(s_max + 1)), cap,
+               f"sum of C({l}, k) for k <= {s_max}")
     b = np.asarray(b, dtype=float)
     if b.shape != (phi.num_rows,):
         raise ValueError(f"observation shape {b.shape} does not match matrix rows {phi.num_rows}")
+    if not np.isfinite(b).all():
+        raise ValueError("observation must be finite (no NaN or inf)")
 
     searched = 0
     best_overall = np.inf
     for k in range(s_max + 1):
         best_res = np.inf
-        best_sup: tuple[int, ...] | None = None
-        best_coeffs = None
-        for sup in itertools.combinations(range(l), k):
+        best = None
+        for sup, cols in _support_columns(structure, k):
             searched += 1
-            if k == 0:
-                res = float(np.linalg.norm(b))
-                coef = np.array([])
-            else:
-                cols = structure.block_indices(sup)
-                sub = phi.entries[:, cols]
-                coef, *_ = np.linalg.lstsq(sub, b, rcond=_SVD_CUTOFF)
-                res = float(np.linalg.norm(sub @ coef - b))
+            sub = phi.entries[:, cols]
+            coef, *_ = np.linalg.lstsq(sub, b, rcond=_SVD_CUTOFF)
+            res = float(np.linalg.norm(sub @ coef - b))
             if res < best_res:  # lexicographic order makes ties keep the first support
                 best_res = res
-                best_sup = sup
-                best_coeffs = coef
+                best = sup, cols, coef
         best_overall = min(best_overall, best_res)
         if best_res <= residual_tol:
+            sup, cols, coef = best
             x = np.zeros(structure.total_dim)
-            if k > 0:
-                x[structure.block_indices(best_sup)] = best_coeffs
+            x[cols] = coef
             return OracleSolution(
                 estimate=BlockSignal(x, structure),
-                support=best_sup,
+                support=sup,
                 sparsity=k,
                 residual=best_res,
                 supports_searched=searched,

@@ -2,8 +2,10 @@
 
 The constant of order s is computed by enumerating every block support of
 size s and taking extremal eigenvalues of the corresponding Gram submatrix;
-this is exact but exponential, so enumeration is capped.  The condition
-checker and the two error-bound evaluators implement the recovery guarantee
+this is exact but exponential, so enumeration is capped.  This module owns
+block-support enumeration and its cap for the whole package, the brute-force
+oracle and the spread-kernel rescaling included.  The condition checker and
+the two error-bound evaluators implement the recovery guarantee
 delta < t/(4-t) for 0 < t < 4/3, t*s >= 2, together with its noisy-recovery
 error estimates.
 """
@@ -62,16 +64,21 @@ class RicCertificate:
     supports_enumerated: int
 
 
-def _restricted_eig_ranges(entries: np.ndarray, structure: BlockStructure, s: int):
-    """Yield (support, lowest, highest) eigenvalue of the Gram submatrix of
-    `entries` for every block support of size `s`, in lexicographic order."""
-    l = structure.num_blocks
-    block_cols = [structure.block_indices([i]) for i in range(l)]
-    for sup in itertools.combinations(range(l), s):
-        cols = np.concatenate([block_cols[i] for i in sup])
-        sub = entries[:, cols]
-        w = np.linalg.eigvalsh(sub.T @ sub)
-        yield sup, w[0], w[-1]
+def _check_cap(count: int, cap: int, what: str) -> None:
+    """Raise EnumerationCapError when `count` supports (named by `what`) exceed `cap`."""
+    if count > cap:
+        raise EnumerationCapError(
+            f"{what} = {count} block supports exceeds the enumeration cap {cap}", count
+        )
+
+
+def _support_columns(structure: BlockStructure, k: int):
+    """Yield (support, column indices) for every block support of size `k`,
+    in lexicographic order; the empty support has no columns."""
+    e = structure._edges
+    block_cols = [np.arange(e[i], e[i + 1]) for i in range(structure.num_blocks)]
+    for sup in itertools.combinations(range(structure.num_blocks), k):
+        yield sup, np.concatenate([block_cols[i] for i in sup] or [np.array([], dtype=np.intp)])
 
 
 def exact_block_ric(
@@ -97,18 +104,16 @@ def exact_block_ric(
     if not 1 <= s <= l:
         raise ValueError(f"order s={s} outside [1, {l}]")
     num_supports = math.comb(l, s)
-    if num_supports > cap:
-        raise EnumerationCapError(
-            f"C({l}, {s}) = {num_supports} block supports exceeds the enumeration cap {cap}",
-            num_supports,
-        )
+    _check_cap(num_supports, cap, f"C({l}, {s})")
     delta = -np.inf
     worst: tuple[int, ...] = ()
     min_eig, max_eig = np.inf, -np.inf
-    for sup, lo, hi in _restricted_eig_ranges(phi.entries, structure, s):
-        min_eig = min(min_eig, lo)
-        max_eig = max(max_eig, hi)
-        deviation = max(hi - 1.0, 1.0 - lo)
+    for sup, cols in _support_columns(structure, s):
+        sub = phi.entries[:, cols]
+        w = np.linalg.eigvalsh(sub.T @ sub)
+        min_eig = min(min_eig, w[0])
+        max_eig = max(max_eig, w[-1])
+        deviation = max(w[-1] - 1.0, 1.0 - w[0])
         if deviation > delta:
             delta = deviation
             worst = sup

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockSignal, BlockStructure
-from .ric import _restricted_eig_ranges
+from .ric import exact_block_ric
 from .seeding import generator
 
 __all__ = [
@@ -40,6 +40,8 @@ class SensingMatrix:
                 f"matrix has {arr.shape[1]} columns but structure dimension is "
                 f"{self.structure.total_dim}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("sensing matrix entries must be finite (no NaN or inf)")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -100,6 +102,13 @@ def spread_kernel_matrix(
     `balance_order` straddle 1 symmetrically.  The result is random but far
     better conditioned on block supports than a plain Gaussian ensemble;
     instances should still be certified exactly before use.
+
+    Raises
+    ------
+    ValueError
+        If `m` is outside [1, N) or `balance_order` is outside [1, l].
+    EnumerationCapError
+        If C(l, balance_order) exceeds the default enumeration cap.
     """
     m = int(m)
     n = structure.total_dim
@@ -117,12 +126,9 @@ def spread_kernel_matrix(
     proj = np.eye(n) - V @ V.T
     w, U = np.linalg.eigh(proj)
     basis = U[:, w > 0.5]  # orthonormal basis of the complement, n x m
-    entries = basis.T
-    lo, hi = np.inf, -np.inf
-    for _, w_lo, w_hi in _restricted_eig_ranges(entries, structure, int(balance_order)):
-        lo, hi = min(lo, w_lo), max(hi, w_hi)
-    c = 2.0 / (hi + lo)
-    return SensingMatrix(np.sqrt(c) * entries, structure)
+    cert = exact_block_ric(SensingMatrix(basis.T, structure), balance_order)
+    c = 2.0 / (cert.max_eig + cert.min_eig)
+    return SensingMatrix(np.sqrt(c) * basis.T, structure)
 
 
 @dataclass(frozen=True)

@@ -246,6 +246,8 @@ def _solve_batch(phi, b, rhos, config, truths):
         )
     batch = B.shape[1]
     rhos = np.broadcast_to(np.asarray(rhos, dtype=float), (batch,)).copy()
+    if not (np.isfinite(B).all() and np.isfinite(rhos).all()):
+        raise ValueError("observations and noise radii must be finite (no NaN or inf)")
     if np.any(rhos < 0):
         raise ValueError("noise radius rho must be nonnegative")
     if truths is not None and len(truths) != batch:

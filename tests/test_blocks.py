@@ -41,6 +41,12 @@ def test_signal_length_mismatch():
         BlockSignal([1.0, 2.0], BlockStructure((3,)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_signal_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        BlockSignal([1.0, bad], BlockStructure((2,)))
+
+
 def test_signal_immutable():
     x = BlockSignal([1.0, 2.0], BlockStructure((2,)))
     with pytest.raises(ValueError):

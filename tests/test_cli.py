@@ -168,6 +168,28 @@ def test_sweep_requires_config():
     assert main(["sweep"]) == 1
 
 
+def test_sweep_missing_grid_key_exit_one(tmp_path, capsys):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({"kind": "RECOVERY_TRIALS", "grid": {"m": 8, "s": 2, "trials": 1},
+                                    "output_path": str(tmp_path / "rt")}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_subcommands_reject_flags_they_do_not_read(instance_files):
+    _, matrix_path, _, _ = instance_files
+    assert main(["bound", "--t", "1", "--s", "2", "--delta", "0.25", "--seed", "9"]) == 1
+    assert main(["ric", "--matrix", matrix_path, "--order", "1", "--config", "x"]) == 1
+
+
+def test_recover_non_finite_observation_exit_one(instance_files, capsys):
+    _, matrix_path, _, tmp_path = instance_files
+    obs = tmp_path / "nan.json"
+    obs.write_text("[" + ", ".join(["0.0"] * 11 + ["NaN"]) + "]")
+    assert main(["recover", "--matrix", matrix_path, "--obs", str(obs)]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_sweep_rejects_threads_flag(tmp_path):
     cfg_path = tmp_path / "spec.json"
     cfg_path.write_text(json.dumps({"kind": "IDENTITY_SUITE", "grid": {"trials": 1},

@@ -18,6 +18,16 @@ def test_spec_validation():
         ExperimentSpec(kind="RECOVERY_TRIALS", seed=1, grid={"trials": 0})
 
 
+@pytest.mark.parametrize("kind, grid, missing", [
+    ("RECOVERY_TRIALS", {"m": 8, "s": 2, "trials": 1}, "l"),
+    ("PHASE_TRANSITION", {"l": 6, "m_values": [8]}, "s_values"),
+    ("RIC_SWEEP", {"l": 6}, "m"),
+])
+def test_spec_rejects_missing_grid_key(kind, grid, missing):
+    with pytest.raises(ValueError, match=repr(missing)):
+        ExperimentSpec(kind=kind, seed=1, grid=grid)
+
+
 def test_spec_json_round_trip():
     spec = ExperimentSpec(
         kind="PHASE_TRANSITION",

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -117,8 +118,17 @@ def test_oracle_not_found_signal():
 def test_oracle_cap_error():
     st_ = BlockStructure.uniform(1, 30)
     phi = gaussian_matrix(10, st_, seed=6)
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError) as err:
         brute_force_l20(phi, np.zeros(10), s_max=15, cap=10_000)
+    total = sum(math.comb(30, k) for k in range(16))
+    assert err.value.num_supports == total
+    assert str(total) in str(err.value)
+
+
+def test_oracle_rejects_non_finite_observation():
+    phi = gaussian_matrix(4, BlockStructure.uniform(2, 4), seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        brute_force_l20(phi, np.array([0.0, np.nan, 0.0, 0.0]), s_max=1)
 
 
 # --- sorted tail power-sum inequality ---

@@ -167,3 +167,16 @@ def test_spread_kernel_rejects_overdetermined():
     st_ = BlockStructure.uniform(2, 4)
     with pytest.raises(ValueError):
         spread_kernel_matrix(8, st_, seed=1)
+
+
+def test_spread_kernel_rejects_balance_order_out_of_range():
+    st_ = BlockStructure.uniform(2, 3)
+    for order in (0, 5):
+        with pytest.raises(ValueError):
+            spread_kernel_matrix(4, st_, 1, balance_order=order)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SensingMatrix([[1.0, bad]], BlockStructure.uniform(1, 2))

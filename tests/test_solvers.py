@@ -152,6 +152,16 @@ def test_noiseless_infeasible_detected():
         solve_noiseless(phi, np.array([1.0, -1.0]))
 
 
+def test_solvers_reject_non_finite_observation_and_radius():
+    phi = SensingMatrix(np.eye(2), BlockStructure.uniform(1, 2))
+    with pytest.raises(ValueError, match="finite"):
+        solve_noiseless(phi, np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        solve_noisy(phi, np.array([1.0, 0.0]), np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        solve_noiseless_batch(phi, np.array([[1.0, 0.0], [np.inf, 1.0]]))
+
+
 def test_noiseless_scaling_equivariance(rng):
     phi, _ = _certified_instance(seed=13)
     st_ = phi.structure
