@@ -124,9 +124,6 @@ class BlockSignal:
         sq = np.add.reduceat(self.coeffs * self.coeffs, self.structure._edges[:-1])
         return np.sqrt(sq)
 
-    def with_coeffs(self, coeffs) -> "BlockSignal":
-        return BlockSignal(coeffs, self.structure)
-
     def __add__(self, other: "BlockSignal") -> "BlockSignal":
         self._check_same_structure(other)
         return BlockSignal(self.coeffs + other.coeffs, self.structure)

@@ -97,14 +97,8 @@ def _cmd_recover(args) -> int:
     else:
         result = solve_noiseless(phi, b, cfg, truth=truth)
     payload = {
+        **vars(result),
         "estimate": signal_to_json(result.estimate),
-        "objective": result.objective,
-        "feasibility_gap": result.feasibility_gap,
-        "iterations": result.iterations,
-        "primal_residual": result.primal_residual,
-        "dual_residual": result.dual_residual,
-        "converged": result.converged,
-        "error_vector_norm": result.error_vector_norm,
         "rho": args.rho,
     }
     _emit(payload, args.out)
@@ -117,12 +111,7 @@ def _cmd_ric(args) -> int:
     cert = exact_block_ric(phi, args.order, cap=args.cap)
     elapsed = time.perf_counter() - start
     payload = {
-        "order_s": cert.order_s,
-        "delta": cert.delta,
-        "worst_support": list(cert.worst_support),
-        "min_eig": cert.min_eig,
-        "max_eig": cert.max_eig,
-        "supports_enumerated": cert.supports_enumerated,
+        **asdict(cert),
         "wall_time": elapsed,
     }
     _emit(payload, args.out)
@@ -147,11 +136,8 @@ def _cmd_oracle(args) -> int:
         sol = brute_force_l20(phi, b, args.smax, residual_tol=args.residual_tol)
         payload = {
             "found": True,
+            **vars(sol),
             "estimate": signal_to_json(sol.estimate),
-            "support": list(sol.support),
-            "sparsity": sol.sparsity,
-            "residual": sol.residual,
-            "supports_searched": sol.supports_searched,
         }
     except NoSparseFitError as exc:
         payload = {"found": False, "best_residual": exc.best_residual, "message": str(exc)}

@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,17 +48,117 @@ __all__ = [
     "records_from_csv",
 ]
 
-# experiment kind -> grid keys it has no default for
-_REQUIRED_GRID_KEYS = {
-    "RECOVERY_TRIALS": ("l", "m", "s"),
-    "PHASE_TRANSITION": ("l", "m_values", "s_values"),
-    "COUNTEREXAMPLE": (),
-    "RIC_SWEEP": ("l", "m"),
-    "IDENTITY_SUITE": (),
+
+def _at_least(cast, low):
+    """Conversion of a finite int (cast=int) or real (cast=float) >= low."""
+    number = numbers.Integral if cast is int else numbers.Real
+
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, number) or not low <= value < math.inf:
+            raise ValueError(f"expected a finite {cast.__name__} >= {low}, got {value!r}")
+        return cast(value)
+    convert.__doc__ = f"{cast.__name__} ≥ {low}"
+    return convert
+
+
+def _flag(value) -> bool:
+    """bool"""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _one_of(*choices: str):
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {choices}, got {value!r}")
+        return value
+    convert.__doc__ = "one of " + ", ".join(choices)
+    return convert
+
+
+def _list_of(item, scalar_ok: bool = False):
+    def convert(value):
+        if scalar_ok and not isinstance(value, (list, tuple)):
+            return [item(value)]
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"expected a non-empty list, got {value!r}")
+        return [item(v) for v in value]
+    convert.__doc__ = f"{item.__doc__} or a list of them" if scalar_ok else f"list of {item.__doc__}"
+    return convert
+
+
+_COUNT = _at_least(int, 1)
+_REQUIRED = object()  # grid-format default of a key the spec must give
+# grid keys of the kinds that draw matrices: their block structure, t and ensemble
+_MATRIX_KEYS = {
+    "l": (_COUNT, _REQUIRED),
+    "d": (_COUNT, 2),
+    "t": (_at_least(float, 0.0), 1.0),
+    "ensemble": (_one_of("gaussian", "spread_kernel", "identity"), "gaussian"),
 }
-EXPERIMENT_KINDS = tuple(_REQUIRED_GRID_KEYS)
+
+# experiment kind -> grid key -> (conversion, default or _REQUIRED); a None
+# default stays None, every other default goes through the conversion
+_GRID_FORMATS = {
+    "RECOVERY_TRIALS": {
+        **_MATRIX_KEYS,
+        "m": (_COUNT, _REQUIRED),
+        "s": (_COUNT, _REQUIRED),
+        "rho": (_list_of(_at_least(float, 0.0), scalar_ok=True), 0.0),
+        "trials": (_COUNT, 1),
+        "compute_ric": (_flag, True),
+    },
+    "PHASE_TRANSITION": {
+        **_MATRIX_KEYS,
+        "m_values": (_list_of(_COUNT), _REQUIRED),
+        "s_values": (_list_of(_COUNT), _REQUIRED),
+        "trials": (_COUNT, 10),
+        "compute_ric": (_flag, False),
+    },
+    "COUNTEREXAMPLE": {
+        "t": _MATRIX_KEYS["t"],
+        "s": (_COUNT, 2),
+        "d": (_COUNT, 2),
+        "l": (_COUNT, 6),
+    },
+    "RIC_SWEEP": {
+        **_MATRIX_KEYS,
+        "m": (_COUNT, _REQUIRED),
+        "orders": (_list_of(_COUNT), [1, 2]),
+        "matrices": (_COUNT, None),  # None: as many as trials
+        "trials": (_COUNT, 1),
+    },
+    "IDENTITY_SUITE": {
+        "trials": (_COUNT, 200),
+        "max_blocks": (_at_least(int, 2), 8),
+    },
+}
+EXPERIMENT_KINDS = tuple(_GRID_FORMATS)
 
 _RIC_AUTO_CAP = 10_000  # compute exact constants automatically below this many supports
+
+
+def _grid_values(kind: str, grid: dict) -> dict:
+    """Every grid key of `kind`, converted, with defaults filled in; a
+    ValueError names the first unknown, missing or malformed key."""
+    formats = _GRID_FORMATS[kind]
+    unknown = [key for key in grid if key not in formats]
+    if unknown:
+        raise ValueError(f"{kind} grid has no key {unknown[0]!r}; it reads {sorted(formats)}")
+    values = dict.fromkeys(formats)  # an absent key with a None default stays None
+    for key, (convert, default) in formats.items():
+        if key not in grid and default is _REQUIRED:
+            raise ValueError(f"{kind} grid lacks the required key {key!r}")
+        if key in grid or default is not None:
+            try:
+                values[key] = convert(grid.get(key, default))
+            except ValueError as exc:
+                raise ValueError(f"{kind} grid key {key!r}: {exc}") from None
+    for key in ("s", "s_values", "orders"):
+        if key in values and max(np.atleast_1d(values[key])) > values["l"]:
+            raise ValueError(f"{kind} grid key {key!r} asks for more than l = {values['l']} blocks")
+    return values
 
 
 @dataclass(frozen=True)
@@ -76,34 +177,26 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}")
         if not isinstance(self.grid, dict) or not self.grid:
             raise ValueError("grid must be a non-empty mapping of parameter ranges")
-        if int(self.grid.get("trials", 1)) < 1:
-            raise ValueError("trial count must be >= 1")
-        for key in _REQUIRED_GRID_KEYS[self.kind]:
-            if key not in self.grid:
-                raise ValueError(f"{self.kind} grid lacks the required key {key!r}")
+        _grid_values(self.kind, self.grid)
         if self.success_tol <= 0:
             raise ValueError("success_tol must be positive")
 
 
 def spec_to_json(spec: ExperimentSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "seed": spec.seed,
-        "grid": spec.grid,
-        "solver": asdict(spec.solver),
-        "output_path": spec.output_path,
-        "success_tol": spec.success_tol,
-    }
+    return asdict(spec)
 
 
 def spec_from_json(obj: dict) -> ExperimentSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError('experiment spec JSON must carry at least "kind"')
-    solver = SolverConfig(**obj.get("solver", {}))
+    try:
+        solver = SolverConfig(**obj.get("solver", {}))
+    except TypeError as exc:  # "solver" is no mapping, has an unknown key or a mistyped value
+        raise ValueError(f'experiment spec "solver": {exc}') from None
     return ExperimentSpec(
         kind=obj["kind"],
         seed=int(obj.get("seed", 0)),
-        grid=dict(obj.get("grid", {})),
+        grid=obj.get("grid", {}),
         solver=solver,
         output_path=str(obj.get("output_path", "experiment")),
         success_tol=float(obj.get("success_tol", 1e-5)),
@@ -112,7 +205,8 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One row of an experiment's CSV output."""
+    """One row of an experiment's CSV output; a kind leaves the fields it
+    does not measure at their defaults."""
 
     trial_id: int
     seed_stream: int
@@ -122,21 +216,18 @@ class TrialRecord:
     l: int
     s: int
     t: float
-    rho: float
-    delta: float | None
-    condition_ok: bool
-    recovery_error: float | None
-    bound_tight: float | None
-    bound_loose: float | None
-    success: bool | None
-    wall_time: float
+    rho: float = 0.0
+    delta: float | None = None
+    condition_ok: bool = False
+    recovery_error: float | None = None
+    bound_tight: float | None = None
+    bound_loose: float | None = None
+    success: bool | None = None
+    wall_time: float = 0.0
 
 
-_CSV_COLUMNS = (
-    "trial_id", "seed_stream", "m", "n", "d", "l", "s", "t", "rho",
-    "delta", "condition_ok", "recovery_error", "bound_tight", "bound_loose",
-    "success", "wall_time",
-)
+_CSV_TYPES = {f.name: f.type for f in fields(TrialRecord)}  # annotations, as strings
+_CSV_COLUMNS = tuple(_CSV_TYPES)
 
 
 def _cell(value) -> str:
@@ -163,12 +254,12 @@ def records_to_csv(records, path, header_fields: dict | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_cell(name: str, text: str):
+def _parse_cell(annotation: str, text: str):
     if text == "":
         return None
-    if name in ("trial_id", "seed_stream", "m", "n", "d", "l", "s"):
+    if annotation == "int":
         return int(text)
-    if name in ("condition_ok", "success"):
+    if annotation.startswith("bool"):
         return text == "true"
     return float(text)
 
@@ -183,7 +274,7 @@ def records_from_csv(path) -> list[TrialRecord]:
         cells = line.split(",")
         if len(cells) != len(_CSV_COLUMNS):
             raise ValueError(f"malformed trial row: {line!r}")
-        kwargs = {name: _parse_cell(name, cell) for name, cell in zip(_CSV_COLUMNS, cells)}
+        kwargs = {name: _parse_cell(_CSV_TYPES[name], cell) for name, cell in zip(_CSV_COLUMNS, cells)}
         kwargs["condition_ok"] = bool(kwargs["condition_ok"])
         records.append(TrialRecord(**kwargs))
     return records
@@ -248,12 +339,11 @@ def demo_counterexample(
     """Build the threshold instance, certify its constant, and exhibit the
     two equal-objective witnesses sharing one measurement."""
     inst = sharpness_instance(t, s, d, l)
-    ts = t * s
-    order = max(1, int(math.floor(ts + 1e-9)))
+    order = max(1, int(math.floor(t * s + 1e-9)))
     cert = exact_block_ric(inst.phi, order)
     threshold = t / (4.0 - t)
-    gap = float(np.linalg.norm(apply(inst.phi, inst.x0) - apply(inst.phi, inst.x_hat)))
     b = apply(inst.phi, inst.x0)
+    gap = float(np.linalg.norm(b - apply(inst.phi, inst.x_hat)))
     result = solve_noiseless(inst.phi, b, config)
     n0 = mixed_norm_2_1(inst.x0)
     n_hat = mixed_norm_2_1(inst.x_hat)
@@ -282,11 +372,9 @@ def _make_matrix(ensemble: str, m: int, structure: BlockStructure, key: int) -> 
         return gaussian_matrix(m, structure, key)
     if ensemble == "spread_kernel":
         return spread_kernel_matrix(m, structure, key)
-    if ensemble == "identity":
-        if m != structure.total_dim:
-            raise ValueError("identity ensemble needs m == total dimension")
-        return SensingMatrix(np.eye(m), structure)
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+    if m != structure.total_dim:
+        raise ValueError("identity ensemble needs m == total dimension")
+    return SensingMatrix(np.eye(m), structure)
 
 
 def _random_block_sparse(rng, structure: BlockStructure, s: int) -> BlockSignal:
@@ -298,29 +386,22 @@ def _random_block_sparse(rng, structure: BlockStructure, s: int) -> BlockSignal:
     return BlockSignal(coeffs, structure)
 
 
-def _recovery_trial(spec: ExperimentSpec, trial_id: int, params: dict) -> TrialRecord:
+def _recovery_trial(spec: ExperimentSpec, g: dict, trial_id: int, m: int, s: int, rho: float) -> TrialRecord:
     start = time.perf_counter()
-    d, l, m, s = params["d"], params["l"], params["m"], params["s"]
-    t, rho = params["t"], params["rho"]
-    ensemble = params["ensemble"]
+    d, l, t = g["d"], g["l"], g["t"]
     structure = BlockStructure.uniform(d, l)
-    key = stream_key(spec.seed, trial_id)
-
-    phi = _make_matrix(ensemble, m, structure, stream_key(spec.seed, trial_id, 0))
-    rng_signal = generator(spec.seed, trial_id, 1)
-    truth = _random_block_sparse(rng_signal, structure, s)
+    phi = _make_matrix(g["ensemble"], m, structure, stream_key(spec.seed, trial_id, 0))
+    truth = _random_block_sparse(generator(spec.seed, trial_id, 1), structure, s)
     b = apply(phi, truth)
     if rho > 0:
-        rng_noise = generator(spec.seed, trial_id, 2)
-        xi = rng_noise.standard_normal(m)
+        xi = generator(spec.seed, trial_id, 2).standard_normal(m)
         b = b + xi * (rho / np.linalg.norm(xi))
 
     order = max(1, int(math.floor(t * s + 1e-9)))
     delta = None
-    if params["compute_ric"] and math.comb(l, order) <= _RIC_AUTO_CAP:
+    if g["compute_ric"] and math.comb(l, order) <= _RIC_AUTO_CAP:
         delta = exact_block_ric(phi, order).delta
-    cond = check_condition(delta, t, s) if delta is not None else None
-    condition_ok = bool(cond.ok) if cond is not None else False
+    condition_ok = delta is not None and check_condition(delta, t, s).ok
 
     if rho > 0:
         result = solve_noisy(phi, b, rho, spec.solver, truth=truth)
@@ -335,7 +416,7 @@ def _recovery_trial(spec: ExperimentSpec, trial_id: int, params: dict) -> TrialR
         bound_l = error_bound_loose(t, s, delta, rho, 0.0).bound
     return TrialRecord(
         trial_id=trial_id,
-        seed_stream=key,
+        seed_stream=stream_key(spec.seed, trial_id),
         m=m,
         n=structure.total_dim,
         d=d,
@@ -353,19 +434,11 @@ def _recovery_trial(spec: ExperimentSpec, trial_id: int, params: dict) -> TrialR
     )
 
 
-def _recovery_grid(spec: ExperimentSpec, m_values, s_values, rhos, trials: int, compute_ric: bool):
+def _recovery_grid(spec: ExperimentSpec, g: dict, m_values, s_values, rhos):
     """Run `_recovery_trial` over m x s x rho x trial, numbering trials in that order."""
-    g = spec.grid
-    base = {
-        "d": int(g.get("d", 2)),
-        "l": int(g["l"]),
-        "t": float(g.get("t", 1.0)),
-        "ensemble": str(g.get("ensemble", "gaussian")),
-        "compute_ric": compute_ric,
-    }
-    grid = itertools.product(m_values, s_values, rhos, range(trials))
+    grid = itertools.product(m_values, s_values, rhos, range(g["trials"]))
     return [
-        _recovery_trial(spec, tid, dict(base, m=m, s=s, rho=rho))
+        _recovery_trial(spec, g, tid, m, s, rho)
         for tid, (m, s, rho, _) in enumerate(grid)
     ]
 
@@ -381,14 +454,8 @@ def _success_cells(records, cell_key) -> dict[str, dict]:
     return cells
 
 
-def _run_recovery_trials(spec: ExperimentSpec):
-    g = spec.grid
-    rhos = g.get("rho", 0.0)
-    rhos = [float(r) for r in (rhos if isinstance(rhos, (list, tuple)) else [rhos])]
-    records = _recovery_grid(
-        spec, [int(g["m"])], [int(g["s"])], rhos, int(g.get("trials", 1)),
-        bool(g.get("compute_ric", True)),
-    )
+def _run_recovery_trials(spec: ExperimentSpec, g: dict):
+    records = _recovery_grid(spec, g, [g["m"]], [g["s"]], g["rho"])
     violations = [
         max(0.0, rec.recovery_error - rec.bound_tight)
         for rec in records
@@ -404,31 +471,21 @@ def _run_recovery_trials(spec: ExperimentSpec):
     return records, summary
 
 
-def _run_phase_transition(spec: ExperimentSpec):
-    g = spec.grid
-    s_values = [int(s) for s in g["s_values"]]
-    m_values = [int(m) for m in g["m_values"]]
-    records = _recovery_grid(
-        spec, m_values, s_values, [0.0], int(g.get("trials", 10)),
-        bool(g.get("compute_ric", False)),
-    )
+def _run_phase_transition(spec: ExperimentSpec, g: dict):
+    records = _recovery_grid(spec, g, g["m_values"], g["s_values"], [0.0])
     summary = {
         "trials": len(records),
         "cells": _success_cells(records, lambda r: f"m={r.m},s={r.s}"),
-        "m_values": m_values,
-        "s_values": s_values,
+        "m_values": g["m_values"],
+        "s_values": g["s_values"],
     }
     return records, summary
 
 
-def _run_counterexample(spec: ExperimentSpec):
-    g = spec.grid
+def _run_counterexample(spec: ExperimentSpec, g: dict):
     start = time.perf_counter()
-    report = demo_counterexample(
-        float(g.get("t", 1.0)), int(g.get("s", 2)), int(g.get("d", 2)), int(g.get("l", 6)),
-        spec.solver,
-    )
-    elapsed = time.perf_counter() - start
+    report = demo_counterexample(g["t"], g["s"], g["d"], g["l"], spec.solver)
+    # condition_ok stays False: the instance sits exactly at the threshold
     rec = TrialRecord(
         trial_id=0,
         seed_stream=stream_key(spec.seed, 0),
@@ -438,14 +495,8 @@ def _run_counterexample(spec: ExperimentSpec):
         l=report.l,
         s=report.s,
         t=report.t,
-        rho=0.0,
         delta=report.delta,
-        condition_ok=False,  # the instance sits exactly at the threshold
-        recovery_error=None,
-        bound_tight=None,
-        bound_loose=None,
-        success=None,
-        wall_time=elapsed,
+        wall_time=time.perf_counter() - start,
     )
     summary = {
         "delta": report.delta,
@@ -462,62 +513,43 @@ def _run_counterexample(spec: ExperimentSpec):
     return [rec], summary
 
 
-def _ric_trial(spec: ExperimentSpec, trial_id: int, params: dict) -> TrialRecord:
+def _ric_trial(spec: ExperimentSpec, g: dict, trial_id: int, matrix_index: int, order: int) -> TrialRecord:
     start = time.perf_counter()
-    structure = BlockStructure.uniform(params["d"], params["l"])
-    phi = _make_matrix(
-        params["ensemble"], params["m"], structure, stream_key(spec.seed, params["matrix_index"], 0)
-    )
-    cert = exact_block_ric(phi, params["order"])
-    cond = check_condition(cert.delta, params["t"], params["order"])
+    structure = BlockStructure.uniform(g["d"], g["l"])
+    phi = _make_matrix(g["ensemble"], g["m"], structure, stream_key(spec.seed, matrix_index, 0))
+    cert = exact_block_ric(phi, order)
+    cond = check_condition(cert.delta, g["t"], order)
     return TrialRecord(
         trial_id=trial_id,
-        seed_stream=stream_key(spec.seed, params["matrix_index"]),
-        m=params["m"],
+        seed_stream=stream_key(spec.seed, matrix_index),
+        m=g["m"],
         n=structure.total_dim,
-        d=params["d"],
-        l=params["l"],
-        s=params["order"],
-        t=params["t"],
-        rho=0.0,
+        d=g["d"],
+        l=g["l"],
+        s=order,
+        t=g["t"],
         delta=cert.delta,
         condition_ok=bool(cond.ok),
-        recovery_error=None,
-        bound_tight=None,
-        bound_loose=None,
-        success=None,
         wall_time=time.perf_counter() - start,
     )
 
 
-def _run_ric_sweep(spec: ExperimentSpec):
-    g = spec.grid
-    orders = [int(o) for o in g.get("orders", [1, 2])]
-    matrices = int(g.get("matrices", g.get("trials", 1)))
-    base = {
-        "d": int(g.get("d", 2)),
-        "l": int(g["l"]),
-        "m": int(g["m"]),
-        "t": float(g.get("t", 1.0)),
-        "ensemble": str(g.get("ensemble", "gaussian")),
-    }
+def _run_ric_sweep(spec: ExperimentSpec, g: dict):
+    matrices = g["matrices"] or g["trials"]
     records = [
-        _ric_trial(spec, tid, dict(base, matrix_index=idx, order=order))
-        for tid, (idx, order) in enumerate(itertools.product(range(matrices), orders))
+        _ric_trial(spec, g, tid, idx, order)
+        for tid, (idx, order) in enumerate(itertools.product(range(matrices), g["orders"]))
     ]
     deltas: dict[str, list] = {}
     for rec in records:
         deltas.setdefault(f"order={rec.s}", []).append(rec.delta)
     per_order = {key: {"min": min(ds), "max": max(ds), "mean": sum(ds) / len(ds)}
                  for key, ds in deltas.items()}
-    summary = {"matrices": matrices, "orders": orders, "per_order": per_order}
+    summary = {"matrices": matrices, "orders": g["orders"], "per_order": per_order}
     return records, summary
 
 
-def _run_identity_suite(spec: ExperimentSpec):
-    g = spec.grid
-    trials = int(g.get("trials", 200))
-    max_blocks = int(g.get("max_blocks", 8))
+def _run_identity_suite(spec: ExperimentSpec, g: dict):
     worst = {
         "subset_sum": 0.0,
         "subset_inner_product": 0.0,
@@ -526,15 +558,15 @@ def _run_identity_suite(spec: ExperimentSpec):
     }
     polytope_checked = 0
     records: list[TrialRecord] = []
-    for trial in range(trials):
+    for trial in range(g["trials"]):
         rng = generator(spec.seed, trial)
-        s = int(rng.integers(2, max_blocks + 1))
+        s = int(rng.integers(2, g["max_blocks"] + 1))
         m = int(rng.integers(1, s + 1))
         vectors = [rng.standard_normal(4) for _ in range(s)]
         r1 = subset_sum_residual(vectors, m)
         r2 = subset_inner_product_residual(vectors, max(2, m)) if s >= 2 else 0.0
 
-        l = int(rng.integers(2, max_blocks + 1))
+        l = int(rng.integers(2, g["max_blocks"] + 1))
         d = int(rng.integers(1, 3))
         structure = BlockStructure.uniform(d, l)
         rows = int(rng.integers(2, 7))
@@ -566,18 +598,12 @@ def _run_identity_suite(spec: ExperimentSpec):
                 l=l,
                 s=s,
                 t=1.0,
-                rho=0.0,
-                delta=None,
-                condition_ok=False,
                 recovery_error=max(r1, r2, r3, r4),
-                bound_tight=None,
-                bound_loose=None,
                 success=bool(max(r1, r2, r3, r4) <= 1e-10),
-                wall_time=0.0,
             )
         )
     summary = {
-        "trials": trials,
+        "trials": g["trials"],
         "max_residuals": worst,
         "polytope_members_checked": polytope_checked,
         "all_below_1e-10": all(bool(r.success) for r in records),
@@ -629,7 +655,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     (summary).  Outputs for identical (spec, seed) are identical apart from
     the wall_time column.
     """
-    records, summary = _RUNNERS[spec.kind](spec)
+    records, summary = _RUNNERS[spec.kind](spec, _grid_values(spec.kind, spec.grid))
     header = {
         "kind": spec.kind,
         "seed": spec.seed,

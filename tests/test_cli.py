@@ -176,6 +176,19 @@ def test_sweep_missing_grid_key_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"bogus": 1}},
+    {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"max_iters": "x"}},
+    {"kind": "PHASE_TRANSITION", "grid": {"l": 6, "m_values": 8, "s_values": [1], "trials": 1}},
+])
+def test_sweep_mistyped_spec_exit_one(tmp_path, capsys, spec):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(dict(spec, output_path=str(tmp_path / "out"))))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_subcommands_reject_flags_they_do_not_read(instance_files):
     _, matrix_path, _, _ = instance_files
     assert main(["bound", "--t", "1", "--s", "2", "--delta", "0.25", "--seed", "9"]) == 1

@@ -5,8 +5,17 @@ from pathlib import Path
 import pytest
 
 from blockcs import ExperimentSpec, demo_counterexample, run_experiment
-from blockcs.experiments import records_from_csv, records_to_csv, spec_from_json, spec_to_json
+from blockcs.experiments import (
+    _GRID_FORMATS,
+    _REQUIRED,
+    records_from_csv,
+    records_to_csv,
+    spec_from_json,
+    spec_to_json,
+)
 from conftest import strip_wall_time
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def test_spec_validation():
@@ -26,6 +35,47 @@ def test_spec_validation():
 def test_spec_rejects_missing_grid_key(kind, grid, missing):
     with pytest.raises(ValueError, match=repr(missing)):
         ExperimentSpec(kind=kind, seed=1, grid=grid)
+
+
+_RECOVERY_GRID = {"l": 6, "m": 8, "s": 2}
+
+
+@pytest.mark.parametrize("kind, grid, key", [
+    ("PHASE_TRANSITION", {"l": 6, "m_values": 8, "s_values": [1]}, "m_values"),
+    ("PHASE_TRANSITION", {"l": 6, "m_values": [8], "s_values": "12"}, "s_values"),
+    ("PHASE_TRANSITION", {"l": 6, "m_values": [8], "s_values": [1, 7]}, "s_values"),
+    ("RECOVERY_TRIALS", dict(_RECOVERY_GRID, rho=[]), "rho"),
+    ("RECOVERY_TRIALS", dict(_RECOVERY_GRID, t="x"), "t"),
+    ("RECOVERY_TRIALS", dict(_RECOVERY_GRID, trials=0), "trials"),
+    ("RECOVERY_TRIALS", dict(_RECOVERY_GRID, s=7), "s"),
+    ("RECOVERY_TRIALS", dict(_RECOVERY_GRID, compute_ric="no"), "compute_ric"),
+    ("RECOVERY_TRIALS", dict(_RECOVERY_GRID, ensemble="bernoulli"), "ensemble"),
+    ("RIC_SWEEP", {"l": 3, "m": 6, "orders": [4]}, "orders"),
+    ("IDENTITY_SUITE", {"max_blocks": 1}, "max_blocks"),
+    ("IDENTITY_SUITE", {"trials": 1, "bogus": 1}, "bogus"),
+])
+def test_spec_rejects_bad_grid(kind, grid, key):
+    with pytest.raises(ValueError, match=f"key {key!r}"):
+        ExperimentSpec(kind=kind, seed=1, grid=grid)
+
+
+def test_spec_from_json_rejects_unknown_solver_key():
+    with pytest.raises(ValueError, match="'bogus'"):
+        spec_from_json({"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"bogus": 1}})
+
+
+def _grid_table() -> str:
+    """Markdown table of every kind's grid keys, as the README carries it."""
+    rows = ["| kind | key | type | default |", "|---|---|---|---|"]
+    for kind, formats in _GRID_FORMATS.items():
+        for key, (convert, default) in formats.items():
+            shown = "required" if default is _REQUIRED else f"`{json.dumps(default)}`"
+            rows.append(f"| `{kind}` | `{key}` | {convert.__doc__} | {shown} |")
+    return "\n".join(rows) + "\n"
+
+
+def test_readme_grid_table_matches_formats():
+    assert _grid_table() in README.read_text()
 
 
 def test_spec_json_round_trip():
