@@ -61,6 +61,20 @@ def _at_least(cast, low):
     return convert
 
 
+def _integer(value) -> int:
+    """int"""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _positive(value) -> float:
+    """real > 0"""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"expected a finite real > 0, got {value!r}")
+    return float(value)
+
+
 def _flag(value) -> bool:
     """bool"""
     if not isinstance(value, bool):
@@ -178,8 +192,11 @@ class ExperimentSpec:
         if not isinstance(self.grid, dict) or not self.grid:
             raise ValueError("grid must be a non-empty mapping of parameter ranges")
         _grid_values(self.kind, self.grid)
-        if self.success_tol <= 0:
-            raise ValueError("success_tol must be positive")
+        for key, convert in (("seed", _integer), ("success_tol", _positive)):
+            try:
+                object.__setattr__(self, key, convert(getattr(self, key)))
+            except ValueError as exc:
+                raise ValueError(f"experiment spec key {key!r}: {exc}") from None
 
 
 def spec_to_json(spec: ExperimentSpec) -> dict:
@@ -195,11 +212,11 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
         raise ValueError(f'experiment spec "solver": {exc}') from None
     return ExperimentSpec(
         kind=obj["kind"],
-        seed=int(obj.get("seed", 0)),
+        seed=obj.get("seed", 0),
         grid=obj.get("grid", {}),
         solver=solver,
         output_path=str(obj.get("output_path", "experiment")),
-        success_tol=float(obj.get("success_tol", 1e-5)),
+        success_tol=obj.get("success_tol", 1e-5),
     )
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockSignal, best_block_approx, mixed_norm_2_1
-from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, _support_columns
+from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, _support_chunks
 from .sensing import SensingMatrix
 
 __all__ = [
@@ -88,16 +88,18 @@ def brute_force_l20(
     searched = 0
     best_overall = np.inf
     for k in range(s_max + 1):
-        best_res = np.inf
-        best = None
-        for sup, cols in _support_columns(structure, k):
-            searched += 1
-            sub = phi.entries[:, cols]
-            coef, *_ = np.linalg.lstsq(sub, b, rcond=_SVD_CUTOFF)
-            res = float(np.linalg.norm(sub @ coef - b))
-            if res < best_res:  # lexicographic order makes ties keep the first support
-                best_res = res
-                best = sup, cols, coef
+        best_res, best_ordinal = np.inf, 0
+        for sups, groups in _support_chunks(structure, k):
+            for rows, cols in groups:
+                for i, support_cols in zip(rows.tolist(), cols):
+                    sub = phi.entries[:, support_cols]
+                    coef, *_ = np.linalg.lstsq(sub, b, rcond=_SVD_CUTOFF)
+                    res = float(np.linalg.norm(sub @ coef - b))
+                    # groups split a chunk out of order: ties keep the lexicographically first
+                    if (res, searched + i) < (best_res, best_ordinal):
+                        best_res, best_ordinal = res, searched + i
+                        best = sups[i], support_cols, coef
+            searched += len(sups)
         best_overall = min(best_overall, best_res)
         if best_res <= residual_tol:
             sup, cols, coef = best
@@ -105,7 +107,7 @@ def brute_force_l20(
             x[cols] = coef
             return OracleSolution(
                 estimate=BlockSignal(x, structure),
-                support=sup,
+                support=tuple(sup.tolist()),
                 sparsity=k,
                 residual=best_res,
                 supports_searched=searched,

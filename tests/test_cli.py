@@ -189,6 +189,18 @@ def test_sweep_mistyped_spec_exit_one(tmp_path, capsys, spec):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 2.7), ("seed", [1]), ("success_tol", [1]), ("success_tol", float("nan")),
+])
+def test_sweep_bad_seed_or_success_tol_exit_one(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({"kind": "IDENTITY_SUITE", "grid": {"trials": 1},
+                                    "output_path": str(tmp_path / "ids"), key: value}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
+
+
 def test_subcommands_reject_flags_they_do_not_read(instance_files):
     _, matrix_path, _, _ = instance_files
     assert main(["bound", "--t", "1", "--s", "2", "--delta", "0.25", "--seed", "9"]) == 1

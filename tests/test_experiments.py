@@ -64,6 +64,32 @@ def test_spec_from_json_rejects_unknown_solver_key():
         spec_from_json({"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"bogus": 1}})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("success_tol", math.nan),
+    ("success_tol", math.inf),
+    ("success_tol", 0.0),
+    ("success_tol", -1e-5),
+    ("success_tol", [1]),
+    ("success_tol", "1e-5"),
+    ("success_tol", True),
+    ("seed", 2.7),
+    ("seed", [1]),
+    ("seed", "1"),
+    ("seed", None),
+])
+def test_spec_rejects_bad_seed_or_success_tol(key, value):
+    with pytest.raises(ValueError, match=f"key {key!r}"):
+        spec_from_json({"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, key: value})
+    with pytest.raises(ValueError, match=f"key {key!r}"):
+        ExperimentSpec(**{"kind": "IDENTITY_SUITE", "seed": 1, "grid": {"trials": 1}, key: value})
+
+
+def test_spec_from_json_keeps_seed_int_and_success_tol_float():
+    spec = spec_from_json({"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "seed": 3, "success_tol": 1})
+    assert (spec.seed, spec.success_tol) == (3, 1.0)
+    assert type(spec.seed) is int and type(spec.success_tol) is float
+
+
 def _grid_table() -> str:
     """Markdown table of every kind's grid keys, as the README carries it."""
     rows = ["| kind | key | type | default |", "|---|---|---|---|"]

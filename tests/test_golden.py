@@ -1,21 +1,34 @@
 """Golden outputs: every experiment kind on a small grid writes exactly the
 CSV (wall_time column removed) and JSON stored under tests/data/golden/, and
 the `recover`, `ric` (wall_time removed) and `oracle` subcommands write
-exactly the JSON stored there for one spread-kernel instance.
+exactly the JSON stored there for one spread-kernel instance.  Exact block
+RIC certificates and spread-kernel matrix entries over a seeded grid of
+uniform and ragged shapes match `ric_certificates.json` bit for bit.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py` only when an
 output change is intended.
 """
 
+import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blockcs import BlockSignal, BlockStructure, ExperimentSpec, run_experiment, spread_kernel_matrix
+from blockcs import (
+    BlockSignal,
+    BlockStructure,
+    ExperimentSpec,
+    exact_block_ric,
+    gaussian_matrix,
+    run_experiment,
+    sharpness_instance,
+    spread_kernel_matrix,
+)
 from blockcs.cli import main
 from blockcs.serialize import matrix_to_json, save_json, signal_to_json
 from conftest import strip_wall_time
@@ -69,6 +82,46 @@ def _cli_output(name: str, work_dir: Path) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# (block lengths, rows) of the certified matrices: uniform and ragged, with
+# C(l, s) from 1 to 495 supports at orders 1-4
+RIC_SHAPES = (
+    ((2,) * 6, 9),
+    ((1,) * 8, 6),
+    ((3,) * 5, 10),
+    ((1, 2, 3) * 2, 8),
+    ((3, 2, 1, 2), 6),
+    ((2, 1, 1, 3, 2), 7),
+    ((1, 2, 3) * 4, 16),
+)
+RIC_SEEDS = (0, 1, 2)
+# (t, s, d, l) of the threshold instances, certified at order t*s
+RIC_SHARP = ((1.0, 2, 2, 6), (1.0, 3, 1, 8), (2.0 / 3.0, 3, 2, 8))
+
+
+def _ric_certificates() -> str:
+    """Every certificate field, and the sha256 of each spread-kernel matrix's
+    entries, over the RIC grid."""
+    records = []
+
+    def certify(name, phi, orders, **key):
+        for order in orders:
+            records.append({"matrix": name, **key, **asdict(exact_block_ric(phi, order))})
+
+    for lengths, m in RIC_SHAPES:
+        structure = BlockStructure(lengths)
+        orders = range(1, min(4, structure.num_blocks) + 1)
+        for seed in RIC_SEEDS:
+            key = {"lengths": list(lengths), "m": m, "seed": seed}
+            certify("gaussian", gaussian_matrix(m, structure, seed), orders, **key)
+            phi = spread_kernel_matrix(m, structure, seed)
+            digest = hashlib.sha256(np.ascontiguousarray(phi.entries).tobytes()).hexdigest()
+            records.append({"matrix": "spread_kernel", **key, "entries_sha256": digest})
+            certify("spread_kernel", phi, orders, **key)
+    for t, s, d, l in RIC_SHARP:
+        certify("sharpness", sharpness_instance(t, s, d, l).phi, [round(t * s)], t=t, s=s, d=d, l=l)
+    return "[\n" + ",\n".join(json.dumps(record) for record in records) + "\n]\n"
+
+
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_golden_outputs(kind, tmp_path):
     csv_text, json_text = _outputs(kind, tmp_path)
@@ -79,6 +132,10 @@ def test_golden_outputs(kind, tmp_path):
 @pytest.mark.parametrize("name", sorted(CLI_COMMANDS))
 def test_golden_cli_payloads(name, tmp_path):
     assert _cli_output(name, tmp_path) == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_golden_ric_certificates():
+    assert _ric_certificates() == (GOLDEN / "ric_certificates.json").read_text()
 
 
 if __name__ == "__main__":
@@ -92,3 +149,5 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as work_dir:
             (GOLDEN / f"{name}.json").write_text(_cli_output(name, Path(work_dir)))
         print(f"wrote {name}.json", file=sys.stderr)
+    (GOLDEN / "ric_certificates.json").write_text(_ric_certificates())
+    print("wrote ric_certificates.json", file=sys.stderr)

@@ -54,6 +54,16 @@ def test_oracle_lexicographic_tie_break():
     assert sol.support == (0,)
 
 
+def test_oracle_tie_break_across_block_widths():
+    # blocks 0 (two columns) and 1 (one column) both fit exactly; block 1's width
+    # group is searched first, yet the lexicographically first support wins
+    e = np.eye(3)
+    phi = SensingMatrix(np.column_stack([e[0], e[1], e[0], e[2], e[1]]), BlockStructure((2, 1, 2)))
+    sol = brute_force_l20(phi, 2.0 * e[0], s_max=1)
+    assert (sol.support, sol.residual, sol.supports_searched) == ((0,), 0.0, 4)
+    np.testing.assert_array_equal(sol.estimate.coeffs, [2.0, 0.0, 0.0, 0.0, 0.0])
+
+
 def _supports_identifiable(phi, s):
     # spark-style check: every union of two size-s block supports keeps
     # full column rank, so block s-sparse representations are unique

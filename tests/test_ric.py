@@ -1,12 +1,18 @@
+import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, sqrt as msqrt
 
 from blockcs import (
     BlockStructure,
     EnumerationCapError,
+    RicCertificate,
     SensingMatrix,
     check_condition,
     condition_threshold,
@@ -17,6 +23,7 @@ from blockcs import (
     ric_scaling_bound,
     sharpness_instance,
 )
+from blockcs import ric
 from conftest import random_block_sparse
 
 
@@ -101,6 +108,92 @@ def test_exact_ric_worst_support_tightness():
     w = np.linalg.eigvalsh(sub.T @ sub)
     attained = max(w[-1] - 1.0, 1.0 - w[0])
     assert abs(attained - cert.delta) <= 1e-12
+
+
+# --- the chunked kernel against the plain per-support loop ---
+
+def _reference_ric(phi, s):
+    """One eigvalsh per support, in lexicographic order: what the kernel must reproduce."""
+    l = phi.structure.num_blocks
+    delta, worst, min_eig, max_eig = -np.inf, (), np.inf, -np.inf
+    for sup in itertools.combinations(range(l), s):
+        sub = phi.entries[:, phi.structure.block_indices(sup)]
+        w = np.linalg.eigvalsh(sub.T @ sub)
+        min_eig, max_eig = min(min_eig, w[0]), max(max_eig, w[-1])
+        deviation = max(w[-1] - 1.0, 1.0 - w[0])
+        if deviation > delta:
+            delta, worst = deviation, sup
+    return RicCertificate(s, float(delta), worst, float(min_eig), float(max_eig), math.comb(l, s))
+
+
+def _chunk_size(case, num_supports):
+    """A chunk size for which C(l, s) is below, equal to or not a multiple of it."""
+    return {"module": ric._CHUNK, "below": num_supports + 1, "equal": num_supports,
+            "uneven": max(num_supports - 1, 2)}[case]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.one_of(
+        st.tuples(st.integers(1, 3), st.integers(1, 9)).map(lambda dl: (dl[0],) * dl[1]),
+        st.lists(st.integers(1, 3), min_size=1, max_size=9).map(tuple),
+    ),
+    m=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+    case=st.sampled_from(["module", "below", "equal", "uneven"]),
+)
+def test_kernel_matches_reference_loop(lengths, m, seed, data, case):
+    structure = BlockStructure(lengths)
+    s = data.draw(st.integers(1, structure.num_blocks), label="s")
+    phi = gaussian_matrix(m, structure, seed=seed)
+    with mock.patch.object(ric, "_CHUNK", _chunk_size(case, math.comb(structure.num_blocks, s))):
+        assert exact_block_ric(phi, s) == _reference_ric(phi, s)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, ric._CHUNK])
+@pytest.mark.parametrize("lengths", [(2,) * 7, (3, 1, 2, 1, 3, 2, 1)])
+def test_kernel_ties_go_to_first_support(lengths, chunk):
+    # a signed permutation is orthonormal: every restricted Gram is exactly I
+    structure = BlockStructure(lengths)
+    n = structure.total_dim
+    entries = np.eye(n)[np.random.default_rng(3).permutation(n)] * np.where(np.arange(n) % 2, -1.0, 1.0)
+    phi = SensingMatrix(entries, structure)
+    with mock.patch.object(ric, "_CHUNK", chunk):
+        for s in range(1, 5):
+            cert = exact_block_ric(phi, s)
+            assert (cert.delta, cert.min_eig, cert.max_eig) == (0.0, 1.0, 1.0)
+            assert cert.worst_support == tuple(range(s))
+
+
+def test_kernel_tie_across_width_groups():
+    # blocks 1 and 2 are scaled by 2, so (0, 1) and (0, 2) tie at delta = 3; (0, 2) has
+    # fewer columns, so its width group is evaluated first within the chunk
+    structure = BlockStructure((1, 2, 1, 2, 1))
+    scale = np.ones(structure.total_dim)
+    scale[structure.block_indices((1, 2))] = 2.0
+    cert = exact_block_ric(SensingMatrix(np.diag(scale), structure), 2)
+    assert cert.delta == 3.0
+    assert cert.worst_support == (0, 1)
+
+
+def _peak_bytes(phi, s):
+    tracemalloc.start()
+    try:
+        exact_block_ric(phi, s)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_does_not_grow_with_support_count():
+    # C(20, 6) = 38,760 supports against C(14, 6) = 3,003, each of 12 columns: an array
+    # with one float per support would add 286 kB at l = 20
+    big = gaussian_matrix(30, BlockStructure.uniform(2, 20), seed=1)
+    small = gaussian_matrix(30, BlockStructure.uniform(2, 14), seed=1)
+    peak_big, peak_small = _peak_bytes(big, 6), _peak_bytes(small, 6)
+    assert peak_big < 2_000_000
+    assert peak_big - peak_small < 100_000
 
 
 # --- condition checker ---
