@@ -84,7 +84,7 @@ def _emit(payload, out: str | None) -> None:
     if out:
         save_json(payload, out)
     else:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _cmd_recover(args) -> int:

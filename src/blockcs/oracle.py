@@ -66,7 +66,8 @@ def brute_force_l20(
     Raises
     ------
     ValueError
-        If `s_max` is outside [0, l] or the observation is misshapen or non-finite.
+        If `s_max` is outside [0, l], `residual_tol` is negative or non-finite,
+        or the observation is misshapen or non-finite.
     EnumerationCapError
         If the total number of supports up to s_max exceeds `cap`.
     NoSparseFitError
@@ -77,6 +78,8 @@ def brute_force_l20(
     s_max = int(s_max)
     if not 0 <= s_max <= l:
         raise ValueError(f"s_max={s_max} outside [0, {l}]")
+    if not (math.isfinite(residual_tol) and residual_tol >= 0):
+        raise ValueError(f"residual_tol must be finite and nonnegative, got {residual_tol}")
     _check_cap(sum(math.comb(l, k) for k in range(s_max + 1)), cap,
                f"sum of C({l}, k) for k <= {s_max}")
     b = np.asarray(b, dtype=float)

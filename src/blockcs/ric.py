@@ -235,8 +235,10 @@ def _bound_ingredients(t: float, s: int, delta: float, rho: float, tail_norm: fl
             f"error bound requires the recovery condition to hold ({report.reason}: "
             f"t={t}, s={s}, delta={delta})"
         )
-    if rho < 0 or tail_norm < 0:
-        raise ValueError("rho and tail_norm must be nonnegative")
+    if not (math.isfinite(rho) and math.isfinite(tail_norm)) or rho < 0 or tail_norm < 0:
+        raise ValueError(
+            f"rho and tail_norm must be finite and nonnegative, got rho={rho}, tail_norm={tail_norm}"
+        )
     t = float(t)
     delta = float(delta)
     t_tilde = max(math.sqrt(t), t)

@@ -90,7 +90,7 @@ def matrix_from_json(obj: dict) -> SensingMatrix:
 
 
 def save_json(obj: dict, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def load_json(path) -> dict:

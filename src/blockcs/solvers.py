@@ -11,8 +11,9 @@ block soft-thresholding w-update, and a z-update that projects onto the
 rho-ball (the origin when rho = 0).  Every proximal piece is closed form.
 
 A batch entry point runs many right-hand sides against one matrix in a
-single vectorized iteration; columns are independent, so results match
-one-at-a-time solves up to solver tolerances.
+single vectorized iteration.  The columns share one penalty, rebalanced on
+the columns still running, so a column's iteration count and estimate can
+differ from those of its one-at-a-time solve.
 """
 
 from __future__ import annotations
@@ -91,29 +92,27 @@ def block_soft_threshold(x: BlockSignal, tau: float) -> BlockSignal:
     """Proximal map of the mixed l2/l1 norm: shrink each block's norm by tau.
 
     Blocks with norm <= tau are set exactly to zero; others are rescaled by
-    (1 - tau/||x[i]||_2).
+    (1 - tau/||x[i]||_2).  With tau = 0 the input is returned unchanged.
     """
-    if tau < 0:
-        raise ValueError(f"threshold must be nonnegative, got {tau}")
-    coeffs = _block_shrink(x.coeffs[:, None], x.structure, float(tau))[:, 0]
-    return BlockSignal(coeffs, x.structure)
+    if not 0 <= tau < np.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {tau}")
+    if tau == 0:
+        return BlockSignal(x.coeffs, x.structure)
+    st = x.structure
+    coeffs = _block_shrink(x.coeffs[:, None], st._edges[:-1], st.block_lengths, float(tau))
+    return BlockSignal(coeffs[:, 0], st)
 
 
-def _block_shrink(V: np.ndarray, structure, tau: float) -> np.ndarray:
-    """Columnwise block soft threshold of an (N, batch) array."""
-    starts = structure._edges[:-1]
-    lengths = np.asarray(structure.block_lengths)
-    sq = np.add.reduceat(V * V, starts, axis=0)
-    norms = np.sqrt(sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norms > tau, 1.0 - tau / norms, 0.0)
-    return np.repeat(scale, lengths, axis=0) * V
+def _block_shrink(V: np.ndarray, starts, lengths, tau: float) -> np.ndarray:
+    """Columnwise block soft threshold of an (N, batch) array, for tau > 0
+    (a block whose norm is at most tau gets scale 1 - tau/tau = 0)."""
+    norms = np.sqrt(np.add.reduceat(V * V, starts, axis=0))
+    return np.repeat(1.0 - tau / np.maximum(norms, tau), lengths, axis=0) * V
 
 
-def _range_distance(entries: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Distance of each column of B to the range of the matrix."""
-    sol, *_ = np.linalg.lstsq(entries, B, rcond=None)
-    return np.linalg.norm(entries @ sol - B, axis=0)
+def _column_norms(A: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(A, axis=0), bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(A * A, axis=0))
 
 
 def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig):
@@ -125,20 +124,24 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     always satisfy the convergence contract.
     """
     entries = phi.entries
-    structure = phi.structure
+    entries_t = entries.T
+    starts = phi.structure._edges[:-1]
+    lengths = np.asarray(phi.structure.block_lengths)
     m, n = entries.shape
     batch = B.shape[1]
 
-    gram = np.eye(n) + entries.T @ entries
-    cho = scipy.linalg.cho_factor(gram)
+    # the caller checked B and rhos finite, so LAPACK's solve runs unchecked
+    chol, lower = scipy.linalg.cho_factor(np.eye(n) + entries_t @ entries)
+    (potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (chol,))
 
-    x = np.zeros((n, batch))
     w = np.zeros((n, batch))
     u = np.zeros((n, batch))
     z = np.zeros((m, batch))
     v = np.zeros((m, batch))
+    zb = z + B
     beta = cfg.penalty
     alpha = cfg.over_relaxation
+    alpha_c = 1.0 - alpha
     noiseless = np.all(rhos == 0.0)
 
     est = np.zeros((n, batch))
@@ -146,47 +149,47 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     prim = np.full(batch, np.inf)
     dual = np.full(batch, np.inf)
     done = np.zeros(batch, dtype=bool)
+    any_done = False
 
     for it in range(1, cfg.max_iters + 1):
-        rhs = (w - u) + entries.T @ (B + z - v)
-        x = scipy.linalg.cho_solve(cho, rhs)
+        x, _ = potrs(chol, (w - u) + entries_t @ (zb - v), lower=lower, overwrite_b=True)
         px = entries @ x
-        xr = alpha * x + (1.0 - alpha) * w
-        pxr = alpha * px + (1.0 - alpha) * (z + B)
+        xr = alpha * x + alpha_c * w
+        pxr = alpha * px + alpha_c * zb
 
         w_old = w
-        z_old = z
-        w = _block_shrink(xr + u, structure, 1.0 / beta)
-        if noiseless:
-            z = np.zeros((m, batch))
-        else:
+        xu = xr + u
+        w = _block_shrink(xu, starts, lengths, 1.0 / beta)
+        u = xu - w
+        dw = w - w_old
+        v_next = v + pxr - B
+        rz = px - B
+        # every rho 0 keeps z at 0: dropping z's terms can flip only a zero's sign in dw
+        if not noiseless:
             zin = pxr - B + v
-            nz = np.linalg.norm(zin, axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                shrink = np.where(nz > rhos, rhos / np.where(nz > 0, nz, 1.0), 1.0)
-            z = zin * shrink
-        u = u + xr - w
-        v = v + pxr - B - z
+            nz = _column_norms(zin)
+            z_old, z = z, zin * np.where(nz > rhos, rhos / np.where(nz > 0, nz, 1.0), 1.0)
+            v_next, rz, zb = v_next - z, rz - z, z + B
+            dw = dw + entries_t @ (z - z_old)
+        v = v_next
+        rp = np.sqrt(_column_norms(x - w) ** 2 + _column_norms(rz) ** 2)
+        rd = beta * _column_norms(dw)
 
-        rp = np.sqrt(
-            np.linalg.norm(x - w, axis=0) ** 2 + np.linalg.norm(px - B - z, axis=0) ** 2
-        )
-        rd = beta * np.linalg.norm((w - w_old) + entries.T @ (z - z_old), axis=0)
-
-        hit = (~done) & (rp <= cfg.primal_tol) & (rd <= cfg.dual_tol)
-        if np.any(hit):
+        hit = (rp <= cfg.primal_tol) & (rd <= cfg.dual_tol)
+        if any_done:
+            hit &= ~done
+        if hit.any():
             est[:, hit] = w[:, hit]
             iters[hit] = it
             prim[hit] = rp[hit]
             dual[hit] = rd[hit]
             done |= hit
+            any_done = True
             if done.all():
                 break
 
         if it % _BALANCE_EVERY == 0 and not done.all():
-            live = ~done
-            rp_max = rp[live].max()
-            rd_max = rd[live].max()
+            rp_max, rd_max = rp[~done].max(), rd[~done].max()
             if rp_max > _BALANCE_RATIO * rd_max:
                 beta *= _BALANCE_FACTOR
                 u /= _BALANCE_FACTOR
@@ -196,11 +199,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                 u *= _BALANCE_FACTOR
                 v *= _BALANCE_FACTOR
 
-    live = ~done
-    est[:, live] = w[:, live]
-    prim[live] = rp[live]
-    dual[live] = rd[live]
-    return est, iters, prim, dual, done
+    return np.where(done, est, w), iters, np.where(done, prim, rp), np.where(done, dual, rd), done
 
 
 def _as_columns(b) -> np.ndarray:
@@ -254,7 +253,8 @@ def _solve_batch(phi, b, rhos, config, truths):
         raise ValueError("one truth signal per right-hand side is required")
 
     scale = np.maximum(1.0, np.linalg.norm(B, axis=0))
-    dist = _range_distance(phi.entries, B)
+    sol, *_ = np.linalg.lstsq(phi.entries, B, rcond=None)
+    dist = np.linalg.norm(phi.entries @ sol - B, axis=0)  # to the range of Phi
     bad = dist > rhos + cfg.feasibility_tol * scale
     if np.any(bad):
         j = int(np.nonzero(bad)[0][0])

@@ -109,6 +109,26 @@ def test_bound_invalid_condition_exit_one():
     assert main(["bound", "--t", "1", "--s", "2", "--delta", "0.5"]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--rho", "nan"), ("--tail", "inf"), ("--rho", "-inf")])
+def test_bound_non_finite_input_exit_one(flag, value, capsys):
+    values = {"--rho": "0.1", "--tail": "0.0", flag: value}
+    argv = ["bound", "--t", "1", "--s", "2", "--delta", "0.25"]
+    assert main([*argv, *(f"{key}={val}" for key, val in values.items())]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1.0", "inf"])
+def test_oracle_bad_residual_tol_exit_one(instance_files, capsys, tol):
+    _, matrix_path, obs_path, _ = instance_files
+    argv = ["oracle", "--matrix", matrix_path, "--obs", obs_path, "--smax", "2"]
+    assert main([*argv, f"--residual-tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "residual_tol" in captured.err
+
+
 def test_oracle_subcommand(tmp_path):
     st_ = BlockStructure.uniform(2, 5)
     phi = gaussian_matrix(6, st_, seed=3)

@@ -3,7 +3,9 @@ CSV (wall_time column removed) and JSON stored under tests/data/golden/, and
 the `recover`, `ric` (wall_time removed) and `oracle` subcommands write
 exactly the JSON stored there for one spread-kernel instance.  Exact block
 RIC certificates and spread-kernel matrix entries over a seeded grid of
-uniform and ragged shapes match `ric_certificates.json` bit for bit.
+uniform and ragged shapes match `ric_certificates.json` bit for bit, and the
+batch solver's outputs on a grid of noiseless, noisy and mixed-radius batches
+match the sha256 digests in `admm_outputs.json`.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py` only when an
 output change is intended.
@@ -23,10 +25,13 @@ from blockcs import (
     BlockSignal,
     BlockStructure,
     ExperimentSpec,
+    SolverConfig,
     exact_block_ric,
     gaussian_matrix,
+    generator,
     run_experiment,
     sharpness_instance,
+    solve_noisy_batch,
     spread_kernel_matrix,
 )
 from blockcs.cli import main
@@ -122,6 +127,62 @@ def _ric_certificates() -> str:
     return "[\n" + ",\n".join(json.dumps(record) for record in records) + "\n]\n"
 
 
+# case name -> (ensemble, block lengths, rows, seed, noise radius per column, max_iters).
+# Every matrix has fewer rows than columns, so each observation is feasible.
+# `noiseless_12_gaussian_d1` and `mixed_12_gaussian_d2` rebalance the penalty
+# both up and down; the `unconverged_*` cases stop at max_iters, the second
+# after some of its columns have converged.
+_MIXED_RHOS = (0.0, 1e-3, 1e-2, 1e-1) * 3
+ADMM_CASES = {
+    "noiseless_1_gaussian_d1": ("gaussian", (1,) * 8, 6, 1, (0.0,), 50_000),
+    "noiseless_12_gaussian_d1": ("gaussian", (1,) * 8, 6, 1, (0.0,) * 12, 50_000),
+    "noiseless_1_spread_d2": ("spread_kernel", (2,) * 8, 11, 2, (0.0,), 50_000),
+    "noiseless_12_spread_ragged": ("spread_kernel", (1, 2, 3, 2, 1, 3), 8, 4, (0.0,) * 12, 50_000),
+    "noisy_1_spread_d2": ("spread_kernel", (2,) * 8, 11, 2, (1e-2,), 50_000),
+    "noisy_12_spread_d2": ("spread_kernel", (2,) * 8, 11, 2, (1e-2,) * 12, 50_000),
+    "noisy_1_gaussian_ragged": ("gaussian", (1, 2, 3, 2, 1, 3), 8, 5, (1e-1,), 50_000),
+    "noisy_12_gaussian_d3": ("gaussian", (3,) * 8, 16, 3, (1e-2,) * 12, 50_000),
+    "mixed_12_gaussian_d2": ("gaussian", (2,) * 8, 11, 1, _MIXED_RHOS, 50_000),
+    "mixed_12_spread_d3": ("spread_kernel", (3,) * 8, 16, 3, _MIXED_RHOS, 50_000),
+    "mixed_12_spread_ragged": ("spread_kernel", (1, 2, 3, 2, 1, 3), 8, 4, _MIXED_RHOS, 50_000),
+    "unconverged_3_spread_ragged": ("spread_kernel", (1, 2, 3, 2, 1, 3), 8, 4, (0.0,) * 3, 40),
+    "unconverged_12_gaussian_d2": ("gaussian", (2,) * 8, 11, 2, _MIXED_RHOS, 400),
+}
+
+
+def _admm_digest(name: str) -> str:
+    """sha256 over (estimates, iterations, primal, dual, converged) of one
+    batch solve: 2-block-sparse signals, each observation moved by a
+    random vector of norm rho/2 off its exact value."""
+    ensemble, lengths, m, seed, rhos, max_iters = ADMM_CASES[name]
+    structure = BlockStructure(lengths)
+    make = gaussian_matrix if ensemble == "gaussian" else spread_kernel_matrix
+    phi = make(m, structure, seed)
+    rng = generator(seed, len(rhos))
+    X = np.zeros((structure.total_dim, len(rhos)))
+    for j in range(len(rhos)):
+        for i in rng.choice(structure.num_blocks, size=2, replace=False):
+            sl = structure.block_slice(int(i))
+            X[sl, j] = rng.standard_normal(sl.stop - sl.start)
+    E = rng.standard_normal((m, len(rhos)))
+    E *= 0.5 * np.asarray(rhos) / np.linalg.norm(E, axis=0)
+    results = solve_noisy_batch(phi, phi.entries @ X + E, rhos, SolverConfig(max_iters=max_iters))
+    digest = hashlib.sha256()
+    for part in (
+        np.stack([r.estimate.coeffs for r in results], axis=1),
+        np.array([r.iterations for r in results], dtype=np.int64),
+        np.array([r.primal_residual for r in results]),
+        np.array([r.dual_residual for r in results]),
+        np.array([r.converged for r in results]),
+    ):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    return digest.hexdigest()
+
+
+def _admm_outputs() -> str:
+    return json.dumps({name: _admm_digest(name) for name in ADMM_CASES}, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_golden_outputs(kind, tmp_path):
     csv_text, json_text = _outputs(kind, tmp_path)
@@ -138,6 +199,10 @@ def test_golden_ric_certificates():
     assert _ric_certificates() == (GOLDEN / "ric_certificates.json").read_text()
 
 
+def test_golden_admm_outputs():
+    assert _admm_outputs() == (GOLDEN / "admm_outputs.json").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for kind in SPECS:
@@ -151,3 +216,5 @@ if __name__ == "__main__":
         print(f"wrote {name}.json", file=sys.stderr)
     (GOLDEN / "ric_certificates.json").write_text(_ric_certificates())
     print("wrote ric_certificates.json", file=sys.stderr)
+    (GOLDEN / "admm_outputs.json").write_text(_admm_outputs())
+    print("wrote admm_outputs.json", file=sys.stderr)

@@ -15,6 +15,7 @@ from blockcs import (
     brute_force_l20,
     cone_constraint_check,
     gaussian_matrix,
+    sharpness_instance,
     tail_power_check,
 )
 from conftest import random_block_sparse
@@ -139,6 +140,13 @@ def test_oracle_rejects_non_finite_observation():
     phi = gaussian_matrix(4, BlockStructure.uniform(2, 4), seed=1)
     with pytest.raises(ValueError, match="finite"):
         brute_force_l20(phi, np.array([0.0, np.nan, 0.0, 0.0]), s_max=1)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_oracle_rejects_bad_residual_tol(tol):
+    inst = sharpness_instance(1.0, 2, 2, 6)
+    with pytest.raises(ValueError, match="residual_tol"):
+        brute_force_l20(inst.phi, apply(inst.phi, inst.x0), s_max=2, residual_tol=tol)
 
 
 # --- sorted tail power-sum inequality ---

@@ -326,6 +326,35 @@ def test_tail_coefficient_ordering():
                 assert loose.tail_coeff - tight.tail_coeff == pytest.approx(gap, rel=1e-9)
 
 
+@pytest.mark.parametrize("bound", [error_bound_tight, error_bound_loose])
+@pytest.mark.parametrize("rho, tail", [(math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.0, math.inf)])
+def test_bound_rejects_non_finite_inputs(bound, rho, tail):
+    with pytest.raises(ValueError, match="finite"):
+        bound(1.0, 2, 0.25, rho, tail)
+
+
+@st.composite
+def _bound_cases(draw):
+    """(t, s, delta, rho pair, tail pair) with the recovery condition holding
+    and each pair in increasing order."""
+    t = draw(st.floats(min_value=0.1, max_value=1.3))
+    s = draw(st.integers(min_value=math.ceil(2.0 / t), max_value=40))
+    delta = draw(st.floats(min_value=0.0, max_value=0.999)) * t / (4.0 - t)
+    pair = st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=2).map(sorted)
+    return t, s, delta, draw(pair), draw(pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bound_cases())
+def test_bounds_monotone_and_ordered(case):
+    t, s, delta, (rho_lo, rho_hi), (tail_lo, tail_hi) = case
+    for bound in (error_bound_tight, error_bound_loose):
+        assert bound(t, s, delta, rho_lo, tail_lo).bound <= bound(t, s, delta, rho_hi, tail_lo).bound
+        assert bound(t, s, delta, rho_lo, tail_lo).bound <= bound(t, s, delta, rho_lo, tail_hi).bound
+    for rho, tail in ((rho_lo, tail_lo), (rho_hi, tail_hi)):
+        assert error_bound_tight(t, s, delta, rho, tail).bound <= error_bound_loose(t, s, delta, rho, tail).bound
+
+
 # --- order-scaling bound ---
 
 def test_scaling_bound_values():

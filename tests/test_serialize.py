@@ -79,3 +79,10 @@ def test_format_float_round_trips_doubles(rng):
     for _ in range(200):
         v = float(rng.standard_normal() * 10 ** int(rng.integers(-8, 9)))
         assert float(format_float(v)) == v
+
+
+def test_save_json_rejects_non_finite_values(tmp_path):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            save_json({"bound": value}, tmp_path / "out.json")
+    assert not (tmp_path / "out.json").exists()

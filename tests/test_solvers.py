@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ def test_block_soft_threshold_rejects_negative():
         block_soft_threshold(x, -0.5)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_block_soft_threshold_rejects_non_finite(tau):
+    x = BlockSignal([3.0, 4.0], BlockStructure((2,)))
+    with pytest.raises(ValueError, match="finite"):
+        block_soft_threshold(x, tau)
+
+
 def test_block_soft_threshold_mixed_blocks(rng):
     st_ = BlockStructure((2, 2, 2))
     x = BlockSignal([3, 4, 0.1, 0.1, -6, 8], st_)
@@ -71,6 +79,20 @@ def test_block_soft_threshold_mixed_blocks(rng):
     assert norms[0] == pytest.approx(4.0)
     assert norms[1] == 0.0
     assert norms[2] == pytest.approx(9.0)
+
+
+def test_block_soft_threshold_edge_cases_bitwise():
+    # ragged blocks: an all-zero block (with a negative zero), a block of norm
+    # exactly tau = 5, one of norm 10 and one of norm 2
+    st_ = BlockStructure((2, 2, 3, 1))
+    coeffs = np.array([0.0, -0.0, 3.0, 4.0, 6.0, -8.0, 0.0, -2.0])
+    x = BlockSignal(coeffs, st_)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unchanged = block_soft_threshold(x, 0.0)
+        shrunk = block_soft_threshold(x, 5.0)
+    assert unchanged.coeffs.tobytes() == coeffs.tobytes()
+    np.testing.assert_array_equal(shrunk.coeffs, [0.0, 0.0, 0.0, 0.0, 3.0, -4.0, 0.0, 0.0])
 
 
 # --- noiseless program ---
@@ -260,6 +282,12 @@ def test_batch_matches_single(rng):
         assert res.converged and single.converged
         np.testing.assert_allclose(res.estimate.coeffs, single.estimate.coeffs, atol=1e-7)
         assert res.error_vector_norm <= 1e-6
+
+
+def test_empty_batch_returns_no_results():
+    # past a rebalancing check, with no column left to measure residuals on
+    phi = spread_kernel_matrix(6, BlockStructure.uniform(2, 4), seed=1)
+    assert solve_noiseless_batch(phi, np.zeros((6, 0)), SolverConfig(max_iters=120)) == []
 
 
 def test_solver_config_validation():
