@@ -53,6 +53,7 @@ from .oracle import (
     OracleSolution,
     TailPowerReport,
     brute_force_l20,
+    brute_force_l20_batch,
     cone_constraint_check,
     tail_power_check,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "block_soft_threshold",
     "block_support",
     "brute_force_l20",
+    "brute_force_l20_batch",
     "check_condition",
     "condition_threshold",
     "cone_constraint_check",

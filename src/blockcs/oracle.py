@@ -21,12 +21,17 @@ __all__ = [
     "TailPowerReport",
     "ConeCheckReport",
     "brute_force_l20",
+    "brute_force_l20_batch",
     "tail_power_check",
     "cone_constraint_check",
 ]
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 _SVD_CUTOFF = 1e-10  # relative singular-value cutoff for restricted least squares
+# The oracle's screen trusts a screened residual to _SCREEN_MARGIN * m * eps * ||b|| * cond,
+# and solves a support with cond >= 1 / (_RANK_GUARD * _SVD_CUTOFF) exactly.
+_SCREEN_MARGIN = 64.0
+_RANK_GUARD = 1e4
 
 
 class NoSparseFitError(RuntimeError):
@@ -61,7 +66,7 @@ def brute_force_l20(
     solves the support-restricted least-squares problem (minimum-norm on
     rank-deficient submatrices), and returns the first k admitting residual
     <= residual_tol.  Among equal-residual supports of that k the
-    lexicographically smallest wins.
+    lexicographically smallest wins.  A batch of one of `brute_force_l20_batch`.
 
     Raises
     ------
@@ -73,6 +78,28 @@ def brute_force_l20(
     NoSparseFitError
         If no support within s_max fits; carries the best residual seen.
     """
+    b = np.asarray(b, dtype=float)
+    if b.shape != (phi.num_rows,):
+        raise ValueError(f"observation shape {b.shape} does not match matrix rows {phi.num_rows}")
+    outcome = brute_force_l20_batch(phi, b[:, None], s_max, residual_tol, cap)[0]
+    if isinstance(outcome, NoSparseFitError):
+        raise outcome
+    return outcome
+
+
+def brute_force_l20_batch(
+    phi: SensingMatrix,
+    B,
+    s_max: int,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> list[OracleSolution | NoSparseFitError]:
+    """`brute_force_l20` on each column of the (m, n) observations `B`: one
+    OracleSolution per column, or the NoSparseFitError (returned, not raised)
+    for a column that no support fits.  Raises as `brute_force_l20` does.
+    One stacked QR per chunk and column count screens the supports; only those
+    that can reach a column's smallest residual are solved exactly, so every
+    outcome is bit-identical to solving each support exactly."""
     structure = phi.structure
     l = structure.num_blocks
     s_max = int(s_max)
@@ -82,44 +109,76 @@ def brute_force_l20(
         raise ValueError(f"residual_tol must be finite and nonnegative, got {residual_tol}")
     _check_cap(sum(math.comb(l, k) for k in range(s_max + 1)), cap,
                f"sum of C({l}, k) for k <= {s_max}")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (phi.num_rows,):
-        raise ValueError(f"observation shape {b.shape} does not match matrix rows {phi.num_rows}")
-    if not np.isfinite(b).all():
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or B.shape[0] != phi.num_rows:
+        raise ValueError(f"observations shape {B.shape} is not (matrix rows {phi.num_rows}, n)")
+    if not np.isfinite(B).all():
         raise ValueError("observation must be finite (no NaN or inf)")
 
+    columns = np.ascontiguousarray(B.T)  # observation j as its own contiguous vector
+    column_norms = np.linalg.norm(columns, axis=1)
+    outcomes: list = [None] * len(columns)
+    best_overall = [math.inf] * len(columns)
+    unresolved = list(range(len(columns)))
     searched = 0
-    best_overall = np.inf
     for k in range(s_max + 1):
-        best_res, best_ordinal = np.inf, 0
+        obs, norms = columns[unresolved].T, column_norms[unresolved]
+        bound = np.full(len(unresolved), np.inf)  # running upper bound on each best exact residual
+        best = [(math.inf, 0, None)] * len(unresolved)
         for sups, groups in _support_chunks(structure, k):
             for rows, cols in groups:
-                for i, support_cols in zip(rows.tolist(), cols):
-                    sub = phi.entries[:, support_cols]
+                res, margin, forced = _screen(phi.entries, cols, obs, norms)
+                upper = np.where(forced[:, None], np.inf, res + margin)  # forced: bounds nothing
+                bound = np.minimum(bound, upper.min(axis=0))
+                for i, j in zip(*np.nonzero((res - margin <= bound) | forced[:, None])):
+                    sub, b = phi.entries[:, cols[i]], columns[unresolved[j]]
                     coef, *_ = np.linalg.lstsq(sub, b, rcond=_SVD_CUTOFF)
-                    res = float(np.linalg.norm(sub @ coef - b))
+                    res_ij = float(np.linalg.norm(sub @ coef - b))
                     # groups split a chunk out of order: ties keep the lexicographically first
-                    if (res, searched + i) < (best_res, best_ordinal):
-                        best_res, best_ordinal = res, searched + i
-                        best = sups[i], support_cols, coef
+                    if (res_ij, searched + rows[i]) < best[j][:2]:
+                        best[j] = (res_ij, searched + rows[i], (sups[rows[i]], cols[i], coef))
             searched += len(sups)
-        best_overall = min(best_overall, best_res)
-        if best_res <= residual_tol:
-            sup, cols, coef = best
-            x = np.zeros(structure.total_dim)
-            x[cols] = coef
-            return OracleSolution(
-                estimate=BlockSignal(x, structure),
-                support=tuple(sup.tolist()),
-                sparsity=k,
-                residual=best_res,
-                supports_searched=searched,
-            )
-    raise NoSparseFitError(
-        f"no block support of size <= {s_max} fits within residual_tol={residual_tol:g} "
-        f"(best residual {best_overall:.3e})",
-        best_overall,
-    )
+        for j, (best_res, _, (sup, cols, coef)) in zip(unresolved, best):
+            best_overall[j] = min(best_overall[j], best_res)
+            if best_res <= residual_tol:
+                x = np.zeros(structure.total_dim)
+                x[cols] = coef
+                outcomes[j] = OracleSolution(BlockSignal(x, structure), tuple(sup.tolist()), k,
+                                             best_res, searched)
+        unresolved = [j for j in unresolved if outcomes[j] is None]
+        if not unresolved:
+            break
+    for j in unresolved:
+        message = (f"no block support of size <= {s_max} fits within residual_tol={residual_tol:g} "
+                   f"(best residual {best_overall[j]:.3e})")
+        outcomes[j] = NoSparseFitError(message, best_overall[j])
+    return outcomes
+
+
+def _screen(entries: np.ndarray, cols: np.ndarray, obs: np.ndarray, norms: np.ndarray):
+    """(res, margin, forced) of the supports with columns `cols` (g, c) against `obs`
+    (m, n): res[i, j] = ||b_j - Q_i Q_i^T b_j|| is within margin[i, j] of the exact
+    residual unless forced[i], a support that may be rank-deficient under the cutoff."""
+    g, c = cols.shape
+    if c == 0:  # the empty support: its residual is ||b||
+        return np.broadcast_to(norms, (g, len(norms))), np.zeros((g, 1)), np.zeros(g, dtype=bool)
+    if c > entries.shape[0]:  # more columns than rows
+        return np.zeros((g, len(norms))), np.zeros((g, 1)), np.ones(g, dtype=bool)
+    q, r = np.linalg.qr(entries[:, cols].transpose(1, 0, 2))
+    rows2 = np.add.reduce(r * r, axis=2)
+    pivots2 = np.diagonal(r, axis1=1, axis2=2) ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # R = D (I + N), D its diagonal: cond(R)^2 <= scale2 / min R_ii^2 even where the
+        # unpivoted diagonal hides a near-rank deficiency; a zero pivot makes scale2 NaN or inf
+        growth = 1.0 + np.sqrt(np.add.reduce(rows2 / pivots2, axis=1) - c)  # 1 + ||N||_F
+        scale2 = rows2.sum(axis=1) * growth ** (2 * c - 2)
+        smallest2 = pivots2.min(axis=1)
+        forced = ~(smallest2 > (_RANK_GUARD * _SVD_CUTOFF) ** 2 * scale2)
+        kappa = np.sqrt(np.where(forced, 0.0, scale2 / smallest2))
+    diff = obs - q @ (np.swapaxes(q, 1, 2) @ obs)
+    res = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    margin = (_SCREEN_MARGIN * entries.shape[0] * np.finfo(float).eps) * kappa[:, None] * norms
+    return res, margin, forced
 
 
 class HypothesisNotMetError(ValueError):

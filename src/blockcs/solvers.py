@@ -251,6 +251,8 @@ def _solve_batch(phi, b, rhos, config, truths):
         raise ValueError("noise radius rho must be nonnegative")
     if truths is not None and len(truths) != batch:
         raise ValueError("one truth signal per right-hand side is required")
+    if batch == 0:
+        return []
 
     scale = np.maximum(1.0, np.linalg.norm(B, axis=0))
     sol, *_ = np.linalg.lstsq(phi.entries, B, rcond=None)

@@ -19,7 +19,7 @@ from blockcs import (
     BlockSignal,
     BlockStructure,
     apply,
-    brute_force_l20,
+    brute_force_l20_batch,
     check_condition,
     cone_constraint_check,
     error_bound_loose,
@@ -148,9 +148,9 @@ def noiseless_runs(certified_instances):
                 truths.append(BlockSignal(coeffs, st_))
         B = np.column_stack([apply(inst.phi, x) for x in truths])
         results = solve_noiseless_batch(inst.phi, B, truths=truths)
-        for x, res in zip(truths, results):
+        oracles = brute_force_l20_batch(inst.phi, B, s_max=S)
+        for x, res, oracle in zip(truths, results, oracles):
             rel = res.error_vector_norm / np.linalg.norm(x.coeffs)
-            oracle = brute_force_l20(inst.phi, apply(inst.phi, x), s_max=S)
             gap = np.linalg.norm(res.estimate.coeffs - oracle.estimate.coeffs)
             if gap > 1e-5 * max(1.0, np.linalg.norm(x.coeffs)):
                 oracle_mismatches += 1

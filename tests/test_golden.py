@@ -5,7 +5,9 @@ exactly the JSON stored there for one spread-kernel instance.  Exact block
 RIC certificates and spread-kernel matrix entries over a seeded grid of
 uniform and ragged shapes match `ric_certificates.json` bit for bit, and the
 batch solver's outputs on a grid of noiseless, noisy and mixed-radius batches
-match the sha256 digests in `admm_outputs.json`.
+match the sha256 digests in `admm_outputs.json`, and the brute-force oracle's
+outputs on a grid of exact, tied, rank-deficient and no-fit cases match the
+sha256 digests in `oracle_outputs.json`.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py` only when an
 output change is intended.
@@ -25,7 +27,10 @@ from blockcs import (
     BlockSignal,
     BlockStructure,
     ExperimentSpec,
+    NoSparseFitError,
+    SensingMatrix,
     SolverConfig,
+    brute_force_l20,
     exact_block_ric,
     gaussian_matrix,
     generator,
@@ -183,6 +188,91 @@ def _admm_outputs() -> str:
     return json.dumps({name: _admm_digest(name) for name in ADMM_CASES}, indent=2) + "\n"
 
 
+# case name -> (matrix, block lengths, rows, seed, true support, s_max, noise norm).
+# `integer` matrices have small integer entries and integer coefficients, so
+# residuals tie exactly or differ only by rounding; `duplicated` copies block 0
+# into block 1, `rank_deficient` makes one column of block 2 twice the other,
+# and `zero_block` zeroes block 3.  A noise norm above the default tolerance
+# leaves no fit within s_max.
+ORACLE_CASES = {
+    "gaussian_uniform_s2": ("gaussian", (2,) * 6, 9, 1, (1, 4), 2, 0.0),
+    "gaussian_uniform_s3_smax3": ("gaussian", (2,) * 6, 12, 2, (0, 2, 5), 3, 0.0),
+    "gaussian_ragged_s2_smax3": ("gaussian", (1, 2, 3, 2, 1, 3), 8, 3, (2, 4), 3, 0.0),
+    "spread_ragged_s1": ("spread_kernel", (1, 2, 3, 2, 1, 3), 8, 4, (3,), 2, 0.0),
+    "zero_observation_smax0": ("gaussian", (2,) * 4, 5, 5, (), 0, 0.0),
+    "one_block_smax0_no_fit": ("gaussian", (2,) * 4, 5, 5, (1,), 0, 0.0),
+    "duplicated_tie_s1": ("duplicated", (2,) * 5, 6, 6, (1,), 2, 0.0),
+    "duplicated_tie_s2": ("duplicated", (2,) * 5, 6, 6, (1, 3), 2, 0.0),
+    "integer_square_ties": ("integer", (2,) * 5, 4, 7, (1, 3), 2, 0.0),
+    "integer_ragged_smax3": ("integer", (1, 2, 1, 2, 1), 3, 8, (0, 3), 3, 0.0),
+    "integer_uniform_s1": ("integer", (2,) * 6, 7, 9, (4,), 3, 0.0),
+    "rank_deficient_s1": ("rank_deficient", (2,) * 5, 7, 10, (2,), 2, 0.0),
+    "rank_deficient_s2": ("rank_deficient", (2,) * 5, 7, 10, (0, 2), 2, 0.0),
+    "zero_block_s2": ("zero_block", (2,) * 5, 7, 11, (1, 3), 2, 0.0),
+    "zero_block_no_fit": ("zero_block", (2,) * 5, 7, 11, (1, 3), 1, 1e-3),
+    "underdetermined_ties": ("gaussian", (2,) * 4, 3, 12, (0, 1), 2, 0.0),
+    "noisy_no_fit_s2": ("spread_kernel", (2,) * 6, 10, 13, (1, 4), 2, 1e-3),
+    "noisy_no_fit_ragged": ("gaussian", (1, 2, 3, 2, 1, 3), 8, 14, (0, 5), 1, 1e-2),
+    "noisy_within_tol": ("spread_kernel", (2,) * 6, 10, 15, (2, 3), 2, 1e-10),
+}
+
+
+def _oracle_case(name: str):
+    """(phi, b, s_max) of one oracle case."""
+    kind, lengths, m, seed, support, s_max, noise = ORACLE_CASES[name]
+    structure = BlockStructure(lengths)
+    rng = generator(seed, 3)
+    if kind == "integer":
+        entries = rng.integers(-2, 3, size=(m, structure.total_dim)).astype(float)
+    else:
+        make = spread_kernel_matrix if kind == "spread_kernel" else gaussian_matrix
+        entries = make(m, structure, seed).entries.copy()
+    if kind == "duplicated":
+        entries[:, structure.block_slice(1)] = entries[:, structure.block_slice(0)]
+    elif kind == "rank_deficient":
+        first = structure.block_slice(2).start
+        entries[:, first + 1] = 2.0 * entries[:, first]
+    elif kind == "zero_block":
+        entries[:, structure.block_slice(3)] = 0.0
+    x = np.zeros(structure.total_dim)
+    for i in support:
+        sl = structure.block_slice(i)
+        width = sl.stop - sl.start
+        x[sl] = rng.integers(1, 4, width) if kind == "integer" else rng.standard_normal(width)
+    b = entries @ x
+    if noise:
+        e = rng.standard_normal(m)
+        b = b + noise * e / np.linalg.norm(e)
+    return SensingMatrix(entries, structure), b, s_max
+
+
+def _oracle_digest(outcome) -> str:
+    """sha256 over (estimate, support, sparsity, residual, supports_searched) of a
+    fit, or over (best_residual, message) of a NoSparseFitError."""
+    digest = hashlib.sha256()
+    if isinstance(outcome, NoSparseFitError):
+        digest.update(np.float64(outcome.best_residual).tobytes())
+        digest.update(str(outcome).encode())
+    else:
+        digest.update(np.ascontiguousarray(outcome.estimate.coeffs).tobytes())
+        digest.update(np.array(outcome.support, dtype=np.int64).tobytes())
+        counts = [outcome.sparsity, outcome.supports_searched]
+        digest.update(np.array(counts, dtype=np.int64).tobytes())
+        digest.update(np.float64(outcome.residual).tobytes())
+    return digest.hexdigest()
+
+
+def _oracle_outputs() -> str:
+    digests = {}
+    for name in ORACLE_CASES:
+        try:
+            outcome = brute_force_l20(*_oracle_case(name))
+        except NoSparseFitError as err:
+            outcome = err
+        digests[name] = _oracle_digest(outcome)
+    return json.dumps(digests, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_golden_outputs(kind, tmp_path):
     csv_text, json_text = _outputs(kind, tmp_path)
@@ -203,6 +293,10 @@ def test_golden_admm_outputs():
     assert _admm_outputs() == (GOLDEN / "admm_outputs.json").read_text()
 
 
+def test_golden_oracle_outputs():
+    assert _oracle_outputs() == (GOLDEN / "oracle_outputs.json").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for kind in SPECS:
@@ -218,3 +312,5 @@ if __name__ == "__main__":
     print("wrote ric_certificates.json", file=sys.stderr)
     (GOLDEN / "admm_outputs.json").write_text(_admm_outputs())
     print("wrote admm_outputs.json", file=sys.stderr)
+    (GOLDEN / "oracle_outputs.json").write_text(_oracle_outputs())
+    print("wrote oracle_outputs.json", file=sys.stderr)

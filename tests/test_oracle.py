@@ -1,8 +1,12 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcs import (
     BlockSignal,
@@ -10,14 +14,17 @@ from blockcs import (
     EnumerationCapError,
     HypothesisNotMetError,
     NoSparseFitError,
+    OracleSolution,
     SensingMatrix,
     apply,
     brute_force_l20,
+    brute_force_l20_batch,
     cone_constraint_check,
     gaussian_matrix,
     sharpness_instance,
     tail_power_check,
 )
+from blockcs import ric
 from conftest import random_block_sparse
 
 
@@ -147,6 +154,160 @@ def test_oracle_rejects_bad_residual_tol(tol):
     inst = sharpness_instance(1.0, 2, 2, 6)
     with pytest.raises(ValueError, match="residual_tol"):
         brute_force_l20(inst.phi, apply(inst.phi, inst.x0), s_max=2, residual_tol=tol)
+
+
+# --- the screened batch kernel against the plain per-support loop ---
+
+def _reference_l20(phi, b, s_max, residual_tol=1e-8):
+    """One `lstsq` per support, in lexicographic order: what every column must reproduce."""
+    structure = phi.structure
+    searched, best_overall = 0, math.inf
+    for k in range(s_max + 1):
+        best_res, best = math.inf, None
+        for sup in itertools.combinations(range(structure.num_blocks), k):
+            sub = phi.entries[:, structure.block_indices(sup)]
+            coef, *_ = np.linalg.lstsq(sub, b, rcond=1e-10)
+            res = float(np.linalg.norm(sub @ coef - b))
+            if res < best_res:
+                best_res, best = res, (sup, coef)
+        searched += math.comb(structure.num_blocks, k)
+        best_overall = min(best_overall, best_res)
+        if best_res <= residual_tol:
+            x = np.zeros(structure.total_dim)
+            x[structure.block_indices(best[0])] = best[1]
+            return OracleSolution(BlockSignal(x, structure), best[0], k, best_res, searched)
+    return NoSparseFitError(
+        f"no block support of size <= {s_max} fits within residual_tol={residual_tol:g} "
+        f"(best residual {best_overall:.3e})",
+        best_overall,
+    )
+
+
+def _outcome_key(outcome):
+    """Every output bit of a fit, or the best residual and message of a no-fit."""
+    if isinstance(outcome, NoSparseFitError):
+        return (np.float64(outcome.best_residual).tobytes(), str(outcome))
+    return (outcome.estimate.coeffs.tobytes(), outcome.support, outcome.sparsity,
+            np.float64(outcome.residual).tobytes(), outcome.supports_searched)
+
+
+def _standalone(phi, b, s_max):
+    try:
+        return brute_force_l20(phi, b, s_max)
+    except NoSparseFitError as err:
+        return err
+
+
+def _fuzz_matrix(kind, structure, m, rng):
+    """Random entries of one kind; duplicated, rank-deficient and zero blocks make ties."""
+    n, l = structure.total_dim, structure.num_blocks
+    if kind == "integer":
+        return rng.integers(-2, 3, size=(m, n)).astype(float)
+    entries = rng.standard_normal((m, n)) / math.sqrt(m)
+    first = structure.block_slice(int(rng.integers(l)))
+    if kind == "duplicated" and l > 1:
+        other = structure.block_slice(1 if first.start == 0 else 0)
+        width = min(first.stop - first.start, other.stop - other.start)
+        entries[:, other.start:other.start + width] = entries[:, first.start:first.start + width]
+    elif kind == "rank_deficient" and first.stop - first.start > 1:
+        entries[:, first.start + 1] = 3.0 * entries[:, first.start]
+    elif kind == "zero_block":
+        entries[:, first] = 0.0
+    elif kind == "scaled":
+        entries *= 10.0 ** rng.integers(-6, 7, size=n)
+    return entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lengths=st.one_of(
+        st.tuples(st.integers(1, 3), st.integers(1, 7)).map(lambda dl: (dl[0],) * dl[1]),
+        st.lists(st.integers(1, 3), min_size=1, max_size=7).map(tuple),
+    ),
+    m=st.integers(1, 10),
+    seed=st.integers(0, 2**32),
+    kind=st.sampled_from(["gaussian", "integer", "duplicated", "rank_deficient", "zero_block",
+                          "scaled"]),
+    chunk=st.sampled_from([1, 2, 5, ric._CHUNK]),
+    data=st.data(),
+)
+def test_batch_matches_reference_loop(lengths, m, seed, kind, chunk, data):
+    structure = BlockStructure(lengths)
+    l = structure.num_blocks
+    rng = np.random.default_rng(seed)
+    phi = SensingMatrix(_fuzz_matrix(kind, structure, m, rng), structure)
+    s_max = data.draw(st.integers(0, min(3, l)), label="s_max")
+    columns = []
+    for _ in range(data.draw(st.integers(1, 4), label="columns")):
+        x = np.zeros(structure.total_dim)
+        for i in rng.choice(l, size=int(rng.integers(0, min(l, s_max + 1) + 1)), replace=False):
+            sl = structure.block_slice(int(i))
+            width = sl.stop - sl.start
+            x[sl] = rng.integers(-3, 4, width) if kind == "integer" else rng.standard_normal(width)
+        noise = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 1.0]), label="noise")
+        columns.append(phi.entries @ x + noise * rng.standard_normal(m))
+    B = np.column_stack(columns)
+    with mock.patch.object(ric, "_CHUNK", chunk):
+        batch = brute_force_l20_batch(phi, B, s_max)
+        for j, outcome in enumerate(batch):
+            expected = _outcome_key(_reference_l20(phi, B[:, j].copy(), s_max))
+            assert _outcome_key(outcome) == expected
+            assert _outcome_key(_standalone(phi, B[:, j], s_max)) == expected
+
+
+def test_screen_sees_ill_conditioning_the_pivots_hide():
+    # block 0 = [e0, 1e8 e0 + e1] has unit QR pivots but condition 1e16, so `lstsq` cuts it
+    # to rank 1 (residual 1.118) where its QR residual is 0.5; block 1 fits to 1.0 exactly
+    e = np.eye(3)
+    entries = np.column_stack([e[0], 1e8 * e[0] + e[1], e[2], e[0]])
+    phi = SensingMatrix(entries, BlockStructure((2, 2)))
+    b = e[1] + 0.5 * e[2]
+    (outcome,) = brute_force_l20_batch(phi, b[:, None], 1)
+    assert isinstance(outcome, NoSparseFitError)
+    assert outcome.best_residual == 1.0
+    assert _outcome_key(outcome) == _outcome_key(_reference_l20(phi, b, 1))
+
+
+def test_batch_returns_no_fit_errors_that_the_single_call_raises():
+    inst = sharpness_instance(1.0, 2, 2, 6)
+    exact = apply(inst.phi, inst.x0)
+    noisy = exact + 1e-3 * np.random.default_rng(4).standard_normal(inst.phi.num_rows)
+    fit, no_fit = brute_force_l20_batch(inst.phi, np.column_stack([exact, noisy]), s_max=2)
+    assert isinstance(fit, OracleSolution) and fit.sparsity == 2
+    assert isinstance(no_fit, NoSparseFitError)
+    with pytest.raises(NoSparseFitError) as err:
+        brute_force_l20(inst.phi, noisy, s_max=2)
+    assert (str(err.value), err.value.best_residual) == (str(no_fit), no_fit.best_residual)
+
+
+def test_batch_rejects_bad_observations_and_accepts_an_empty_batch():
+    phi = gaussian_matrix(4, BlockStructure.uniform(2, 4), seed=1)
+    for bad in (np.zeros(4), np.zeros((5, 2)), np.zeros((4, 2, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            brute_force_l20_batch(phi, bad, s_max=1)
+    with pytest.raises(ValueError, match="finite"):
+        brute_force_l20_batch(phi, np.full((4, 2), np.inf), s_max=1)
+    assert brute_force_l20_batch(phi, np.zeros((4, 0)), s_max=2) == []
+
+
+def _peak_bytes(phi, B, s_max):
+    tracemalloc.start()
+    try:
+        brute_force_l20_batch(phi, B, s_max)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_memory_does_not_grow_with_support_count():
+    # 1,177 supports at l = 48 against 301 at l = 24, none fitting the 40 random
+    # observations: an array with one float per support and column would add 280 kB
+    B = np.random.default_rng(2).standard_normal((8, 40))
+    big = gaussian_matrix(8, BlockStructure.uniform(1, 48), seed=1)
+    small = gaussian_matrix(8, BlockStructure.uniform(1, 24), seed=1)
+    peak_big, peak_small = _peak_bytes(big, B, 2), _peak_bytes(small, B, 2)
+    assert peak_big < 2_000_000
+    assert peak_big - peak_small < 100_000
 
 
 # --- sorted tail power-sum inequality ---

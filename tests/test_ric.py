@@ -205,6 +205,33 @@ def test_condition_threshold_values():
         condition_threshold(4.0 / 3.0)
 
 
+def _threshold_grid():
+    """t near 0 (subnormal to 1e-3), around 1, and the last 200 doubles below 4/3."""
+    below = [np.nextafter(4.0 / 3.0, 0.0)]
+    for _ in range(199):
+        below.append(np.nextafter(below[-1], 0.0))
+    return [5e-324, 1e-320, 1e-300, 1e-100, 1e-10, 1e-3,
+            np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), *below]
+
+
+def test_condition_threshold_within_one_ulp_of_high_precision():
+    mp.dps = 60
+    for t in map(float, _threshold_grid()):
+        exact = float(mpf(t) / (4 - mpf(t)))  # correctly rounded t/(4-t)
+        got = condition_threshold(t)
+        assert abs(got - exact) <= math.ulp(exact), (t, got, exact)
+
+
+def test_check_condition_flips_exactly_at_the_threshold():
+    # below t = 1e-308 no order s with t*s >= 2 is representable
+    for t in (t for t in map(float, _threshold_grid()) if math.isfinite(2.0 / t)):
+        s = max(2, math.ceil(2.0 / t))  # t*s >= 2
+        threshold = condition_threshold(t)
+        assert check_condition(float(np.nextafter(threshold, 0.0)), t, s).ok, t
+        report = check_condition(threshold, t, s)
+        assert (report.ok, report.reason) == (False, "delta_not_below_threshold"), t
+
+
 def test_check_condition_strict_at_third():
     assert check_condition(0.33, 1.0, 2).ok
     report = check_condition(0.34, 1.0, 2)

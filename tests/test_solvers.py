@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from blockcs import (
     solve_noiseless,
     solve_noiseless_batch,
     solve_noisy,
+    solve_noisy_batch,
     spread_kernel_matrix,
 )
+from blockcs import solvers
 from conftest import random_block_sparse
 
 
@@ -288,6 +291,17 @@ def test_empty_batch_returns_no_results():
     # past a rebalancing check, with no column left to measure residuals on
     phi = spread_kernel_matrix(6, BlockStructure.uniform(2, 4), seed=1)
     assert solve_noiseless_batch(phi, np.zeros((6, 0)), SolverConfig(max_iters=120)) == []
+
+
+@pytest.mark.parametrize("solve", [
+    lambda phi, B: solve_noiseless_batch(phi, B),
+    lambda phi, B: solve_noisy_batch(phi, B, 0.1),
+], ids=["noiseless", "noisy"])
+def test_empty_batch_never_reaches_the_iteration(solve):
+    phi = spread_kernel_matrix(6, BlockStructure.uniform(2, 4), seed=1)
+    with mock.patch.object(solvers, "_admm", wraps=solvers._admm) as admm:
+        assert solve(phi, np.zeros((6, 0))) == []
+    admm.assert_not_called()
 
 
 def test_solver_config_validation():
