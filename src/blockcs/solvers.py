@@ -188,7 +188,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
             if done.all():
                 break
 
-        if it % _BALANCE_EVERY == 0 and not done.all():
+        if it % _BALANCE_EVERY == 0:
             rp_max, rd_max = rp[~done].max(), rd[~done].max()
             if rp_max > _BALANCE_RATIO * rd_max:
                 beta *= _BALANCE_FACTOR

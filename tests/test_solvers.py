@@ -288,7 +288,7 @@ def test_batch_matches_single(rng):
 
 
 def test_empty_batch_returns_no_results():
-    # past a rebalancing check, with no column left to measure residuals on
+    # max_iters past a rebalancing check: an empty batch must not reach it
     phi = spread_kernel_matrix(6, BlockStructure.uniform(2, 4), seed=1)
     assert solve_noiseless_batch(phi, np.zeros((6, 0)), SolverConfig(max_iters=120)) == []
 
