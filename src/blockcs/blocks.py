@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _checks
+
 __all__ = [
     "BlockStructure",
     "BlockSignal",
@@ -38,17 +40,17 @@ class BlockStructure:
     block_lengths: tuple[int, ...]
 
     def __post_init__(self):
-        lengths = tuple(int(d) for d in self.block_lengths)
+        lengths = tuple(_checks.count(f"block_lengths[{i}]", d, 1)
+                        for i, d in enumerate(self.block_lengths))
         if len(lengths) < 1:
             raise ValueError("a block structure needs at least one block")
-        if any(d < 1 for d in lengths):
-            raise ValueError(f"block lengths must be positive, got {lengths}")
         object.__setattr__(self, "block_lengths", lengths)
 
     @classmethod
     def uniform(cls, block_length: int, num_blocks: int) -> "BlockStructure":
         """Structure with `num_blocks` blocks, all of length `block_length`."""
-        return cls((int(block_length),) * int(num_blocks))
+        return cls((_checks.count("block_length", block_length, 1),)
+                   * _checks.count("num_blocks", num_blocks, 1))
 
     @property
     def num_blocks(self) -> int:
@@ -202,10 +204,7 @@ def best_block_approx(x: BlockSignal, s: int) -> BlockApproximation:
     ValueError
         If `s` is negative or exceeds the number of blocks.
     """
-    l = x.structure.num_blocks
-    s = int(s)
-    if s < 0 or s > l:
-        raise ValueError(f"approximation order s={s} outside [0, {l}]")
+    s = _checks.count("s", s, 0, x.structure.num_blocks)
     norms = x.block_norms()
     # stable sort on -norm keeps the lowest index first among equal norms
     order = np.argsort(-norms, kind="stable")

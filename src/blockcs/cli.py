@@ -38,7 +38,7 @@ from .serialize import (
     save_json,
     signal_to_json,
 )
-from .solvers import InfeasibleProblemError, SolverConfig, solve_noiseless, solve_noisy
+from .solvers import InfeasibleProblemError, SolverConfig, solve_noisy
 
 __all__ = ["main"]
 
@@ -72,9 +72,9 @@ def _load_vector(path: str) -> np.ndarray:
 
 def _solver_config(args) -> SolverConfig:
     kwargs = {}
-    if getattr(args, "max_iters", None) is not None:
+    if args.max_iters is not None:
         kwargs["max_iters"] = args.max_iters
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         kwargs["primal_tol"] = args.tol
         kwargs["dual_tol"] = args.tol
     return SolverConfig(**kwargs)
@@ -91,11 +91,7 @@ def _cmd_recover(args) -> int:
     phi = _load_matrix_arg(args.matrix, args.structure)
     b = _load_vector(args.obs)
     truth = load_signal(args.truth) if args.truth else None
-    cfg = _solver_config(args)
-    if args.rho > 0:
-        result = solve_noisy(phi, b, args.rho, cfg, truth=truth)
-    else:
-        result = solve_noiseless(phi, b, cfg, truth=truth)
+    result = solve_noisy(phi, b, args.rho, _solver_config(args), truth=truth)
     payload = {
         **vars(result),
         "estimate": signal_to_json(result.estimate),

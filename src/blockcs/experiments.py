@@ -13,15 +13,22 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import _checks
 from .blocks import BlockSignal, BlockStructure, mixed_norm_2_1
-from .ric import check_condition, error_bound_loose, error_bound_tight, exact_block_ric
+from .ric import (
+    _effective_order,
+    check_condition,
+    condition_threshold,
+    error_bound_loose,
+    error_bound_tight,
+    exact_block_ric,
+)
 from .seeding import generator, stream_key
 from .sensing import SensingMatrix, gaussian_matrix, sharpness_instance, spread_kernel_matrix, apply
 from .serialize import format_float
@@ -50,29 +57,23 @@ __all__ = [
 
 
 def _at_least(cast, low):
-    """Conversion of a finite int (cast=int) or real (cast=float) >= low."""
-    number = numbers.Integral if cast is int else numbers.Real
+    """Conversion of an int (cast=int) or finite real (cast=float) >= low."""
+    check = _checks.count if cast is int else _checks.real
 
     def convert(value):
-        if isinstance(value, bool) or not isinstance(value, number) or not low <= value < math.inf:
-            raise ValueError(f"expected a finite {cast.__name__} >= {low}, got {value!r}")
-        return cast(value)
+        return check("value", value, low)
     convert.__doc__ = f"{cast.__name__} ≥ {low}"
     return convert
 
 
 def _integer(value) -> int:
     """int"""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    return _checks.count("value", value, -math.inf)
 
 
 def _positive(value) -> float:
     """real > 0"""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise ValueError(f"expected a finite real > 0, got {value!r}")
-    return float(value)
+    return _checks.real("value", value, 0.0, strict=True)
 
 
 def _flag(value) -> bool:
@@ -208,7 +209,7 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
         raise ValueError('experiment spec JSON must carry at least "kind"')
     try:
         solver = SolverConfig(**obj.get("solver", {}))
-    except TypeError as exc:  # "solver" is no mapping, has an unknown key or a mistyped value
+    except (TypeError, ValueError) as exc:  # "solver" is no mapping, or has an unknown or bad key
         raise ValueError(f'experiment spec "solver": {exc}') from None
     return ExperimentSpec(
         kind=obj["kind"],
@@ -261,12 +262,9 @@ def _record_line(rec: TrialRecord) -> str:
     return ",".join(_cell(getattr(rec, col)) for col in _CSV_COLUMNS)
 
 
-def records_to_csv(records, path, header_fields: dict | None = None) -> None:
-    lines = []
-    if header_fields:
-        meta = " ".join(f"{k}={v}" for k, v in header_fields.items())
-        lines.append(f"# blockcs-trials v1 {meta}")
-    lines.append(",".join(_CSV_COLUMNS))
+def records_to_csv(records, path, header_fields: dict) -> None:
+    meta = " ".join(f"{k}={v}" for k, v in header_fields.items())
+    lines = [f"# blockcs-trials v1 {meta}", ",".join(_CSV_COLUMNS)]
     lines.extend(_record_line(rec) for rec in records)
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -356,9 +354,8 @@ def demo_counterexample(
     """Build the threshold instance, certify its constant, and exhibit the
     two equal-objective witnesses sharing one measurement."""
     inst = sharpness_instance(t, s, d, l)
-    order = max(1, int(math.floor(t * s + 1e-9)))
+    order = max(1, _effective_order(inst.t, inst.s))
     cert = exact_block_ric(inst.phi, order)
-    threshold = t / (4.0 - t)
     b = apply(inst.phi, inst.x0)
     gap = float(np.linalg.norm(b - apply(inst.phi, inst.x_hat)))
     result = solve_noiseless(inst.phi, b, config)
@@ -367,16 +364,16 @@ def demo_counterexample(
     distinct = float(np.linalg.norm(inst.x0.coeffs - inst.x_hat.coeffs)) > 1e-12
     non_unique = distinct and gap <= 1e-10 and abs(n0 - n_hat) <= 1e-10
     return CounterexampleReport(
-        t=float(t),
-        s=int(s),
-        d=int(d),
-        l=int(l),
+        t=inst.t,
+        s=inst.s,
+        d=inst.d,
+        l=inst.l,
         ric_order=order,
         delta=cert.delta,
-        threshold=threshold,
+        threshold=condition_threshold(inst.t),
         x0_mixed_norm=n0,
         x_hat_mixed_norm=n_hat,
-        expected_objective=s * math.sqrt(d),
+        expected_objective=inst.s * math.sqrt(inst.d),
         measurement_gap=gap,
         solver_objective=result.objective,
         solver_converged=result.converged,
@@ -414,7 +411,7 @@ def _recovery_trial(spec: ExperimentSpec, g: dict, trial_id: int, m: int, s: int
         xi = generator(spec.seed, trial_id, 2).standard_normal(m)
         b = b + xi * (rho / np.linalg.norm(xi))
 
-    order = max(1, int(math.floor(t * s + 1e-9)))
+    order = max(1, _effective_order(t, s))
     delta = None
     if g["compute_ric"] and math.comb(l, order) <= _RIC_AUTO_CAP:
         delta = exact_block_ric(phi, order).delta
@@ -581,7 +578,7 @@ def _run_identity_suite(spec: ExperimentSpec, g: dict):
         m = int(rng.integers(1, s + 1))
         vectors = [rng.standard_normal(4) for _ in range(s)]
         r1 = subset_sum_residual(vectors, m)
-        r2 = subset_inner_product_residual(vectors, max(2, m)) if s >= 2 else 0.0
+        r2 = subset_inner_product_residual(vectors, max(2, m))
 
         l = int(rng.integers(2, g["max_blocks"] + 1))
         d = int(rng.integers(1, 3))
@@ -595,7 +592,7 @@ def _run_identity_suite(spec: ExperimentSpec, g: dict):
         if l >= mm + nn:
             r4 = disjoint_pair_energy_residual(phi, x, mm, nn)
         else:
-            r4 = disjoint_pair_energy_residual(phi, x, 1, 1) if l >= 2 else 0.0
+            r4 = disjoint_pair_energy_residual(phi, x, 1, 1)
 
         sp = int(rng.integers(1, l + 1))
         alpha = float(rng.uniform(0.5, 2.0))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .blocks import BlockSignal, mixed_norm_2_1, mixed_norm_2_inf
 from .sensing import SensingMatrix
 
@@ -51,9 +52,7 @@ def subset_sum_residual(vectors, m: int) -> float:
     """
     fam = _as_vector_family(vectors)
     s = len(fam)
-    m = int(m)
-    if not 1 <= m <= s:
-        raise ValueError(f"m={m} outside [1, {s}]")
+    m = _checks.count("m", m, 1, s)
     lhs = np.zeros_like(fam[0])
     for sub in itertools.combinations(range(s), m):
         for j in sub:
@@ -74,11 +73,9 @@ def subset_inner_product_residual(vectors, m: int) -> float:
     """
     fam = _as_vector_family(vectors)
     s = len(fam)
-    m = int(m)
     if s < 2:
         raise ValueError("the identity needs at least two vectors")
-    if not 2 <= m <= s:
-        raise ValueError(f"m={m} outside [2, {s}]")
+    m = _checks.count("m", m, 2, s)
     gram = np.array([[float(np.dot(a, b)) for b in fam] for a in fam])
     off_diag_total = float(gram.sum() - np.trace(gram))
     lhs_terms = []
@@ -115,11 +112,10 @@ def subset_energy_difference_residual(phi: SensingMatrix, x: BlockSignal, m: int
             = (m - n) ||Phi x||^2 / l.
     """
     l = phi.structure.num_blocks
-    m, n = int(m), int(n)
     if l < 2:
         raise ValueError("the identity needs at least two blocks")
-    if not (1 <= m <= l and 1 <= n <= l):
-        raise ValueError(f"m={m}, n={n} outside [1, {l}]")
+    m = _checks.count("m", m, 1, l)
+    n = _checks.count("n", n, 1, l)
     images = _block_images(phi, x)
     first = math.fsum(
         _restricted_energy(images, sub) for sub in itertools.combinations(range(l), m)
@@ -143,9 +139,8 @@ def disjoint_pair_energy_residual(phi: SensingMatrix, x: BlockSignal, m: int, n:
     evaluation stays finite there.
     """
     l = phi.structure.num_blocks
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
+    m = _checks.count("m", m, 1)
+    n = _checks.count("n", n, 1)
     if l < m + n:
         raise ValueError(f"need l >= m + n, got l={l}, m={m}, n={n}")
     images = _block_images(phi, x)
@@ -248,12 +243,8 @@ def polytope_decompose(x: BlockSignal, alpha: float, s: int) -> PolytopeDecompos
     ValueError
         If either membership inequality fails (the message names which).
     """
-    alpha = float(alpha)
-    s = int(s)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if s < 1:
-        raise ValueError(f"s must be a positive integer, got {s}")
+    alpha = _checks.real("alpha", alpha, 0.0, strict=True)
+    s = _checks.count("s", s, 1)
     slack = 1e-12 * max(1.0, alpha)
     x_inf = mixed_norm_2_inf(x)
     x_mix = mixed_norm_2_1(x)

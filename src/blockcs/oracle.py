@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .blocks import BlockSignal, best_block_approx, mixed_norm_2_1
 from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, _support_chunks
 from .sensing import SensingMatrix
@@ -102,11 +103,8 @@ def brute_force_l20_batch(
     outcome is bit-identical to solving each support exactly."""
     structure = phi.structure
     l = structure.num_blocks
-    s_max = int(s_max)
-    if not 0 <= s_max <= l:
-        raise ValueError(f"s_max={s_max} outside [0, {l}]")
-    if not (math.isfinite(residual_tol) and residual_tol >= 0):
-        raise ValueError(f"residual_tol must be finite and nonnegative, got {residual_tol}")
+    s_max = _checks.count("s_max", s_max, 0, l)
+    residual_tol = _checks.real("residual_tol", residual_tol, 0.0)
     _check_cap(sum(math.comb(l, k) for k in range(s_max + 1)), cap,
                f"sum of C({l}, k) for k <= {s_max}")
     B = np.asarray(B, dtype=float)
@@ -221,15 +219,9 @@ def tail_power_check(a, s: int, alpha: float, psi: float = 0.0) -> TailPowerRepo
         raise ValueError("sequence entries must be nonnegative")
     if np.any(np.diff(a) > 0):
         raise ValueError("sequence must be sorted nonincreasing")
-    s = int(s)
-    if not 1 <= s <= a.size:
-        raise ValueError(f"s={s} outside [1, {a.size}]")
-    alpha = float(alpha)
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    psi = float(psi)
-    if psi < 0.0:
-        raise ValueError(f"psi must be nonnegative, got {psi}")
+    s = _checks.count("s", s, 1, a.size)
+    alpha = _checks.real("alpha", alpha, 1.0)
+    psi = _checks.real("psi", psi, 0.0)
 
     head, tail = a[:s], a[s:]
     if head.sum() + psi < tail.sum() - 1e-12 * max(1.0, a.sum()):

@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _checks
+
 if TYPE_CHECKING:
     from .blocks import BlockStructure
     from .sensing import SensingMatrix
@@ -66,6 +68,7 @@ class RicCertificate:
 
 def _check_cap(count: int, cap: int, what: str) -> None:
     """Raise EnumerationCapError when `count` supports (named by `what`) exceed `cap`."""
+    cap = _checks.count("cap", cap, 0)
     if count > cap:
         raise EnumerationCapError(
             f"{what} = {count} block supports exceeds the enumeration cap {cap}", count
@@ -120,9 +123,7 @@ def exact_block_ric(
     """
     structure = phi.structure
     l = structure.num_blocks
-    s = int(s)
-    if not 1 <= s <= l:
-        raise ValueError(f"order s={s} outside [1, {l}]")
+    s = _checks.count("s", s, 1, l)
     num_supports = math.comb(l, s)
     _check_cap(num_supports, cap, f"C({l}, {s})")
     delta = -np.inf
@@ -175,9 +176,7 @@ class ConditionReport:
 
 def condition_threshold(t: float) -> float:
     """The recovery threshold t/(4-t) for admissible t in (0, 4/3)."""
-    t = float(t)
-    if not 0.0 < t < 4.0 / 3.0:
-        raise ValueError(f"t must lie in (0, 4/3), got {t}")
+    t = _checks.real("t", t, 0.0, 4.0 / 3.0, strict=True)
     return t / (4.0 - t)
 
 
@@ -192,11 +191,13 @@ def _effective_order(t: float, s: int) -> int:
 def check_condition(delta: float, t: float, s: int) -> ConditionReport:
     """Check the sharp recovery condition delta < t/(4-t).
 
-    Valid parameters require 0 < t < 4/3 and t*s >= 2.  Invalid input yields
-    ok=False with a reason code rather than an exception.
+    Valid parameters require 0 < t < 4/3 and t*s >= 2.  A t out of that range
+    or an invalid delta yields ok=False with a reason code rather than an
+    exception; a t that is no finite real or an `s` that is no integer >= 0
+    raises ValueError.
     """
-    t = float(t)
-    s = int(s)
+    t = _checks.real("t", t)
+    s = _checks.count("s", s, 0)
     delta = float(delta)
     if not 0.0 < t < 4.0 / 3.0:
         return ConditionReport(False, t, s, delta, None, _effective_order(t, s), "t_out_of_range")
@@ -235,16 +236,13 @@ def _bound_ingredients(t: float, s: int, delta: float, rho: float, tail_norm: fl
             f"error bound requires the recovery condition to hold ({report.reason}: "
             f"t={t}, s={s}, delta={delta})"
         )
-    if not (math.isfinite(rho) and math.isfinite(tail_norm)) or rho < 0 or tail_norm < 0:
-        raise ValueError(
-            f"rho and tail_norm must be finite and nonnegative, got rho={rho}, tail_norm={tail_norm}"
-        )
-    t = float(t)
-    delta = float(delta)
+    rho = _checks.real("rho", rho, 0.0)
+    tail_norm = _checks.real("tail_norm", tail_norm, 0.0)
+    t, s, delta = report.t, report.s, report.delta
     t_tilde = max(math.sqrt(t), t)
     denom = t + (t - 4.0) * delta
     noise_coeff = 2.0 * math.sqrt(2.0) * math.sqrt(1.0 + delta) * t_tilde / denom
-    return t, delta, t_tilde, denom, noise_coeff
+    return t, s, delta, rho, tail_norm, t_tilde, denom, noise_coeff
 
 
 def error_bound_tight(t: float, s: int, delta: float, rho: float, tail_norm: float) -> BoundReport:
@@ -259,14 +257,15 @@ def error_bound_tight(t: float, s: int, delta: float, rho: float, tail_norm: flo
 
     where denom = t + (t-4)*delta > 0 under the recovery condition.
     """
-    t, delta, t_tilde, denom, noise_coeff = _bound_ingredients(t, s, delta, rho, tail_norm)
+    t, s, delta, rho, tail_norm, t_tilde, denom, noise_coeff = _bound_ingredients(
+        t, s, delta, rho, tail_norm)
     tail_coeff = (
         0.5
         * math.sqrt(2.0 / s)
         * ((8.0 * delta + 4.0 * math.sqrt(denom * delta)) / denom + 1.0)
     )
     bound = noise_coeff * rho + tail_coeff * tail_norm
-    return BoundReport(t, int(s), delta, float(rho), float(tail_norm), t_tilde, denom,
+    return BoundReport(t, s, delta, rho, tail_norm, t_tilde, denom,
                        noise_coeff, tail_coeff, bound, "tight")
 
 
@@ -277,12 +276,13 @@ def error_bound_loose(t: float, s: int, delta: float, rho: float, tail_norm: flo
 
     which always dominates the tight variant's tail coefficient.
     """
-    t, delta, t_tilde, denom, noise_coeff = _bound_ingredients(t, s, delta, rho, tail_norm)
+    t, s, delta, rho, tail_norm, t_tilde, denom, noise_coeff = _bound_ingredients(
+        t, s, delta, rho, tail_norm)
     tail_coeff = math.sqrt(2.0 / s) * (
         (4.0 * delta + 2.0 * math.sqrt(denom * delta)) / denom + math.sqrt(2.0)
     )
     bound = noise_coeff * rho + tail_coeff * tail_norm
-    return BoundReport(t, int(s), delta, float(rho), float(tail_norm), t_tilde, denom,
+    return BoundReport(t, s, delta, rho, tail_norm, t_tilde, denom,
                        noise_coeff, tail_coeff, bound, "loose")
 
 
@@ -294,10 +294,6 @@ def ric_scaling_bound(delta_s: float, kappa: float) -> float:
     ValueError
         If kappa < 2 or delta_s < 0.
     """
-    kappa = float(kappa)
-    delta_s = float(delta_s)
-    if kappa < 2.0:
-        raise ValueError(f"kappa must be >= 2, got {kappa}")
-    if delta_s < 0.0:
-        raise ValueError(f"delta_s must be nonnegative, got {delta_s}")
+    kappa = _checks.real("kappa", kappa, 2.0)
+    delta_s = _checks.real("delta_s", delta_s, 0.0)
     return (2.0 * kappa - 1.0) * delta_s

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .blocks import BlockSignal, BlockStructure
-from .ric import exact_block_ric
+from .ric import condition_threshold, exact_block_ric
 from .seeding import generator
 
 __all__ = [
@@ -20,6 +21,8 @@ __all__ = [
     "sharpness_instance",
     "apply",
 ]
+
+_FLATTEN_ITERS = 100  # row-energy flattening passes of the spread-kernel construction
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,7 @@ def gaussian_matrix(m: int, structure: BlockStructure, seed: int) -> SensingMatr
     The normalization makes column norms concentrate around 1.  Identical
     (m, structure, seed) yields a bit-identical matrix.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"number of rows must be >= 1, got {m}")
+    m = _checks.count("m", m, 1)
     rng = generator(seed)
     entries = rng.standard_normal((m, structure.total_dim)) / np.sqrt(m)
     return SensingMatrix(entries, structure)
@@ -90,7 +91,6 @@ def spread_kernel_matrix(
     structure: BlockStructure,
     seed: int,
     balance_order: int = 2,
-    flatten_iters: int = 100,
 ) -> SensingMatrix:
     """Underdetermined matrix engineered for a small block restricted-isometry
     constant at the given order.
@@ -110,15 +110,13 @@ def spread_kernel_matrix(
     EnumerationCapError
         If C(l, balance_order) exceeds the default enumeration cap.
     """
-    m = int(m)
     n = structure.total_dim
-    if not 1 <= m < n:
-        raise ValueError(f"need 1 <= m < {n} for an underdetermined matrix, got m={m}")
+    m = _checks.count("m", m, 1, n - 1)
     rng = generator(seed)
     k = n - m
     V = rng.standard_normal((n, k))
     target = np.sqrt(k / n)
-    for _ in range(flatten_iters):
+    for _ in range(_FLATTEN_ITERS):
         V, _ = np.linalg.qr(V)
         row_norms = np.linalg.norm(V, axis=1, keepdims=True)
         V = V * (target / np.maximum(row_norms, 1e-300)) ** 0.9
@@ -163,12 +161,11 @@ def sharpness_instance(t: float, s: int, d: int, l: int) -> SharpnessInstance:
     ValueError
         If t is outside (0, 4/3), s < 1, d < 1, or l <= 2s.
     """
+    condition_threshold(t)  # raises unless 0 < t < 4/3
     t = float(t)
-    s, d, l = int(s), int(d), int(l)
-    if not 0.0 < t < 4.0 / 3.0:
-        raise ValueError(f"t must lie in (0, 4/3), got {t}")
-    if s < 1 or d < 1:
-        raise ValueError(f"need s >= 1 and d >= 1, got s={s}, d={d}")
+    s = _checks.count("s", s, 1)
+    d = _checks.count("d", d, 1)
+    l = _checks.count("l", l, 1)
     if l <= 2 * s:
         raise ValueError(f"need 2s < l, got s={s}, l={l}")
     structure = BlockStructure.uniform(d, l)

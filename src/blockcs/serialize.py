@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _checks
 from .blocks import BlockSignal, BlockStructure
 from .sensing import SensingMatrix
 
@@ -49,9 +50,9 @@ def structure_to_json(structure: BlockStructure) -> dict:
 
 
 def structure_from_json(obj: dict) -> BlockStructure:
-    if not isinstance(obj, dict) or "blocks" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list):
         raise ValueError('structure JSON must be an object with a "blocks" array')
-    return BlockStructure(tuple(int(d) for d in obj["blocks"]))
+    return BlockStructure(tuple(obj["blocks"]))
 
 
 def signal_to_json(signal: BlockSignal) -> dict:
@@ -81,7 +82,7 @@ def matrix_from_json(obj: dict) -> SensingMatrix:
     for key in ("m", "n", "structure", "data"):
         if not isinstance(obj, dict) or key not in obj:
             raise ValueError(f'matrix JSON must carry "{key}"')
-    m, n = int(obj["m"]), int(obj["n"])
+    m, n = _checks.count("m", obj["m"], 1), _checks.count("n", obj["n"], 1)
     data = np.asarray(obj["data"], dtype=float)
     if data.size != m * n:
         raise ValueError(f"matrix data has {data.size} entries, expected m*n = {m * n}")

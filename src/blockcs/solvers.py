@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import _checks
 from .blocks import BlockSignal, mixed_norm_2_1
 from .sensing import SensingMatrix
 
@@ -59,14 +60,11 @@ class SolverConfig:
     feasibility_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if min(self.primal_tol, self.dual_tol, self.feasibility_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.penalty <= 0:
-            raise ValueError("penalty must be positive")
-        if not 1.0 <= self.over_relaxation <= 1.9:
-            raise ValueError("over_relaxation must lie in [1, 1.9]")
+        object.__setattr__(self, "max_iters", _checks.count("max_iters", self.max_iters, 1))
+        for name in ("primal_tol", "dual_tol", "penalty", "feasibility_tol"):
+            object.__setattr__(self, name, _checks.real(name, getattr(self, name), 0.0, strict=True))
+        relaxation = _checks.real("over_relaxation", self.over_relaxation, 1.0, 1.9)
+        object.__setattr__(self, "over_relaxation", relaxation)
 
 
 @dataclass(frozen=True)
@@ -94,12 +92,11 @@ def block_soft_threshold(x: BlockSignal, tau: float) -> BlockSignal:
     Blocks with norm <= tau are set exactly to zero; others are rescaled by
     (1 - tau/||x[i]||_2).  With tau = 0 the input is returned unchanged.
     """
-    if not 0 <= tau < np.inf:
-        raise ValueError(f"threshold must be finite and nonnegative, got {tau}")
+    tau = _checks.real("tau", tau, 0.0)
     if tau == 0:
         return BlockSignal(x.coeffs, x.structure)
     st = x.structure
-    coeffs = _block_shrink(x.coeffs[:, None], st._edges[:-1], st.block_lengths, float(tau))
+    coeffs = _block_shrink(x.coeffs[:, None], st._edges[:-1], st.block_lengths, tau)
     return BlockSignal(coeffs[:, 0], st)
 
 
@@ -211,7 +208,7 @@ def _as_columns(b) -> np.ndarray:
     raise ValueError(f"expected a vector or a matrix of columns, got shape {arr.shape}")
 
 
-def _build_results(phi, B, rhos, cfg, outputs, truths):
+def _build_results(phi, B, rhos, outputs, truths):
     est, iters, prim, dual, done = outputs
     results = []
     for j in range(B.shape[1]):
@@ -267,7 +264,7 @@ def _solve_batch(phi, b, rhos, config, truths):
         )
 
     outputs = _admm(phi, B, rhos, cfg)
-    return _build_results(phi, B, rhos, cfg, outputs, truths)
+    return _build_results(phi, B, rhos, outputs, truths)
 
 
 def solve_noiseless(

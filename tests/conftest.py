@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -32,3 +35,26 @@ def strip_wall_time(csv_text: str) -> str:
     """Trial CSV text without its last column, wall_time, the only nondeterministic field."""
     lines = (ln if ln.startswith("#") else ln.rsplit(",", 1)[0] for ln in csv_text.splitlines())
     return "\n".join(lines) + "\n"
+
+
+BAD_COUNTS = (math.nan, math.inf, True, 2.9)
+BAD_REALS = (math.nan, math.inf, True)
+
+
+def bad_arguments(*cases):
+    """Parameters (name, call, value) for `rejects_argument`: each case is
+    (entry point, argument name, call taking the value, bad values)."""
+    return [
+        pytest.param(name, call, value, id=f"{entry}-{name}-{value!r}")
+        for entry, name, call, values in cases
+        for value in values
+    ]
+
+
+def rejects_argument(name: str, value):
+    """Expect the package's argument check: a ValueError naming the argument
+    and the value it was given."""
+    kind = "(an integer|a finite real)"
+    return pytest.raises(
+        ValueError, match=rf"\b{re.escape(name)} must be {kind}\b.*, got {re.escape(repr(value))}"
+    )

@@ -15,7 +15,14 @@ from blockcs import (
     mixed_norm_2_1,
     mixed_norm_2_inf,
 )
-from conftest import random_block_sparse, random_signal, random_structure
+from conftest import (
+    BAD_COUNTS,
+    bad_arguments,
+    random_block_sparse,
+    random_signal,
+    random_structure,
+    rejects_argument,
+)
 
 
 def test_structure_validation():
@@ -247,3 +254,16 @@ def test_best_block_approx_idempotent_on_head(a, s):
     head = best_block_approx(x, s).head
     again = best_block_approx(head, s).head
     np.testing.assert_array_equal(again.coeffs, head.coeffs)
+
+
+@pytest.mark.parametrize("name, call, value", bad_arguments(
+    ("BlockStructure", "block_lengths[0]", lambda v: BlockStructure((v, 2)), BAD_COUNTS),
+    ("uniform", "block_length", lambda v: BlockStructure.uniform(v, 2), BAD_COUNTS),
+    ("uniform", "num_blocks", lambda v: BlockStructure.uniform(2, v), BAD_COUNTS),
+    ("best_block_approx", "s",
+     lambda v: best_block_approx(BlockSignal([1.0, 2.0, 3.0], BlockStructure((1, 1, 1))), v),
+     BAD_COUNTS),
+))
+def test_rejects_bad_count(name, call, value):
+    with rejects_argument(name, value):
+        call(value)

@@ -109,7 +109,9 @@ def test_bound_invalid_condition_exit_one():
     assert main(["bound", "--t", "1", "--s", "2", "--delta", "0.5"]) == 1
 
 
-@pytest.mark.parametrize("flag, value", [("--rho", "nan"), ("--tail", "inf"), ("--rho", "-inf")])
+@pytest.mark.parametrize("flag, value", [
+    ("--rho", "nan"), ("--tail", "inf"), ("--rho", "-inf"), ("--t", "inf"),
+])
 def test_bound_non_finite_input_exit_one(flag, value, capsys):
     values = {"--rho": "0.1", "--tail": "0.0", flag: value}
     argv = ["bound", "--t", "1", "--s", "2", "--delta", "0.25"]
@@ -200,6 +202,8 @@ def test_sweep_missing_grid_key_exit_one(tmp_path, capsys):
     {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"bogus": 1}},
     {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"max_iters": "x"}},
     {"kind": "PHASE_TRANSITION", "grid": {"l": 6, "m_values": 8, "s_values": [1], "trials": 1}},
+    {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"max_iters": 2.5}},
+    {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"primal_tol": float("nan")}},
 ])
 def test_sweep_mistyped_spec_exit_one(tmp_path, capsys, spec):
     cfg_path = tmp_path / "spec.json"
@@ -225,6 +229,25 @@ def test_subcommands_reject_flags_they_do_not_read(instance_files):
     _, matrix_path, _, _ = instance_files
     assert main(["bound", "--t", "1", "--s", "2", "--delta", "0.25", "--seed", "9"]) == 1
     assert main(["ric", "--matrix", matrix_path, "--order", "1", "--config", "x"]) == 1
+
+
+def test_recover_negative_rho_exit_one(instance_files, capsys):
+    _, matrix_path, obs_path, tmp_path = instance_files
+    out = tmp_path / "r.json"
+    argv = ["recover", "--matrix", matrix_path, "--obs", obs_path, "--out", str(out)]
+    assert main([*argv, "--rho=-0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rho" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_recover_non_finite_tol_exit_one(instance_files, capsys, tol):
+    _, matrix_path, obs_path, _ = instance_files
+    argv = ["recover", "--matrix", matrix_path, "--obs", obs_path]
+    assert main([*argv, "--tol", tol]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "primal_tol" in err and "Traceback" not in err
 
 
 def test_recover_non_finite_observation_exit_one(instance_files, capsys):

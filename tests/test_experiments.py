@@ -13,7 +13,7 @@ from blockcs.experiments import (
     spec_from_json,
     spec_to_json,
 )
-from conftest import strip_wall_time
+from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, rejects_argument, strip_wall_time
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -279,3 +279,20 @@ def test_identity_suite_experiment(tmp_path):
     assert max(worst.values()) <= 1e-10
     assert report.summary["all_below_1e-10"]
     assert report.summary["polytope_members_checked"] == 25
+
+
+def _spec_with_solver(**solver):
+    return spec_from_json({"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": solver})
+
+
+@pytest.mark.parametrize("name, call, value", bad_arguments(
+    ("demo_counterexample", "t", lambda v: demo_counterexample(v, 2, 2, 6), BAD_REALS),
+    ("demo_counterexample", "s", lambda v: demo_counterexample(1.0, v, 2, 6), BAD_COUNTS),
+    ("demo_counterexample", "d", lambda v: demo_counterexample(1.0, 2, v, 6), BAD_COUNTS),
+    ("demo_counterexample", "l", lambda v: demo_counterexample(1.0, 2, 2, v), BAD_COUNTS),
+    ("spec_from_json", "max_iters", lambda v: _spec_with_solver(max_iters=v), BAD_COUNTS),
+    ("spec_from_json", "primal_tol", lambda v: _spec_with_solver(primal_tol=v), BAD_REALS),
+))
+def test_rejects_bad_count_or_real(name, call, value):
+    with rejects_argument(name, value):
+        call(value)

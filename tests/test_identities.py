@@ -15,7 +15,7 @@ from blockcs import (
     subset_inner_product_residual,
     subset_sum_residual,
 )
-from conftest import random_signal
+from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, random_signal, rejects_argument
 
 
 # --- subset-sum identity ---
@@ -239,3 +239,32 @@ def test_polytope_term_count_budget(rng):
         active = mixed_norm_2_0(x)
         assert len(dec.terms) <= 1 + active
         check_decomposition(dec, x, alpha, s)
+
+
+def _phi_and_x():
+    structure = BlockStructure.uniform(1, 4)
+    return gaussian_matrix(3, structure, seed=1), BlockSignal(np.ones(4), structure)
+
+
+_VECTORS = [np.ones(2), np.zeros(2), -np.ones(2)]
+_MEMBER = BlockSignal([0.5, 0.5], BlockStructure((1, 1)))
+
+
+@pytest.mark.parametrize("name, call, value", bad_arguments(
+    ("subset_sum_residual", "m", lambda v: subset_sum_residual(_VECTORS, v), BAD_COUNTS),
+    ("subset_inner_product_residual", "m",
+     lambda v: subset_inner_product_residual(_VECTORS, v), BAD_COUNTS),
+    ("subset_energy_difference_residual", "m",
+     lambda v: subset_energy_difference_residual(*_phi_and_x(), v, 1), BAD_COUNTS),
+    ("subset_energy_difference_residual", "n",
+     lambda v: subset_energy_difference_residual(*_phi_and_x(), 1, v), BAD_COUNTS),
+    ("disjoint_pair_energy_residual", "m",
+     lambda v: disjoint_pair_energy_residual(*_phi_and_x(), v, 1), BAD_COUNTS),
+    ("disjoint_pair_energy_residual", "n",
+     lambda v: disjoint_pair_energy_residual(*_phi_and_x(), 1, v), BAD_COUNTS),
+    ("polytope_decompose", "alpha", lambda v: polytope_decompose(_MEMBER, v, 2), BAD_REALS),
+    ("polytope_decompose", "s", lambda v: polytope_decompose(_MEMBER, 1.0, v), BAD_COUNTS),
+))
+def test_rejects_bad_count_or_real(name, call, value):
+    with rejects_argument(name, value):
+        call(value)

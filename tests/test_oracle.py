@@ -25,7 +25,7 @@ from blockcs import (
     tail_power_check,
 )
 from blockcs import ric
-from conftest import random_block_sparse
+from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, random_block_sparse, rejects_argument
 
 
 def test_oracle_zero_observation():
@@ -384,3 +384,25 @@ def test_cone_check_structure_mismatch(rng):
     b = BlockSignal(rng.standard_normal(4), BlockStructure((1, 3)))
     with pytest.raises(ValueError):
         cone_constraint_check(a, b, 1)
+
+
+def _oracle(**kwargs):
+    phi = gaussian_matrix(4, BlockStructure.uniform(2, 4), seed=1)
+    return brute_force_l20(phi, np.zeros(4), **{"s_max": 2, **kwargs})
+
+
+@pytest.mark.parametrize("name, call, value", bad_arguments(
+    ("brute_force_l20", "s_max", lambda v: _oracle(s_max=v), BAD_COUNTS),
+    ("brute_force_l20", "residual_tol", lambda v: _oracle(residual_tol=v), BAD_REALS),
+    ("brute_force_l20", "cap", lambda v: _oracle(cap=v), BAD_COUNTS),
+    ("brute_force_l20_batch", "s_max", lambda v: brute_force_l20_batch(
+        gaussian_matrix(4, BlockStructure.uniform(2, 4), seed=1), np.zeros((4, 2)), v),
+     BAD_COUNTS),
+    ("tail_power_check", "s", lambda v: tail_power_check([3.0, 2.0, 1.0], v, 2.0), BAD_COUNTS),
+    ("tail_power_check", "alpha", lambda v: tail_power_check([3.0, 2.0, 1.0], 1, v), BAD_REALS),
+    ("tail_power_check", "psi", lambda v: tail_power_check([3.0, 2.0, 1.0], 1, 2.0, v),
+     BAD_REALS),
+))
+def test_rejects_bad_count_or_real(name, call, value):
+    with rejects_argument(name, value):
+        call(value)

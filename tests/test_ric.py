@@ -24,7 +24,7 @@ from blockcs import (
     sharpness_instance,
 )
 from blockcs import ric
-from conftest import random_block_sparse
+from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, random_block_sparse, rejects_argument
 
 
 def test_exact_ric_identity_is_isometry():
@@ -401,3 +401,25 @@ def test_scaling_bound_holds_by_enumeration():
         d2 = exact_block_ric(phi, 2).delta
         d4 = exact_block_ric(phi, 4).delta
         assert d4 <= ric_scaling_bound(d2, 2.0) + 1e-12
+
+
+def _small_phi():
+    return gaussian_matrix(4, BlockStructure.uniform(2, 4), seed=1)
+
+
+@pytest.mark.parametrize("name, call, value", bad_arguments(
+    ("exact_block_ric", "s", lambda v: exact_block_ric(_small_phi(), v), BAD_COUNTS),
+    ("exact_block_ric", "cap", lambda v: exact_block_ric(_small_phi(), 2, cap=v), BAD_COUNTS),
+    ("check_condition", "t", lambda v: check_condition(0.1, v, 2), BAD_REALS),
+    ("check_condition", "s", lambda v: check_condition(0.1, 1.0, v), BAD_COUNTS),
+    ("condition_threshold", "t", condition_threshold, BAD_REALS),
+    ("error_bound_tight", "s", lambda v: error_bound_tight(1.0, v, 0.25, 0.1, 0.0), BAD_COUNTS),
+    ("error_bound_tight", "rho", lambda v: error_bound_tight(1.0, 2, 0.25, v, 0.0), BAD_REALS),
+    ("error_bound_loose", "tail_norm", lambda v: error_bound_loose(1.0, 2, 0.25, 0.1, v),
+     BAD_REALS),
+    ("ric_scaling_bound", "delta_s", lambda v: ric_scaling_bound(v, 2), BAD_REALS),
+    ("ric_scaling_bound", "kappa", lambda v: ric_scaling_bound(0.1, v), BAD_REALS),
+))
+def test_rejects_bad_count_or_real(name, call, value):
+    with rejects_argument(name, value):
+        call(value)

@@ -17,6 +17,7 @@ from blockcs import (
     spread_kernel_matrix,
     SensingMatrix,
 )
+from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, rejects_argument
 
 
 def test_gaussian_determinism():
@@ -180,3 +181,18 @@ def test_spread_kernel_rejects_balance_order_out_of_range():
 def test_matrix_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="finite"):
         SensingMatrix([[1.0, bad]], BlockStructure.uniform(1, 2))
+
+
+@pytest.mark.parametrize("name, call, value", bad_arguments(
+    ("gaussian_matrix", "m", lambda v: gaussian_matrix(v, BlockStructure.uniform(2, 4), 1),
+     BAD_COUNTS),
+    ("spread_kernel_matrix", "m",
+     lambda v: spread_kernel_matrix(v, BlockStructure.uniform(2, 4), 1), BAD_COUNTS),
+    ("sharpness_instance", "t", lambda v: sharpness_instance(v, 2, 2, 6), BAD_REALS),
+    ("sharpness_instance", "s", lambda v: sharpness_instance(1.0, v, 2, 6), BAD_COUNTS),
+    ("sharpness_instance", "d", lambda v: sharpness_instance(1.0, 2, v, 6), BAD_COUNTS),
+    ("sharpness_instance", "l", lambda v: sharpness_instance(1.0, 2, 2, v), BAD_COUNTS),
+))
+def test_rejects_bad_count_or_real(name, call, value):
+    with rejects_argument(name, value):
+        call(value)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockcs import BlockSignal, BlockStructure, SensingMatrix, gaussian_matrix
+from conftest import BAD_COUNTS, bad_arguments, rejects_argument
 from blockcs.serialize import (
     format_float,
     load_matrix,
@@ -86,3 +87,23 @@ def test_save_json_rejects_non_finite_values(tmp_path):
         with pytest.raises(ValueError):
             save_json({"bound": value}, tmp_path / "out.json")
     assert not (tmp_path / "out.json").exists()
+
+
+_MATRIX_JSON = {"m": 1, "n": 2, "structure": {"blocks": [1, 1]}, "data": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("name, call, value", bad_arguments(
+    ("structure_from_json", "block_lengths[0]",
+     lambda v: structure_from_json({"blocks": [v, 2]}), BAD_COUNTS),
+    ("matrix_from_json", "m", lambda v: matrix_from_json(dict(_MATRIX_JSON, m=v)), BAD_COUNTS),
+    ("matrix_from_json", "n", lambda v: matrix_from_json(dict(_MATRIX_JSON, n=v)), BAD_COUNTS),
+))
+def test_rejects_bad_count(name, call, value):
+    with rejects_argument(name, value):
+        call(value)
+
+
+@pytest.mark.parametrize("blocks", [2, None, {"d": 2}])
+def test_structure_json_needs_a_blocks_array(blocks):
+    with pytest.raises(ValueError, match='"blocks" array'):
+        structure_from_json({"blocks": blocks})

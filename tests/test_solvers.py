@@ -28,7 +28,7 @@ from blockcs import (
     spread_kernel_matrix,
 )
 from blockcs import solvers
-from conftest import random_block_sparse
+from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, random_block_sparse, rejects_argument
 
 
 def _certified_instance(seed=5):
@@ -323,3 +323,16 @@ def test_result_residuals_respect_tolerances(rng):
     assert res.converged
     assert res.primal_residual <= cfg.primal_tol
     assert res.dual_residual <= cfg.dual_tol
+
+
+@pytest.mark.parametrize("name, call, value", bad_arguments(
+    ("SolverConfig", "max_iters", lambda v: SolverConfig(max_iters=v), BAD_COUNTS),
+    *[("SolverConfig", field, lambda v, field=field: SolverConfig(**{field: v}), BAD_REALS)
+      for field in ("primal_tol", "dual_tol", "penalty", "over_relaxation", "feasibility_tol")],
+    ("block_soft_threshold", "tau",
+     lambda v: block_soft_threshold(BlockSignal([3.0, 4.0], BlockStructure((2,))), v),
+     BAD_REALS),
+))
+def test_rejects_bad_count_or_real(name, call, value):
+    with rejects_argument(name, value):
+        call(value)
