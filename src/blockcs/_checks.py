@@ -28,7 +28,11 @@ def count(name: str, value, low, high=math.inf) -> int:
 def real(name: str, value, low=-math.inf, high=math.inf, strict: bool = False) -> float:
     """`value` as a float, when it is a finite real (not a bool) in [low, high],
     or in (low, high) when `strict`."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
-            or not (low < value < high if strict else low <= value <= high)):
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value) and (low < value < high if strict else low <= value <= high))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be a finite real{_span(low, high, strict)}, got {value!r}")
     return float(value)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
+from . import ric as _ric
 from .blocks import BlockSignal, best_block_approx, mixed_norm_2_1
 from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, _support_chunks
 from .sensing import SensingMatrix
@@ -33,6 +34,9 @@ _SVD_CUTOFF = 1e-10  # relative singular-value cutoff for restricted least squar
 # and solves a support with cond >= 1 / (_RANK_GUARD * _SVD_CUTOFF) exactly.
 _SCREEN_MARGIN = 64.0
 _RANK_GUARD = 1e4
+_FACTOR_BUDGET = 64 * 1024  # bytes kept between calls: one matrix's entries and screen factors
+_ARRAY_OVERHEAD = 256  # bytes a kept array costs beyond its data: its object and containers
+_kept: tuple = (b"", None, 0, {})  # the one matrix whose factors are kept: see _factored_level
 
 
 class NoSparseFitError(RuntimeError):
@@ -100,7 +104,8 @@ def brute_force_l20_batch(
     for a column that no support fits.  Raises as `brute_force_l20` does.
     One stacked QR per chunk and column count screens the supports; only those
     that can reach a column's smallest residual are solved exactly, so every
-    outcome is bit-identical to solving each support exactly."""
+    outcome is bit-identical to solving each support exactly.  The QR factors
+    are kept for the next call on an equal matrix, within _FACTOR_BUDGET bytes."""
     structure = phi.structure
     l = structure.num_blocks
     s_max = _checks.count("s_max", s_max, 0, l)
@@ -123,9 +128,9 @@ def brute_force_l20_batch(
         obs, norms = columns[unresolved].T, column_norms[unresolved]
         bound = np.full(len(unresolved), np.inf)  # running upper bound on each best exact residual
         best = [(math.inf, 0, None)] * len(unresolved)
-        for sups, groups in _support_chunks(structure, k):
-            for rows, cols in groups:
-                res, margin, forced = _screen(phi.entries, cols, obs, norms)
+        for sups, groups in _factored_level(phi, k):
+            for rows, cols, (q, kappa, forced) in groups:
+                res, margin = _screen(q, kappa, obs, norms)
                 upper = np.where(forced[:, None], np.inf, res + margin)  # forced: bounds nothing
                 bound = np.minimum(bound, upper.min(axis=0))
                 for i, j in zip(*np.nonzero((res - margin <= bound) | forced[:, None])):
@@ -153,15 +158,52 @@ def brute_force_l20_batch(
     return outcomes
 
 
-def _screen(entries: np.ndarray, cols: np.ndarray, obs: np.ndarray, norms: np.ndarray):
-    """(res, margin, forced) of the supports with columns `cols` (g, c) against `obs`
-    (m, n): res[i, j] = ||b_j - Q_i Q_i^T b_j|| is within margin[i, j] of the exact
-    residual unless forced[i], a support that may be rank-deficient under the cutoff."""
+def _factored_level(phi: SensingMatrix, k: int):
+    """The chunks of `_support_chunks(phi.structure, k)` with each group's screen factors,
+    as (sups, [(rows, cols, (q, kappa, forced)), ...]).
+
+    The factors depend on the matrix alone, so the last matrix's levels are kept between
+    calls in one slot, (entries bytes, structure, chunk size, {k: (bytes, chunks)}),
+    matched bit for bit (-0.0 is not 0.0).  A level is kept once consumed to the end if
+    the slot's array bytes stay within _FACTOR_BUDGET; a level that does not fit is
+    factored chunk by chunk on every call.  The slot is only ever replaced whole, so a
+    reader never pairs one matrix's entries with another's factors."""
+    global _kept
+    key = phi.entries.tobytes()
+    slot = _kept
+    if slot[:3] != (key, phi.structure, _ric._CHUNK):
+        slot = (key, phi.structure, _ric._CHUNK, {})
+    levels = slot[3]
+    if k in levels:
+        yield from levels[k][1]
+        return
+    room = _FACTOR_BUDGET - len(key) - sum(size for size, _ in levels.values())
+    chunks, size = [], 0
+    for sups, groups in _support_chunks(phi.structure, k):
+        # a copy: `cols` views an index array twice its size
+        factored = [(rows, cols.copy(), _factor(phi.entries, cols)) for rows, cols in groups]
+        if chunks is not None:
+            arrays = [sups, *(a for rows, cols, factors in factored for a in (rows, cols, *factors))]
+            size += sum(a.nbytes + _ARRAY_OVERHEAD for a in arrays if a is not None)
+            if size <= room:
+                chunks.append((sups, factored))
+            else:
+                chunks = None
+        yield sups, factored
+    if chunks is not None:
+        _kept = (*slot[:3], {**levels, k: (size, chunks)})
+
+
+def _factor(entries: np.ndarray, cols: np.ndarray):
+    """(q, kappa, forced) of the supports with columns `cols` (g, c), which need no
+    observation: q stacks their Q factors, kappa[i] bounds the condition number of
+    support i unless forced[i], a support that may be rank-deficient under the cutoff.
+    q is None for the empty support and for supports with more columns than rows."""
     g, c = cols.shape
     if c == 0:  # the empty support: its residual is ||b||
-        return np.broadcast_to(norms, (g, len(norms))), np.zeros((g, 1)), np.zeros(g, dtype=bool)
+        return None, np.zeros(g), np.zeros(g, dtype=bool)
     if c > entries.shape[0]:  # more columns than rows
-        return np.zeros((g, len(norms))), np.zeros((g, 1)), np.ones(g, dtype=bool)
+        return None, np.zeros(g), np.ones(g, dtype=bool)
     q, r = np.linalg.qr(entries[:, cols].transpose(1, 0, 2))
     rows2 = np.add.reduce(r * r, axis=2)
     pivots2 = np.diagonal(r, axis1=1, axis2=2) ** 2
@@ -173,10 +215,21 @@ def _screen(entries: np.ndarray, cols: np.ndarray, obs: np.ndarray, norms: np.nd
         smallest2 = pivots2.min(axis=1)
         forced = ~(smallest2 > (_RANK_GUARD * _SVD_CUTOFF) ** 2 * scale2)
         kappa = np.sqrt(np.where(forced, 0.0, scale2 / smallest2))
-    diff = obs - q @ (np.swapaxes(q, 1, 2) @ obs)
-    res = np.sqrt(np.add.reduce(diff * diff, axis=1))
-    margin = (_SCREEN_MARGIN * entries.shape[0] * np.finfo(float).eps) * kappa[:, None] * norms
-    return res, margin, forced
+    return q, kappa, forced
+
+
+def _screen(q, kappa: np.ndarray, obs: np.ndarray, norms: np.ndarray):
+    """(res, margin) of the supports factored as (q, kappa) against `obs` (m, n):
+    res[i, j] = ||b_j - Q_i Q_i^T b_j|| is within margin[i, j] of the exact residual
+    unless the support is forced.  Without q, res is ||b_j||: exact for the empty
+    support, and a support with more columns than rows is forced."""
+    if q is None:
+        res = np.broadcast_to(norms, (len(kappa), len(norms)))
+    else:
+        diff = obs - q @ (np.swapaxes(q, 1, 2) @ obs)
+        res = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    margin = (_SCREEN_MARGIN * obs.shape[0] * np.finfo(float).eps) * kappa[:, None] * norms
+    return res, margin
 
 
 class HypothesisNotMetError(ValueError):

@@ -182,6 +182,8 @@ def condition_threshold(t: float) -> float:
 
 def _effective_order(t: float, s: int) -> int:
     ts = t * s
+    if not math.isfinite(ts):  # |t| * s beyond the float range: t is a whole number
+        return int(t) * s
     nearest = round(ts)
     if abs(ts - nearest) < 1e-9:
         return int(nearest)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockcs
 from blockcs import BlockStructure, SensingMatrix, gaussian_matrix, sharpness_instance, apply
 from blockcs.cli import main
 from blockcs.serialize import matrix_to_json, save_json, signal_from_json, structure_to_json
@@ -121,6 +125,22 @@ def test_bound_non_finite_input_exit_one(flag, value, capsys):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+def test_bound_t_whose_order_overflows_exit_one(capsys):
+    assert main(["bound", "--t", "1e308", "--s", "10", "--delta", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t_out_of_range" in err and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(blockcs.__file__).parents[1]))
+    argv = [sys.executable, "-m", "blockcs", "bound", "--t", "1", "--s", "2", "--delta", "0.25"]
+    ok = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert ok.returncode == 0, ok.stderr
+    assert [rep["variant"] for rep in json.loads(ok.stdout)] == ["tight", "loose"]
+    bad = subprocess.run([*argv[:-1], "0.5"], env=env, capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 1 and bad.stderr.startswith("error:")
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1.0", "inf"])
 def test_oracle_bad_residual_tol_exit_one(instance_files, capsys, tol):
     _, matrix_path, obs_path, _ = instance_files
@@ -204,6 +224,7 @@ def test_sweep_missing_grid_key_exit_one(tmp_path, capsys):
     {"kind": "PHASE_TRANSITION", "grid": {"l": 6, "m_values": 8, "s_values": [1], "trials": 1}},
     {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"max_iters": 2.5}},
     {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"primal_tol": float("nan")}},
+    {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"primal_tol": 10**400}},
 ])
 def test_sweep_mistyped_spec_exit_one(tmp_path, capsys, spec):
     cfg_path = tmp_path / "spec.json"
@@ -215,6 +236,7 @@ def test_sweep_mistyped_spec_exit_one(tmp_path, capsys, spec):
 
 @pytest.mark.parametrize("key, value", [
     ("seed", 2.7), ("seed", [1]), ("success_tol", [1]), ("success_tol", float("nan")),
+    pytest.param("success_tol", 10**400, id="success_tol-400_digits"),
 ])
 def test_sweep_bad_seed_or_success_tol_exit_one(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "spec.json"

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -24,8 +26,9 @@ from blockcs import (
     sharpness_instance,
     tail_power_check,
 )
-from blockcs import ric
+from blockcs import oracle, ric
 from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, random_block_sparse, rejects_argument
+from test_golden import GOLDEN, ORACLE_CASES, _oracle_case, _oracle_digest
 
 
 def test_oracle_zero_observation():
@@ -308,6 +311,91 @@ def test_batch_memory_does_not_grow_with_support_count():
     peak_big, peak_small = _peak_bytes(big, B, 2), _peak_bytes(small, B, 2)
     assert peak_big < 2_000_000
     assert peak_big - peak_small < 100_000
+
+
+# --- screen factors kept between calls ---
+
+def _forget_factors(monkeypatch):
+    monkeypatch.setattr(oracle, "_kept", (b"", None, 0, {}))
+
+
+def _without_qr():
+    return mock.patch.object(np.linalg, "qr", side_effect=AssertionError("factored again"))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_kept_factors_give_the_bits_of_a_batch_and_a_cold_call(name, monkeypatch):
+    phi, b, s_max = _oracle_case(name)
+    rng = np.random.default_rng(len(name))
+    B = np.column_stack([b, -2.0 * b, b + 1e-3 * rng.standard_normal(len(b))])
+    _forget_factors(monkeypatch)
+    batch = [_outcome_key(outcome) for outcome in brute_force_l20_batch(phi, B, s_max)]
+    with _without_qr():  # every level the batch needed is kept
+        warm = [_outcome_key(_standalone(phi, B[:, j], s_max)) for j in range(B.shape[1])]
+    cold = []
+    for j in range(B.shape[1]):
+        _forget_factors(monkeypatch)
+        cold.append(_outcome_key(_standalone(phi, B[:, j], s_max)))
+    assert warm == batch == cold
+    golden = json.loads((GOLDEN / "oracle_outputs.json").read_text())[name]
+    assert _oracle_digest(_standalone(phi, b, s_max)) == golden
+
+
+def test_kept_factors_follow_the_matrix_values(monkeypatch):
+    structure = BlockStructure((2, 1, 2, 3, 2))
+    rng = np.random.default_rng(8)
+    a = SensingMatrix(rng.standard_normal((7, 10)), structure)
+    other = SensingMatrix(rng.standard_normal((7, 10)), structure)
+    x = np.zeros(10)
+    x[structure.block_slice(1)] = 1.5
+    x[structure.block_slice(3)] = [1.0, -2.0, 0.5]
+
+    def matches_reference(phi):
+        b = phi.entries @ x
+        assert _outcome_key(_standalone(phi, b, 2)) == _outcome_key(_reference_l20(phi, b, 2))
+
+    _forget_factors(monkeypatch)
+    for phi in (a, other, a):
+        matches_reference(phi)
+    with _without_qr():  # an equal copy is served the kept factors
+        matches_reference(SensingMatrix(a.entries.copy(), structure))
+    a.entries.flags.writeable = True
+    a.entries[3, 4] += 0.25  # changed in place: the kept factors are stale
+    matches_reference(a)
+    signed = a.entries.copy()
+    signed[:, structure.block_slice(2)] = 0.0
+    matches_reference(SensingMatrix(signed, structure))
+    with pytest.raises(AssertionError, match="factored again"), _without_qr():
+        matches_reference(SensingMatrix(np.where(signed == 0.0, -0.0, signed), structure))
+
+
+def test_kept_factors_follow_the_chunk_size(monkeypatch):
+    phi = gaussian_matrix(6, BlockStructure.uniform(1, 7), seed=3)
+    b = phi.entries[:, :2] @ np.array([1.0, -1.0])
+    _forget_factors(monkeypatch)
+    expected = _outcome_key(_standalone(phi, b, 2))
+    with mock.patch.object(ric, "_CHUNK", 2):
+        assert _outcome_key(_standalone(phi, b, 2)) == expected
+        assert oracle._kept[2] == 2
+        assert max(len(sups) for sups, _ in oracle._kept[3][2][1]) == 2
+
+
+@pytest.mark.parametrize("l, d, m, kept_levels", [(48, 1, 8, [0, 1]), (12, 2, 21, [0, 1, 2])])
+def test_kept_memory_stays_within_the_budget(l, d, m, kept_levels):
+    # at l = 48 the 1,128 two-block supports would need about 200 kB and are factored
+    # on every call; at l = 12, d = 2 every level fits
+    phi = gaussian_matrix(m, BlockStructure.uniform(d, l), seed=1)
+    B = np.random.default_rng(2).standard_normal((m, 40))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        brute_force_l20_batch(phi, B, 2)
+        gc.collect()  # free lists hold memory that no object keeps
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sorted(oracle._kept[3]) == kept_levels
+    assert kept <= oracle._FACTOR_BUDGET
 
 
 # --- sorted tail power-sum inequality ---

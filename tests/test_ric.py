@@ -249,6 +249,14 @@ def test_check_condition_rejects_bad_t():
         assert report.threshold is None
 
 
+def test_check_condition_reports_t_whose_order_overflows():
+    # t * s overflows to inf: still a t_out_of_range report, its order exact
+    for t in (1e308, -1e308):
+        report = check_condition(0.1, t, 10)
+        assert (report.ok, report.reason) == (False, "t_out_of_range")
+        assert report.effective_order == int(t) * 10
+
+
 def test_check_condition_rejects_small_order():
     report = check_condition(0.1, 1.0, 1)  # t*s = 1 < 2
     assert not report.ok
