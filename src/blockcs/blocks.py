@@ -87,18 +87,6 @@ class BlockStructure:
         return np.concatenate(parts)
 
 
-def _frozen_array(values, n=None) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D coefficient vector, got shape {arr.shape}")
-    if n is not None and arr.shape[0] != n:
-        raise ValueError(f"coefficient length {arr.shape[0]} does not match structure dimension {n}")
-    if not np.isfinite(arr).all():
-        raise ValueError("coefficients must be finite (no NaN or inf)")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class BlockSignal:
     """Dense coefficient vector bound to a block structure.
@@ -111,7 +99,9 @@ class BlockSignal:
     structure: BlockStructure
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen_array(self.coeffs, self.structure.total_dim))
+        coeffs = _checks.array("coeffs", self.coeffs, (self.structure.total_dim,))
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zeros(cls, structure: BlockStructure) -> "BlockSignal":
@@ -138,7 +128,7 @@ class BlockSignal:
         return BlockSignal(-self.coeffs, self.structure)
 
     def __rmul__(self, scalar: float) -> "BlockSignal":
-        return BlockSignal(float(scalar) * self.coeffs, self.structure)
+        return BlockSignal(_checks.real("scalar", scalar) * self.coeffs, self.structure)
 
     def _check_same_structure(self, other: "BlockSignal"):
         if self.structure != other.structure:

@@ -14,8 +14,6 @@ import sys
 import time
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from .experiments import (
     ExperimentSpec,
     demo_counterexample,
@@ -61,13 +59,9 @@ def _load_matrix_arg(path: str, structure_path: str | None):
     return load_matrix(path)
 
 
-def _load_vector(path: str) -> np.ndarray:
+def _load_vector(path: str):
     obj = load_json(path)
-    if isinstance(obj, dict) and "values" in obj:
-        obj = obj["values"]
-    if not isinstance(obj, list):
-        raise ValueError(f"{path}: expected a JSON array (or an object with 'values')")
-    return np.asarray(obj, dtype=float)
+    return obj["values"] if isinstance(obj, dict) and "values" in obj else obj
 
 
 def _solver_config(args) -> SolverConfig:

@@ -29,13 +29,11 @@ __all__ = [
 ]
 
 
-def _as_vector_family(vectors) -> list[np.ndarray]:
-    fam = [np.asarray(v, dtype=float) for v in vectors]
-    if not fam:
+def _as_vector_family(vectors) -> np.ndarray:
+    """The family as an (s, dim) array, one vector per row, for s >= 1."""
+    fam = _checks.array("vectors", vectors, (None, None))
+    if len(fam) == 0:
         raise ValueError("expected at least one vector")
-    dim = fam[0].shape
-    if any(v.shape != dim or v.ndim != 1 for v in fam):
-        raise ValueError("all vectors must be 1-D and of equal length")
     return fam
 
 

@@ -65,7 +65,7 @@ def brute_force_l20(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> OracleSolution:
-    """Exhaustive search for the sparsest block vector fitting the observation.
+    """Exhaustive search for the sparsest block vector fitting `b` of shape (m,).
 
     For k = 0, 1, ..., s_max enumerates every block support of size k,
     solves the support-restricted least-squares problem (minimum-norm on
@@ -77,15 +77,13 @@ def brute_force_l20(
     ------
     ValueError
         If `s_max` is outside [0, l], `residual_tol` is negative or non-finite,
-        or the observation is misshapen or non-finite.
+        or the observation is not a finite real array of shape (m,).
     EnumerationCapError
         If the total number of supports up to s_max exceeds `cap`.
     NoSparseFitError
         If no support within s_max fits; carries the best residual seen.
     """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (phi.num_rows,):
-        raise ValueError(f"observation shape {b.shape} does not match matrix rows {phi.num_rows}")
+    b = _checks.array("observation", b, (phi.num_rows,))
     outcome = brute_force_l20_batch(phi, b[:, None], s_max, residual_tol, cap)[0]
     if isinstance(outcome, NoSparseFitError):
         raise outcome
@@ -112,11 +110,7 @@ def brute_force_l20_batch(
     residual_tol = _checks.real("residual_tol", residual_tol, 0.0)
     _check_cap(sum(math.comb(l, k) for k in range(s_max + 1)), cap,
                f"sum of C({l}, k) for k <= {s_max}")
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != phi.num_rows:
-        raise ValueError(f"observations shape {B.shape} is not (matrix rows {phi.num_rows}, n)")
-    if not np.isfinite(B).all():
-        raise ValueError("observation must be finite (no NaN or inf)")
+    B = _checks.array("observations", B, (phi.num_rows, None))
 
     columns = np.ascontiguousarray(B.T)  # observation j as its own contiguous vector
     column_norms = np.linalg.norm(columns, axis=1)
@@ -260,14 +254,14 @@ def tail_power_check(a, s: int, alpha: float, psi: float = 0.0) -> TailPowerRepo
     Raises
     ------
     ValueError
-        If the sequence is not nonincreasing and nonnegative, or the
-        parameters are out of range.
+        If the sequence is not a nonempty finite real 1-D array, is not
+        nonincreasing and nonnegative, or the parameters are out of range.
     HypothesisNotMetError
         If sum(head) + psi < sum(tail).
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("expected a nonempty 1-D sequence")
+    a = _checks.array("a", a, (None,))
+    if a.size == 0:
+        raise ValueError("expected a nonempty sequence")
     if np.any(a < 0):
         raise ValueError("sequence entries must be nonnegative")
     if np.any(np.diff(a) > 0):

@@ -33,18 +33,9 @@ class SensingMatrix:
     structure: BlockStructure
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+        arr = _checks.array("entries", self.entries, (None, self.structure.total_dim))
         if arr.shape[0] < 1:
             raise ValueError("a sensing matrix needs at least one row")
-        if arr.shape[1] != self.structure.total_dim:
-            raise ValueError(
-                f"matrix has {arr.shape[1]} columns but structure dimension is "
-                f"{self.structure.total_dim}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("sensing matrix entries must be finite (no NaN or inf)")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 

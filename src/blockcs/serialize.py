@@ -16,8 +16,6 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
 from . import _checks
 from .blocks import BlockSignal, BlockStructure
 from .sensing import SensingMatrix
@@ -66,7 +64,7 @@ def signal_from_json(obj: dict) -> BlockSignal:
     if not isinstance(obj, dict) or "structure" not in obj or "coeffs" not in obj:
         raise ValueError('signal JSON must carry "structure" and "coeffs"')
     structure = structure_from_json(obj["structure"])
-    return BlockSignal(np.asarray(obj["coeffs"], dtype=float), structure)
+    return BlockSignal(obj["coeffs"], structure)
 
 
 def matrix_to_json(phi: SensingMatrix) -> dict:
@@ -83,9 +81,7 @@ def matrix_from_json(obj: dict) -> SensingMatrix:
         if not isinstance(obj, dict) or key not in obj:
             raise ValueError(f'matrix JSON must carry "{key}"')
     m, n = _checks.count("m", obj["m"], 1), _checks.count("n", obj["n"], 1)
-    data = np.asarray(obj["data"], dtype=float)
-    if data.size != m * n:
-        raise ValueError(f"matrix data has {data.size} entries, expected m*n = {m * n}")
+    data = _checks.array("data", obj["data"], (m * n,))
     structure = structure_from_json(obj["structure"])
     return SensingMatrix(data.reshape(m, n), structure)
 
@@ -115,10 +111,11 @@ def load_matrix_csv(path, structure_path) -> SensingMatrix:
     structure = load_structure(structure_path)
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            rows.append([float(v) for v in row])
+        for number, row in enumerate(csv.reader(fh), start=1):
+            try:
+                rows += [[float(v) for v in row]] if row else []
+            except ValueError:
+                raise ValueError(f"{path}, row {number}: a cell is not a number") from None
     if not rows:
         raise ValueError(f"no rows found in {path}")
-    return SensingMatrix(np.asarray(rows, dtype=float), structure)
+    return SensingMatrix(rows, structure)

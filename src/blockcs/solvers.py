@@ -199,15 +199,6 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     return np.where(done, est, w), iters, np.where(done, prim, rp), np.where(done, dual, rd), done
 
 
-def _as_columns(b) -> np.ndarray:
-    arr = np.asarray(b, dtype=float)
-    if arr.ndim == 1:
-        return arr[:, None]
-    if arr.ndim == 2:
-        return arr
-    raise ValueError(f"expected a vector or a matrix of columns, got shape {arr.shape}")
-
-
 def _build_results(phi, B, rhos, outputs, truths):
     est, iters, prim, dual, done = outputs
     results = []
@@ -233,19 +224,10 @@ def _build_results(phi, B, rhos, outputs, truths):
     return results
 
 
-def _solve_batch(phi, b, rhos, config, truths):
+def _solve_batch(phi, B, rhos, config, truths):
+    """Solve column j of the checked (m, n) `B` with the checked radius rhos[j] >= 0."""
     cfg = config if config is not None else SolverConfig()
-    B = _as_columns(b)
-    if B.shape[0] != phi.num_rows:
-        raise ValueError(
-            f"observation length {B.shape[0]} does not match matrix rows {phi.num_rows}"
-        )
     batch = B.shape[1]
-    rhos = np.broadcast_to(np.asarray(rhos, dtype=float), (batch,)).copy()
-    if not (np.isfinite(B).all() and np.isfinite(rhos).all()):
-        raise ValueError("observations and noise radii must be finite (no NaN or inf)")
-    if np.any(rhos < 0):
-        raise ValueError("noise radius rho must be nonnegative")
     if truths is not None and len(truths) != batch:
         raise ValueError("one truth signal per right-hand side is required")
     if batch == 0:
@@ -273,13 +255,16 @@ def solve_noiseless(
     config: SolverConfig | None = None,
     truth: BlockSignal | None = None,
 ) -> RecoveryResult:
-    """Minimize the mixed l2/l1 norm subject to Phi x = b.
+    """Minimize the mixed l2/l1 norm subject to Phi x = b, for one observation
+    `b` of shape (m,).
 
     Deterministic given (phi, b, config).  Non-convergence within
     `max_iters` returns a result with converged=False; an observation
-    outside the range of Phi raises InfeasibleProblemError.
+    outside the range of Phi raises InfeasibleProblemError, and one that is
+    not a finite real array of shape (m,) raises ValueError.
     """
-    return _solve_batch(phi, b, 0.0, config, [truth])[0]
+    b = _checks.array("observation", b, (phi.num_rows,))
+    return _solve_batch(phi, b[:, None], np.zeros(1), config, [truth])[0]
 
 
 def solve_noisy(
@@ -289,11 +274,14 @@ def solve_noisy(
     config: SolverConfig | None = None,
     truth: BlockSignal | None = None,
 ) -> RecoveryResult:
-    """Minimize the mixed l2/l1 norm subject to ||Phi x - b||_2 <= rho.
+    """Minimize the mixed l2/l1 norm subject to ||Phi x - b||_2 <= rho, for one
+    observation `b` of shape (m,) and a finite real rho >= 0.
 
     With rho = 0 this coincides with `solve_noiseless` up to tolerances.
     """
-    return _solve_batch(phi, b, float(rho), config, [truth])[0]
+    b = _checks.array("observation", b, (phi.num_rows,))
+    rho = _checks.real("rho", rho, 0.0)
+    return _solve_batch(phi, b[:, None], np.full(1, rho), config, [truth])[0]
 
 
 def solve_noiseless_batch(
@@ -302,8 +290,10 @@ def solve_noiseless_batch(
     config: SolverConfig | None = None,
     truths=None,
 ) -> list[RecoveryResult]:
-    """Solve the noiseless program for every column of `bs` against one matrix."""
-    return _solve_batch(phi, bs, 0.0, config, truths)
+    """Solve the noiseless program for every column of the (m, n) observations
+    `bs` against one matrix."""
+    B = _checks.array("observations", bs, (phi.num_rows, None))
+    return _solve_batch(phi, B, np.zeros(B.shape[1]), config, truths)
 
 
 def solve_noisy_batch(
@@ -313,6 +303,13 @@ def solve_noisy_batch(
     config: SolverConfig | None = None,
     truths=None,
 ) -> list[RecoveryResult]:
-    """Solve the noise-ball program for every column of `bs`; `rhos` may be
-    a scalar or one radius per column."""
-    return _solve_batch(phi, bs, rhos, config, truths)
+    """Solve the noise-ball program for every column of the (m, n) observations
+    `bs`; `rhos` may be a scalar or one radius per column, each a finite
+    real >= 0."""
+    B = _checks.array("observations", bs, (phi.num_rows, None))
+    if np.isscalar(rhos):
+        rhos = [_checks.real("rhos", rhos, 0.0)] * B.shape[1]
+    rhos = _checks.array("rhos", rhos, (B.shape[1],))
+    if (rhos < 0).any():
+        raise ValueError(f"rhos must hold reals >= 0.0, got {rhos.min():g}")
+    return _solve_batch(phi, B, rhos, config, truths)

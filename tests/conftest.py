@@ -58,3 +58,38 @@ def rejects_argument(name: str, value):
     return pytest.raises(
         ValueError, match=rf"\b{re.escape(name)} must be {kind}\b.*, got {re.escape(repr(value))}"
     )
+
+
+def _with_first(a: np.ndarray, value: float) -> np.ndarray:
+    out = a.copy()
+    out.flat[0] = value
+    return out
+
+
+# (label, bad value made from a valid float array): each one the package's array check refuses
+BAD_ARRAYS = (
+    ("ragged", lambda a: [*a.tolist(), []]),
+    ("strings", lambda a: a.astype(str).tolist()),
+    ("bools", lambda a: (a != 0).tolist()),
+    ("complex", lambda a: a + 1j),
+    ("object", lambda a: a.astype(object)),
+    ("nan", lambda a: _with_first(a, math.nan)),
+    ("inf", lambda a: _with_first(a, math.inf)),
+    ("wrong_shape", lambda a: a[..., None]),
+)
+
+
+def bad_arrays(*cases):
+    """Parameters (name, call, value) for `rejects_array`: each case is
+    (entry point, argument name, call taking the value, a valid nonempty value),
+    and each valid value is spoilt in every way BAD_ARRAYS lists."""
+    return [
+        pytest.param(name, call, spoil(np.asarray(good, dtype=float)), id=f"{entry}-{name}-{label}")
+        for entry, name, call, good in cases
+        for label, spoil in BAD_ARRAYS
+    ]
+
+
+def rejects_array(name: str):
+    """Expect the package's array check: a ValueError naming the argument."""
+    return pytest.raises(ValueError, match=rf"\b{re.escape(name)} must be a finite real array of shape\b")

@@ -17,11 +17,14 @@ from blockcs import (
 )
 from conftest import (
     BAD_COUNTS,
+    BAD_REALS,
     bad_arguments,
+    bad_arrays,
     random_block_sparse,
     random_signal,
     random_structure,
     rejects_argument,
+    rejects_array,
 )
 
 
@@ -267,3 +270,25 @@ def test_best_block_approx_idempotent_on_head(a, s):
 def test_rejects_bad_count(name, call, value):
     with rejects_argument(name, value):
         call(value)
+
+
+@pytest.mark.parametrize("value", BAD_REALS)
+def test_scalar_multiple_rejects_bad_scalar(value):
+    x = BlockSignal([1.0, 2.0], BlockStructure((2,)))
+    with rejects_argument("scalar", value):
+        value * x
+
+
+@pytest.mark.parametrize("name, call, value", bad_arrays(
+    ("BlockSignal", "coeffs", lambda v: BlockSignal(v, BlockStructure((1, 2))), [1.0, 2.0, 3.0]),
+))
+def test_rejects_bad_array(name, call, value):
+    with rejects_array(name):
+        call(value)
+
+
+def test_signal_copies_integer_coefficients_as_floats():
+    coeffs = np.array([1, 2, 3])
+    x = BlockSignal(coeffs, BlockStructure((1, 2)))
+    assert x.coeffs.dtype == np.float64 and not np.shares_memory(x.coeffs, coeffs)
+    np.testing.assert_array_equal(x.coeffs, [1.0, 2.0, 3.0])

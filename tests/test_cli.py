@@ -280,6 +280,31 @@ def test_recover_non_finite_observation_exit_one(instance_files, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("obs", [[0.0] * 11 + [[0.0, 1.0]], ["0.0"] * 12, [[0.0, 0.0]] * 12],
+                         ids=["ragged", "strings", "two_columns"])
+@pytest.mark.parametrize("command", [["recover"], ["oracle", "--smax", "2"]], ids=["recover", "oracle"])
+def test_bad_observation_exit_one(instance_files, capsys, command, obs):
+    _, matrix_path, _, tmp_path = instance_files
+    (tmp_path / "bad.json").write_text(json.dumps(obs))
+    assert main([*command, "--matrix", matrix_path, "--obs", str(tmp_path / "bad.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: observation must be a finite real array of shape (12,), got ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,2,3,4\n5,x,7,8\n", "phi.csv, row 2: a cell is not a number"),
+    ("1,2,3,4\n5,6\n", "entries must be a finite real array of shape (*, 4), got a ragged sequence"),
+], ids=["not_a_number", "ragged"])
+def test_bad_csv_matrix_exit_one(tmp_path, capsys, rows, message):
+    save_json(structure_to_json(BlockStructure.uniform(2, 2)), tmp_path / "st.json")
+    (tmp_path / "phi.csv").write_text(rows)
+    argv = ["ric", "--matrix", str(tmp_path / "phi.csv"), "--structure", str(tmp_path / "st.json")]
+    assert main([*argv, "--order", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip("\n").endswith(message) and err.count("\n") == 1
+
+
 def test_sweep_rejects_threads_flag(tmp_path):
     cfg_path = tmp_path / "spec.json"
     cfg_path.write_text(json.dumps({"kind": "IDENTITY_SUITE", "grid": {"trials": 1},

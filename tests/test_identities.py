@@ -15,7 +15,15 @@ from blockcs import (
     subset_inner_product_residual,
     subset_sum_residual,
 )
-from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, random_signal, rejects_argument
+from conftest import (
+    BAD_COUNTS,
+    BAD_REALS,
+    bad_arguments,
+    bad_arrays,
+    random_signal,
+    rejects_argument,
+    rejects_array,
+)
 
 
 # --- subset-sum identity ---
@@ -267,4 +275,14 @@ _MEMBER = BlockSignal([0.5, 0.5], BlockStructure((1, 1)))
 ))
 def test_rejects_bad_count_or_real(name, call, value):
     with rejects_argument(name, value):
+        call(value)
+
+
+@pytest.mark.parametrize("name, call, value", bad_arrays(
+    ("subset_sum_residual", "vectors", lambda v: subset_sum_residual(v, 1), _VECTORS),
+    ("subset_inner_product_residual", "vectors",
+     lambda v: subset_inner_product_residual(v, 2), _VECTORS),
+))
+def test_rejects_bad_array(name, call, value):
+    with rejects_array(name):
         call(value)

@@ -27,7 +27,15 @@ from blockcs import (
     tail_power_check,
 )
 from blockcs import oracle, ric
-from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, random_block_sparse, rejects_argument
+from conftest import (
+    BAD_COUNTS,
+    BAD_REALS,
+    bad_arguments,
+    bad_arrays,
+    random_block_sparse,
+    rejects_argument,
+    rejects_array,
+)
 from test_golden import GOLDEN, ORACLE_CASES, _oracle_case, _oracle_digest
 
 
@@ -493,4 +501,16 @@ def _oracle(**kwargs):
 ))
 def test_rejects_bad_count_or_real(name, call, value):
     with rejects_argument(name, value):
+        call(value)
+
+
+@pytest.mark.parametrize("name, call, value", bad_arrays(
+    ("brute_force_l20", "observation", lambda v: brute_force_l20(
+        gaussian_matrix(4, BlockStructure.uniform(2, 4), seed=1), v, 1), np.ones(4)),
+    ("brute_force_l20_batch", "observations", lambda v: brute_force_l20_batch(
+        gaussian_matrix(4, BlockStructure.uniform(2, 4), seed=1), v, 1), np.ones((4, 2))),
+    ("tail_power_check", "a", lambda v: tail_power_check(v, 1, 2.0), [3.0, 2.0, 1.0]),
+))
+def test_rejects_bad_array(name, call, value):
+    with rejects_array(name):
         call(value)

@@ -17,7 +17,7 @@ from blockcs import (
     spread_kernel_matrix,
     SensingMatrix,
 )
-from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, rejects_argument
+from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, bad_arrays, rejects_argument, rejects_array
 
 
 def test_gaussian_determinism():
@@ -195,4 +195,13 @@ def test_matrix_rejects_non_finite_entries(bad):
 ))
 def test_rejects_bad_count_or_real(name, call, value):
     with rejects_argument(name, value):
+        call(value)
+
+
+@pytest.mark.parametrize("name, call, value", bad_arrays(
+    ("SensingMatrix", "entries", lambda v: SensingMatrix(v, BlockStructure.uniform(1, 2)),
+     [[1.0, 0.0], [0.0, 1.0]]),
+))
+def test_rejects_bad_array(name, call, value):
+    with rejects_array(name):
         call(value)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockcs import BlockSignal, BlockStructure, SensingMatrix, gaussian_matrix
-from conftest import BAD_COUNTS, bad_arguments, rejects_argument
+from conftest import BAD_COUNTS, bad_arguments, bad_arrays, rejects_argument, rejects_array
 from blockcs.serialize import (
     format_float,
     load_matrix,
@@ -107,3 +107,28 @@ def test_rejects_bad_count(name, call, value):
 def test_structure_json_needs_a_blocks_array(blocks):
     with pytest.raises(ValueError, match='"blocks" array'):
         structure_from_json({"blocks": blocks})
+
+
+@pytest.mark.parametrize("name, call, value", bad_arrays(
+    ("matrix_from_json", "data", lambda v: matrix_from_json(dict(_MATRIX_JSON, data=v)),
+     _MATRIX_JSON["data"]),
+    ("signal_from_json", "coeffs",
+     lambda v: signal_from_json({"structure": {"blocks": [1, 1]}, "coeffs": v}), [1.0, 2.0]),
+))
+def test_rejects_bad_array(name, call, value):
+    with rejects_array(name):
+        call(value)
+
+
+def test_csv_matrix_names_the_file_and_row_of_a_cell_that_is_no_number(tmp_path):
+    save_json(structure_to_json(BlockStructure.uniform(1, 2)), tmp_path / "st.json")
+    (tmp_path / "phi.csv").write_text("1.0,2.0\n\n3.0,abc\n")
+    with pytest.raises(ValueError, match=r"phi\.csv, row 3: a cell is not a number$"):
+        load_matrix_csv(tmp_path / "phi.csv", tmp_path / "st.json")
+
+
+def test_csv_matrix_with_ragged_rows_is_refused_by_the_matrix_check(tmp_path):
+    save_json(structure_to_json(BlockStructure.uniform(1, 2)), tmp_path / "st.json")
+    (tmp_path / "phi.csv").write_text("1.0,2.0\n3.0\n")
+    with rejects_array("entries"):
+        load_matrix_csv(tmp_path / "phi.csv", tmp_path / "st.json")

@@ -28,7 +28,15 @@ from blockcs import (
     spread_kernel_matrix,
 )
 from blockcs import solvers
-from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, random_block_sparse, rejects_argument
+from conftest import (
+    BAD_COUNTS,
+    BAD_REALS,
+    bad_arguments,
+    bad_arrays,
+    random_block_sparse,
+    rejects_argument,
+    rejects_array,
+)
 
 
 def _certified_instance(seed=5):
@@ -325,6 +333,9 @@ def test_result_residuals_respect_tolerances(rng):
     assert res.dual_residual <= cfg.dual_tol
 
 
+_EYE = SensingMatrix(np.eye(2), BlockStructure.uniform(1, 2))
+
+
 @pytest.mark.parametrize("name, call, value", bad_arguments(
     ("SolverConfig", "max_iters", lambda v: SolverConfig(max_iters=v), BAD_COUNTS),
     *[("SolverConfig", field, lambda v, field=field: SolverConfig(**{field: v}), BAD_REALS)
@@ -332,7 +343,29 @@ def test_result_residuals_respect_tolerances(rng):
     ("block_soft_threshold", "tau",
      lambda v: block_soft_threshold(BlockSignal([3.0, 4.0], BlockStructure((2,))), v),
      BAD_REALS),
+    ("solve_noisy", "rho", lambda v: solve_noisy(_EYE, [1.0, 0.0], v), (*BAD_REALS, "0.1", -0.1)),
+    ("solve_noisy_batch", "rhos", lambda v: solve_noisy_batch(_EYE, np.eye(2), v),
+     (*BAD_REALS, "0.1", -0.1)),
 ))
 def test_rejects_bad_count_or_real(name, call, value):
     with rejects_argument(name, value):
         call(value)
+
+
+@pytest.mark.parametrize("name, call, value", bad_arrays(
+    ("solve_noiseless", "observation", lambda v: solve_noiseless(_EYE, v), [1.0, 0.0]),
+    ("solve_noisy", "observation", lambda v: solve_noisy(_EYE, v, 0.1), [1.0, 0.0]),
+    ("solve_noiseless_batch", "observations", lambda v: solve_noiseless_batch(_EYE, v), np.eye(2)),
+    ("solve_noisy_batch", "observations", lambda v: solve_noisy_batch(_EYE, v, 0.1), np.eye(2)),
+    ("solve_noisy_batch", "rhos", lambda v: solve_noisy_batch(_EYE, np.eye(2), v), [0.1, 0.2]),
+))
+def test_rejects_bad_array(name, call, value):
+    with rejects_array(name):
+        call(value)
+
+
+def test_noisy_batch_rejects_a_radius_per_column_that_is_negative_or_too_many():
+    with pytest.raises(ValueError, match=r"rhos must hold reals >= 0.0, got -0.2"):
+        solve_noisy_batch(_EYE, np.eye(2), [0.1, -0.2])
+    with rejects_array("rhos"):
+        solve_noisy_batch(_EYE, np.eye(2), [0.1, 0.2, 0.3])
