@@ -1,5 +1,5 @@
-"""The package's one check of arguments from outside: counts, finite reals
-and finite real arrays.
+"""The package's one check of arguments from outside: counts, finite reals,
+reals and finite real arrays.
 
 Each check returns the value converted to int, float or a new float64
 array, or raises a ValueError that names the argument, what it accepts and
@@ -50,6 +50,17 @@ def real(name: str, value, low=-math.inf, high=math.inf, strict: bool = False) -
     if not ok:
         raise ValueError(f"{name} must be a finite real{_span(low, high, strict)}, got {_shown(value)}")
     return float(value)
+
+
+def number(name: str, value) -> float:
+    """`value` as a float, when it is a real (not a bool) within the float range;
+    NaN and the infinities pass, for callers that report them themselves."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{name} must be a real number, got {_shown(value)}")
 
 
 def array(name: str, value, shape: tuple) -> np.ndarray:

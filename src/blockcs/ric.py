@@ -194,13 +194,14 @@ def check_condition(delta: float, t: float, s: int) -> ConditionReport:
     """Check the sharp recovery condition delta < t/(4-t).
 
     Valid parameters require 0 < t < 4/3 and t*s >= 2.  A t out of that range
-    or an invalid delta yields ok=False with a reason code rather than an
-    exception; a t that is no finite real or an `s` that is no integer >= 0
-    raises ValueError.
+    or a NaN, infinite or negative delta yields ok=False with a reason code
+    rather than an exception; a t that is no finite real, an `s` that is no
+    integer >= 0 or a delta that is no real number (a str, bool, None or
+    complex) raises ValueError.
     """
     t = _checks.real("t", t)
     s = _checks.count("s", s, 0)
-    delta = float(delta)
+    delta = _checks.number("delta", delta)
     if not 0.0 < t < 4.0 / 3.0:
         return ConditionReport(False, t, s, delta, None, _effective_order(t, s), "t_out_of_range")
     threshold = t / (4.0 - t)

@@ -14,6 +14,11 @@ A batch entry point runs many right-hand sides against one matrix in a
 single vectorized iteration.  The columns share one penalty, rebalanced on
 the columns still running, so a column's iteration count and estimate can
 differ from those of its one-at-a-time solve.
+
+The dual residual is evaluated on every iteration.  A column converges only
+when it also passes the dual test, so the primal residual is evaluated only
+when some running column passes it, on every rebalancing iteration (each
+50th) and on the last iteration; skipping it elsewhere changes no output.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ def _block_shrink(V: np.ndarray, starts, lengths, tau: float) -> np.ndarray:
     """Columnwise block soft threshold of an (N, batch) array, for tau > 0
     (a block whose norm is at most tau gets scale 1 - tau/tau = 0)."""
     norms = np.sqrt(np.add.reduceat(V * V, starts, axis=0))
-    return np.repeat(1.0 - tau / np.maximum(norms, tau), lengths, axis=0) * V
+    return (1.0 - tau / np.maximum(norms, tau)).repeat(lengths, axis=0) * V
 
 
 def _column_norms(A: np.ndarray) -> np.ndarray:
@@ -131,70 +136,70 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     chol, lower = scipy.linalg.cho_factor(np.eye(n) + entries_t @ entries)
     (potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (chol,))
 
-    w = np.zeros((n, batch))
-    u = np.zeros((n, batch))
-    z = np.zeros((m, batch))
-    v = np.zeros((m, batch))
+    w, u = np.zeros((n, batch)), np.zeros((n, batch))
+    z, v = np.zeros((m, batch)), np.zeros((m, batch))
     zb = z + B
-    beta = cfg.penalty
-    alpha = cfg.over_relaxation
+    alpha, beta = cfg.over_relaxation, cfg.penalty
     alpha_c = 1.0 - alpha
+    czb = alpha_c * zb  # constant when every rho is 0, as z then stays 0
     noiseless = np.all(rhos == 0.0)
 
     est = np.zeros((n, batch))
     iters = np.full(batch, cfg.max_iters, dtype=int)
-    prim = np.full(batch, np.inf)
-    dual = np.full(batch, np.inf)
+    prim, dual = np.full(batch, np.inf), np.full(batch, np.inf)
     done = np.zeros(batch, dtype=bool)
-    any_done = False
+    dual_tol = np.full(batch, cfg.dual_tol)  # -inf once a column is done, so it is hit once
 
-    for it in range(1, cfg.max_iters + 1):
-        x, _ = potrs(chol, (w - u) + entries_t @ (zb - v), lower=lower, overwrite_b=True)
-        px = entries @ x
-        xr = alpha * x + alpha_c * w
-        pxr = alpha * px + alpha_c * zb
+    # z-update: rhos / nz is 0/0, rho/0 or an overflow where nz is 0 or tiny; fmin takes 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(1, cfg.max_iters + 1):
+            x, _ = potrs(chol, (w - u) + entries_t @ (zb - v), lower=lower, overwrite_b=True)
+            px = entries @ x
+            xr = alpha * x + alpha_c * w
+            pxr = alpha * px + (czb if noiseless else alpha_c * zb)
+            w_old = w
+            xu = xr + u
+            w = _block_shrink(xu, starts, lengths, 1.0 / beta)
+            u = xu - w
+            dw = w - w_old
+            v_next = v + pxr - B
+            # every rho 0 keeps z at 0: dropping z's terms can flip only a zero's sign in dw
+            if not noiseless:
+                zin = pxr - B + v
+                z_old, z = z, zin * np.fmin(1.0, rhos / _column_norms(zin))
+                v_next, zb = v_next - z, z + B
+                dw = dw + entries_t @ (z - z_old)
+            v = v_next
+            rd = beta * _column_norms(dw)
 
-        w_old = w
-        xu = xr + u
-        w = _block_shrink(xu, starts, lengths, 1.0 / beta)
-        u = xu - w
-        dw = w - w_old
-        v_next = v + pxr - B
-        rz = px - B
-        # every rho 0 keeps z at 0: dropping z's terms can flip only a zero's sign in dw
-        if not noiseless:
-            zin = pxr - B + v
-            nz = _column_norms(zin)
-            z_old, z = z, zin * np.where(nz > rhos, rhos / np.where(nz > 0, nz, 1.0), 1.0)
-            v_next, rz, zb = v_next - z, rz - z, z + B
-            dw = dw + entries_t @ (z - z_old)
-        v = v_next
-        rp = np.sqrt(_column_norms(x - w) ** 2 + _column_norms(rz) ** 2)
-        rd = beta * _column_norms(dw)
+            # only a column that passes the dual test can be hit: rp waits for one
+            hit = rd <= dual_tol
+            balance = it % _BALANCE_EVERY == 0
+            if not (balance or it == cfg.max_iters or np.logical_or.reduce(hit)):
+                continue
+            rz = px - B if noiseless else px - B - z
+            rp = np.sqrt(_column_norms(x - w) ** 2 + _column_norms(rz) ** 2)
+            hit &= rp <= cfg.primal_tol
+            if np.logical_or.reduce(hit):
+                est[:, hit] = w[:, hit]
+                iters[hit] = it
+                prim[hit] = rp[hit]
+                dual[hit] = rd[hit]
+                done |= hit
+                dual_tol[hit] = -np.inf
+                if done.all():
+                    break
 
-        hit = (rp <= cfg.primal_tol) & (rd <= cfg.dual_tol)
-        if any_done:
-            hit &= ~done
-        if hit.any():
-            est[:, hit] = w[:, hit]
-            iters[hit] = it
-            prim[hit] = rp[hit]
-            dual[hit] = rd[hit]
-            done |= hit
-            any_done = True
-            if done.all():
-                break
-
-        if it % _BALANCE_EVERY == 0:
-            rp_max, rd_max = rp[~done].max(), rd[~done].max()
-            if rp_max > _BALANCE_RATIO * rd_max:
-                beta *= _BALANCE_FACTOR
-                u /= _BALANCE_FACTOR
-                v /= _BALANCE_FACTOR
-            elif rd_max > _BALANCE_RATIO * rp_max:
-                beta /= _BALANCE_FACTOR
-                u *= _BALANCE_FACTOR
-                v *= _BALANCE_FACTOR
+            if balance:
+                rp_max, rd_max = rp[~done].max(), rd[~done].max()
+                if rp_max > _BALANCE_RATIO * rd_max:
+                    beta *= _BALANCE_FACTOR
+                    u /= _BALANCE_FACTOR
+                    v /= _BALANCE_FACTOR
+                elif rd_max > _BALANCE_RATIO * rp_max:
+                    beta /= _BALANCE_FACTOR
+                    u *= _BALANCE_FACTOR
+                    v *= _BALANCE_FACTOR
 
     return np.where(done, est, w), iters, np.where(done, prim, rp), np.where(done, dual, rd), done
 
@@ -224,12 +229,20 @@ def _build_results(phi, B, rhos, outputs, truths):
     return results
 
 
-def _solve_batch(phi, B, rhos, config, truths):
-    """Solve column j of the checked (m, n) `B` with the checked radius rhos[j] >= 0."""
+def _solve_batch(phi, B, rhos, config, truths, truth_name="truths"):
+    """Solve column j of the checked (m, n) `B` with the checked radius rhos[j] >= 0;
+    a truth that is not None must be a BlockSignal on phi's block structure."""
     cfg = config if config is not None else SolverConfig()
     batch = B.shape[1]
-    if truths is not None and len(truths) != batch:
-        raise ValueError("one truth signal per right-hand side is required")
+    if truths is not None:
+        if len(truths) != batch:
+            raise ValueError("one truth signal per right-hand side is required")
+        for j, truth in enumerate(truths):
+            got = truth.structure if isinstance(truth, BlockSignal) else type(truth).__name__
+            if truth is not None and got != phi.structure:
+                at = "" if truth_name == "truth" else f"[{j}]"
+                raise ValueError(
+                    f"{truth_name}{at} must be a BlockSignal on the matrix's {phi.structure}, got {got}")
     if batch == 0:
         return []
 
@@ -264,7 +277,7 @@ def solve_noiseless(
     not a finite real array of shape (m,) raises ValueError.
     """
     b = _checks.array("observation", b, (phi.num_rows,))
-    return _solve_batch(phi, b[:, None], np.zeros(1), config, [truth])[0]
+    return _solve_batch(phi, b[:, None], np.zeros(1), config, [truth], "truth")[0]
 
 
 def solve_noisy(
@@ -281,7 +294,7 @@ def solve_noisy(
     """
     b = _checks.array("observation", b, (phi.num_rows,))
     rho = _checks.real("rho", rho, 0.0)
-    return _solve_batch(phi, b[:, None], np.full(1, rho), config, [truth])[0]
+    return _solve_batch(phi, b[:, None], np.full(1, rho), config, [truth], "truth")[0]
 
 
 def solve_noiseless_batch(

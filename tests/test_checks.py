@@ -1,3 +1,7 @@
+import math
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -35,3 +39,17 @@ def test_array_returns_a_new_float64_array():
     floats = np.ones(3)
     assert not np.shares_memory(_checks.array("x", floats, (3,)), floats)
     assert _checks.array("x", np.float32([1.5]), (1,)).tolist() == [1.5]
+
+
+@pytest.mark.parametrize("value", ["0.1", "abc", True, None, 0.1 + 0j, 10**400],
+                         ids=["str", "text", "bool", "None", "complex", "10**400"])
+def test_number_rejects_what_is_no_real_a_float_holds(value):
+    with pytest.raises(ValueError, match=rf"^x must be a real number, got {re.escape(repr(value))}$"):
+        _checks.number("x", value)
+
+
+def test_number_passes_every_float_and_real_type():
+    assert _checks.number("x", np.float32(1.5)) == 1.5 and _checks.number("x", 3) == 3.0
+    assert math.isnan(_checks.number("x", math.nan))
+    assert _checks.number("x", -math.inf) == -math.inf
+    assert _checks.number("x", Fraction(1, 4)) == 0.25

@@ -38,6 +38,17 @@ def test_recover_subcommand(instance_files):
     assert estimate.structure == inst.phi.structure
 
 
+def test_recover_truth_off_the_matrix_structure_exit_one(instance_files, capsys):
+    _, matrix_path, obs_path, tmp_path = instance_files
+    truth = tmp_path / "truth.json"
+    save_json({"structure": structure_to_json(BlockStructure.uniform(3, 4)), "coeffs": [0.0] * 12},
+              truth)
+    assert main(["recover", "--matrix", matrix_path, "--obs", obs_path, "--truth", str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: truth must be a BlockSignal on the matrix's BlockStructure(")
+    assert err.count("\n") == 1
+
+
 def test_recover_nonconvergence_exit_code(instance_files):
     _, matrix_path, obs_path, tmp_path = instance_files
     out = tmp_path / "r.json"

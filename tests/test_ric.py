@@ -274,6 +274,15 @@ def test_check_condition_rejects_invalid_delta(delta):
         error_bound_tight(1.0, 2, delta, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("delta", ["0.1", "abc", True, None, 0.1 + 0j],
+                         ids=["str", "text", "bool", "None", "complex"])
+def test_check_condition_refuses_a_delta_of_another_type(delta):
+    with pytest.raises(ValueError, match=r"^delta must be a real number, got "):
+        check_condition(delta, 1.0, 2)
+    with pytest.raises(ValueError, match=r"^delta must be a real number, got "):
+        error_bound_tight(1.0, 2, delta, 0.1, 0.0)
+
+
 def test_check_condition_effective_order():
     report = check_condition(0.05, 0.9, 3)  # t*s = 2.7
     assert report.ok

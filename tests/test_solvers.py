@@ -5,6 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcs import (
     BlockSignal,
@@ -28,6 +31,7 @@ from blockcs import (
     spread_kernel_matrix,
 )
 from blockcs import solvers
+from blockcs.solvers import _BALANCE_EVERY, _BALANCE_FACTOR, _BALANCE_RATIO, _column_norms
 from conftest import (
     BAD_COUNTS,
     BAD_REALS,
@@ -369,3 +373,166 @@ def test_noisy_batch_rejects_a_radius_per_column_that_is_negative_or_too_many():
         solve_noisy_batch(_EYE, np.eye(2), [0.1, -0.2])
     with rejects_array("rhos"):
         solve_noisy_batch(_EYE, np.eye(2), [0.1, 0.2, 0.3])
+
+
+def test_noisy_batch_projects_without_floating_point_warnings():
+    # pytest turns warnings into errors: a zero column at rho 0 makes 0/0 in the
+    # z-update, and a huge rho over a tiny column overflows rho / ||z||
+    B = np.array([[1e-160, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    results = solve_noisy_batch(_EYE, B, [1e300, 0.0, 0.0])
+    assert all(r.converged for r in results)
+    assert [r.estimate.coeffs.tolist() for r in results[:2]] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+_ON_THREE = BlockSignal([1.0, 2.0, 3.0], BlockStructure.uniform(1, 3))
+_ONE_BLOCK = BlockSignal([1.0, 2.0], BlockStructure.uniform(2, 1))
+
+
+@pytest.mark.parametrize("truth, got", [
+    (_ON_THREE, r"BlockStructure\(block_lengths=\(1, 1, 1\)\)"),
+    (_ONE_BLOCK, r"BlockStructure\(block_lengths=\(2,\)\)"),
+    (np.array([1.0, 0.0]), "ndarray"),
+], ids=["other_length", "other_blocks", "array"])
+@pytest.mark.parametrize("solve", [
+    lambda truth: solve_noiseless(_EYE, [1.0, 0.0], truth=truth),
+    lambda truth: solve_noisy(_EYE, [1.0, 0.0], 0.1, truth=truth),
+], ids=["noiseless", "noisy"])
+def test_single_solves_refuse_a_truth_off_the_matrix_structure(solve, truth, got):
+    with pytest.raises(ValueError, match=rf"^truth must be a BlockSignal on the matrix's "
+                                         rf"BlockStructure\(block_lengths=\(1, 1\)\), got {got}$"):
+        solve(truth)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda truths: solve_noiseless_batch(_EYE, np.eye(2), truths=truths),
+    lambda truths: solve_noisy_batch(_EYE, np.eye(2), 0.1, truths=truths),
+], ids=["noiseless", "noisy"])
+def test_batch_solves_name_the_truth_off_the_matrix_structure(solve):
+    with pytest.raises(ValueError, match=r"^truths\[1\] must be a BlockSignal on the matrix's "):
+        solve([None, _ONE_BLOCK])
+    truth = BlockSignal([1.0, 0.0], BlockStructure((1, 1)))
+    assert [r.error_vector_norm is None for r in solve([None, truth])] == [True, False]
+
+
+# --- the loop against its reference ---
+
+def _block_shrink(V, starts, lengths, tau):
+    norms = np.sqrt(np.add.reduceat(V * V, starts, axis=0))
+    return np.repeat(1.0 - tau / np.maximum(norms, tau), lengths, axis=0) * V
+
+
+def _reference_admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig):
+    """The splitting iteration with every residual evaluated on every
+    iteration: the reference that `solvers._admm` must match bit for bit."""
+    entries = phi.entries
+    entries_t = entries.T
+    starts = phi.structure._edges[:-1]
+    lengths = np.asarray(phi.structure.block_lengths)
+    m, n = entries.shape
+    batch = B.shape[1]
+
+    # the caller checked B and rhos finite, so LAPACK's solve runs unchecked
+    chol, lower = scipy.linalg.cho_factor(np.eye(n) + entries_t @ entries)
+    (potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (chol,))
+
+    w = np.zeros((n, batch))
+    u = np.zeros((n, batch))
+    z = np.zeros((m, batch))
+    v = np.zeros((m, batch))
+    zb = z + B
+    beta = cfg.penalty
+    alpha = cfg.over_relaxation
+    alpha_c = 1.0 - alpha
+    noiseless = np.all(rhos == 0.0)
+
+    est = np.zeros((n, batch))
+    iters = np.full(batch, cfg.max_iters, dtype=int)
+    prim = np.full(batch, np.inf)
+    dual = np.full(batch, np.inf)
+    done = np.zeros(batch, dtype=bool)
+    any_done = False
+
+    for it in range(1, cfg.max_iters + 1):
+        x, _ = potrs(chol, (w - u) + entries_t @ (zb - v), lower=lower, overwrite_b=True)
+        px = entries @ x
+        xr = alpha * x + alpha_c * w
+        pxr = alpha * px + alpha_c * zb
+
+        w_old = w
+        xu = xr + u
+        w = _block_shrink(xu, starts, lengths, 1.0 / beta)
+        u = xu - w
+        dw = w - w_old
+        v_next = v + pxr - B
+        rz = px - B
+        # every rho 0 keeps z at 0: dropping z's terms can flip only a zero's sign in dw
+        if not noiseless:
+            zin = pxr - B + v
+            nz = _column_norms(zin)
+            z_old, z = z, zin * np.where(nz > rhos, rhos / np.where(nz > 0, nz, 1.0), 1.0)
+            v_next, rz, zb = v_next - z, rz - z, z + B
+            dw = dw + entries_t @ (z - z_old)
+        v = v_next
+        rp = np.sqrt(_column_norms(x - w) ** 2 + _column_norms(rz) ** 2)
+        rd = beta * _column_norms(dw)
+
+        hit = (rp <= cfg.primal_tol) & (rd <= cfg.dual_tol)
+        if any_done:
+            hit &= ~done
+        if hit.any():
+            est[:, hit] = w[:, hit]
+            iters[hit] = it
+            prim[hit] = rp[hit]
+            dual[hit] = rd[hit]
+            done |= hit
+            any_done = True
+            if done.all():
+                break
+
+        if it % _BALANCE_EVERY == 0:
+            rp_max, rd_max = rp[~done].max(), rd[~done].max()
+            if rp_max > _BALANCE_RATIO * rd_max:
+                beta *= _BALANCE_FACTOR
+                u /= _BALANCE_FACTOR
+                v /= _BALANCE_FACTOR
+            elif rd_max > _BALANCE_RATIO * rp_max:
+                beta /= _BALANCE_FACTOR
+                u *= _BALANCE_FACTOR
+                v *= _BALANCE_FACTOR
+
+    return np.where(done, est, w), iters, np.where(done, prim, rp), np.where(done, dual, rd), done
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.one_of(
+        st.tuples(st.integers(1, 3), st.integers(2, 8)).map(lambda dl: (dl[0],) * dl[1]),
+        st.lists(st.integers(1, 3), min_size=2, max_size=8).map(tuple),
+    ),
+    seed=st.integers(0, 2**32),
+    rhos=st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 1e-1]), min_size=1, max_size=12),
+    max_iters=st.sampled_from([1, 49, 50, 51, 400, None]),
+    data=st.data(),
+)
+def test_admm_matches_reference_loop_bit_for_bit(lengths, seed, rhos, max_iters, data):
+    structure = BlockStructure(lengths)
+    rng = np.random.default_rng(seed)
+    n = structure.total_dim
+    m = data.draw(st.integers(1, n), label="m")
+    phi = SensingMatrix(rng.standard_normal((m, n)), structure)
+    B = np.column_stack([
+        apply(phi, random_block_sparse(rng, structure, 1)) + rho * rng.standard_normal(m)
+        for rho in rhos
+    ])
+    zero = data.draw(st.lists(st.booleans(), min_size=len(rhos), max_size=len(rhos)), label="zero")
+    B[:, np.array(zero)] = 0.0
+    rhos = np.array(rhos)
+    cfg = SolverConfig() if max_iters is None else SolverConfig(max_iters=max_iters)
+
+    est, iters, prim, dual, done = solvers._admm(phi, B, rhos, cfg)
+    ref_est, ref_iters, ref_prim, ref_dual, ref_done = _reference_admm(phi, B, rhos, cfg)
+    assert est.tobytes() == ref_est.tobytes()
+    assert iters.tolist() == ref_iters.tolist()
+    assert prim.tobytes() == ref_prim.tobytes()
+    assert dual.tobytes() == ref_dual.tobytes()
+    assert done.tolist() == ref_done.tolist()
