@@ -87,12 +87,14 @@ class BlockStructure:
         return np.concatenate(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSignal:
     """Dense coefficient vector bound to a block structure.
 
     Immutable: the coefficient array is copied on construction and marked
-    read-only, so signals can be shared freely between callers.
+    read-only, so signals can be shared freely between callers.  Two signals
+    are equal when they share a structure and their coefficients are equal;
+    signals are not hashable.
     """
 
     coeffs: np.ndarray
@@ -116,12 +118,17 @@ class BlockSignal:
         sq = np.add.reduceat(self.coeffs * self.coeffs, self.structure._edges[:-1])
         return np.sqrt(sq)
 
+    def __eq__(self, other):
+        if not isinstance(other, BlockSignal):
+            return NotImplemented
+        return self.structure == other.structure and np.array_equal(self.coeffs, other.coeffs)
+
     def __add__(self, other: "BlockSignal") -> "BlockSignal":
-        self._check_same_structure(other)
+        other = _check_signal("other", other, self.structure, "the signal's")
         return BlockSignal(self.coeffs + other.coeffs, self.structure)
 
     def __sub__(self, other: "BlockSignal") -> "BlockSignal":
-        self._check_same_structure(other)
+        other = _check_signal("other", other, self.structure, "the signal's")
         return BlockSignal(self.coeffs - other.coeffs, self.structure)
 
     def __neg__(self) -> "BlockSignal":
@@ -130,9 +137,20 @@ class BlockSignal:
     def __rmul__(self, scalar: float) -> "BlockSignal":
         return BlockSignal(_checks.real("scalar", scalar) * self.coeffs, self.structure)
 
-    def _check_same_structure(self, other: "BlockSignal"):
-        if self.structure != other.structure:
-            raise ValueError("block structures do not match")
+
+def _check_signal(name: str, value, structure: BlockStructure | None = None,
+                  owner: str = "") -> BlockSignal:
+    """`value`, when it is a BlockSignal and, if `structure` is given, lies on
+    it; `owner` says whose structure that is ("the matrix's").  Otherwise a
+    ValueError names the argument and what it got."""
+    if not isinstance(value, BlockSignal):
+        got = type(value).__name__
+    elif structure is None or value.structure == structure:
+        return value
+    else:
+        got = value.structure
+    on = "" if structure is None else f" on {owner} {structure}"
+    raise ValueError(f"{name} must be a BlockSignal{on}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +169,7 @@ class BlockApproximation:
 
 def mixed_norm_2_1(x: BlockSignal) -> float:
     """Mixed l2/l1 norm: the sum over blocks of per-block Euclidean norms."""
-    return float(x.block_norms().sum())
+    return float(_check_signal("x", x).block_norms().sum())
 
 
 def _nonzero_blocks(x: BlockSignal) -> np.ndarray:
@@ -162,12 +180,12 @@ def _nonzero_blocks(x: BlockSignal) -> np.ndarray:
 
 def mixed_norm_2_0(x: BlockSignal) -> int:
     """Number of nonzero blocks (exact zero test on the stored coefficients)."""
-    return int(np.count_nonzero(_nonzero_blocks(x)))
+    return int(np.count_nonzero(_nonzero_blocks(_check_signal("x", x))))
 
 
 def mixed_norm_2_inf(x: BlockSignal) -> float:
     """Largest per-block Euclidean norm, over all blocks of the vector."""
-    return float(x.block_norms().max())
+    return float(_check_signal("x", x).block_norms().max())
 
 
 def block_support(x: BlockSignal, threshold: float = 0.0) -> frozenset[int]:
@@ -176,6 +194,7 @@ def block_support(x: BlockSignal, threshold: float = 0.0) -> frozenset[int]:
     The default threshold 0 gives the exact support {i : ||x[i]||_2 != 0},
     decided bitwise on the stored coefficients.
     """
+    x = _check_signal("x", x)
     if threshold == 0.0:
         hits = _nonzero_blocks(x)
     else:
@@ -194,6 +213,7 @@ def best_block_approx(x: BlockSignal, s: int) -> BlockApproximation:
     ValueError
         If `s` is negative or exceeds the number of blocks.
     """
+    x = _check_signal("x", x)
     s = _checks.count("s", s, 0, x.structure.num_blocks)
     norms = x.block_norms()
     # stable sort on -norm keeps the lowest index first among equal norms

@@ -20,7 +20,7 @@ from .experiments import (
     run_experiment,
     spec_from_json,
 )
-from .oracle import NoSparseFitError, brute_force_l20
+from .oracle import DEFAULT_RESIDUAL_TOL, NoSparseFitError, brute_force_l20
 from .ric import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -205,7 +205,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--structure", default=None)
     p.add_argument("--obs", required=True)
     p.add_argument("--smax", type=int, required=True)
-    p.add_argument("--residual-tol", type=float, default=1e-8)
+    p.add_argument("--residual-tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("counterexample", parents=[common], help="threshold-sharpness demonstration")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .blocks import BlockSignal, mixed_norm_2_1, mixed_norm_2_inf
+from .blocks import BlockSignal, _check_signal, mixed_norm_2_1, mixed_norm_2_inf
 from .sensing import SensingMatrix
 
 __all__ = [
@@ -87,8 +87,7 @@ def subset_inner_product_residual(vectors, m: int) -> float:
 
 def _block_images(phi: SensingMatrix, x: BlockSignal) -> list[np.ndarray]:
     """Per-block products Phi[i] x[i], so restricted images accumulate cheaply."""
-    if x.structure != phi.structure:
-        raise ValueError("signal structure does not match sensing matrix structure")
+    x = _check_signal("x", x, phi.structure, "the matrix's")
     return [phi.column_block(i) @ x.block(i) for i in range(phi.structure.num_blocks)]
 
 
@@ -241,6 +240,7 @@ def polytope_decompose(x: BlockSignal, alpha: float, s: int) -> PolytopeDecompos
     ValueError
         If either membership inequality fails (the message names which).
     """
+    x = _check_signal("x", x)
     alpha = _checks.real("alpha", alpha, 0.0, strict=True)
     s = _checks.count("s", s, 1)
     slack = 1e-12 * max(1.0, alpha)

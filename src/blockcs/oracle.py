@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _checks
 from . import ric as _ric
-from .blocks import BlockSignal, best_block_approx, mixed_norm_2_1
+from .blocks import BlockSignal, _check_signal, best_block_approx, mixed_norm_2_1
 from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, _support_chunks
 from .sensing import SensingMatrix
 
@@ -300,8 +300,8 @@ class ConeCheckReport:
 
 def cone_constraint_check(h: BlockSignal, x: BlockSignal, s: int) -> ConeCheckReport:
     """Evaluate the cone constraint for error `h` against truth `x` at order `s`."""
-    if h.structure != x.structure:
-        raise ValueError("h and x must share a block structure")
+    h = _check_signal("h", h)
+    x = _check_signal("x", x, h.structure, "h's")
     h_split = best_block_approx(h, s)
     x_split = best_block_approx(x, s)
     lhs = mixed_norm_2_1(h_split.tail)

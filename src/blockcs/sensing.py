@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .blocks import BlockSignal, BlockStructure
+from .blocks import BlockSignal, BlockStructure, _check_signal
 from .ric import condition_threshold, exact_block_ric
 from .seeding import generator
 
@@ -25,9 +25,10 @@ __all__ = [
 _FLATTEN_ITERS = 100  # row-energy flattening passes of the spread-kernel construction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensingMatrix:
-    """Dense M x N real matrix whose columns are partitioned by a block structure."""
+    """Dense M x N real matrix whose columns are partitioned by a block structure;
+    equal to a matrix of the same structure and entries, and not hashable."""
 
     entries: np.ndarray
     structure: BlockStructure
@@ -38,6 +39,11 @@ class SensingMatrix:
             raise ValueError("a sensing matrix needs at least one row")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, SensingMatrix):
+            return NotImplemented
+        return self.structure == other.structure and np.array_equal(self.entries, other.entries)
 
     @property
     def num_rows(self) -> int:
@@ -58,11 +64,9 @@ def apply(phi: SensingMatrix, x: BlockSignal) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the signal's structure does not match the matrix's.
+        If `x` is not a BlockSignal on the matrix's structure.
     """
-    if x.structure != phi.structure:
-        raise ValueError("signal structure does not match sensing matrix structure")
-    return phi.entries @ x.coeffs
+    return phi.entries @ _check_signal("x", x, phi.structure, "the matrix's").coeffs
 
 
 def gaussian_matrix(m: int, structure: BlockStructure, seed: int) -> SensingMatrix:

@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 
 from . import _checks
-from .blocks import BlockSignal, BlockStructure
+from .blocks import BlockSignal, BlockStructure, _check_signal
 from .sensing import SensingMatrix
 
 __all__ = [
@@ -54,6 +54,7 @@ def structure_from_json(obj: dict) -> BlockStructure:
 
 
 def signal_to_json(signal: BlockSignal) -> dict:
+    signal = _check_signal("signal", signal)
     return {
         "structure": structure_to_json(signal.structure),
         "coeffs": [float(c) for c in signal.coeffs],

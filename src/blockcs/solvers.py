@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _checks
-from .blocks import BlockSignal, mixed_norm_2_1
+from .blocks import BlockSignal, _check_signal, mixed_norm_2_1
 from .sensing import SensingMatrix
 
 __all__ = [
@@ -97,6 +97,7 @@ def block_soft_threshold(x: BlockSignal, tau: float) -> BlockSignal:
     Blocks with norm <= tau are set exactly to zero; others are rescaled by
     (1 - tau/||x[i]||_2).  With tau = 0 the input is returned unchanged.
     """
+    x = _check_signal("x", x)
     tau = _checks.real("tau", tau, 0.0)
     if tau == 0:
         return BlockSignal(x.coeffs, x.structure)
@@ -229,7 +230,12 @@ def _build_results(phi, B, rhos, outputs, truths):
     return results
 
 
-def _solve_batch(phi, B, rhos, config, truths, truth_name="truths"):
+def _truth(phi, name, truth):
+    """`truth`, when it is None or a BlockSignal on phi's block structure."""
+    return truth if truth is None else _check_signal(name, truth, phi.structure, "the matrix's")
+
+
+def _solve_batch(phi, B, rhos, config, truths):
     """Solve column j of the checked (m, n) `B` with the checked radius rhos[j] >= 0;
     a truth that is not None must be a BlockSignal on phi's block structure."""
     cfg = config if config is not None else SolverConfig()
@@ -237,12 +243,7 @@ def _solve_batch(phi, B, rhos, config, truths, truth_name="truths"):
     if truths is not None:
         if len(truths) != batch:
             raise ValueError("one truth signal per right-hand side is required")
-        for j, truth in enumerate(truths):
-            got = truth.structure if isinstance(truth, BlockSignal) else type(truth).__name__
-            if truth is not None and got != phi.structure:
-                at = "" if truth_name == "truth" else f"[{j}]"
-                raise ValueError(
-                    f"{truth_name}{at} must be a BlockSignal on the matrix's {phi.structure}, got {got}")
+        truths = [_truth(phi, f"truths[{j}]", truth) for j, truth in enumerate(truths)]
     if batch == 0:
         return []
 
@@ -277,7 +278,7 @@ def solve_noiseless(
     not a finite real array of shape (m,) raises ValueError.
     """
     b = _checks.array("observation", b, (phi.num_rows,))
-    return _solve_batch(phi, b[:, None], np.zeros(1), config, [truth], "truth")[0]
+    return _solve_batch(phi, b[:, None], np.zeros(1), config, [_truth(phi, "truth", truth)])[0]
 
 
 def solve_noisy(
@@ -294,7 +295,7 @@ def solve_noisy(
     """
     b = _checks.array("observation", b, (phi.num_rows,))
     rho = _checks.real("rho", rho, 0.0)
-    return _solve_batch(phi, b[:, None], np.full(1, rho), config, [truth], "truth")[0]
+    return _solve_batch(phi, b[:, None], np.full(1, rho), config, [_truth(phi, "truth", truth)])[0]
 
 
 def solve_noiseless_batch(

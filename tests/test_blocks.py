@@ -46,6 +46,18 @@ def test_structure_single_block_degenerate():
     assert mixed_norm_2_1(x) == pytest.approx(np.linalg.norm(x.coeffs))
 
 
+def test_signals_are_equal_by_structure_and_coefficients():
+    st_ = BlockStructure((1, 2))
+    coeffs = np.array([1.0, -2.0, 0.5])
+    x = BlockSignal(coeffs, st_)
+    assert x == BlockSignal(coeffs.copy(), st_) and not x != BlockSignal(coeffs.copy(), st_)
+    assert x != BlockSignal([1.0, -2.0, 0.25], st_)
+    assert x != BlockSignal(coeffs, BlockStructure((2, 1)))
+    assert x.__eq__(coeffs) is NotImplemented and x != coeffs.tolist()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(x)
+
+
 def test_signal_length_mismatch():
     with pytest.raises(ValueError):
         BlockSignal([1.0, 2.0], BlockStructure((3,)))

@@ -5,7 +5,28 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blockcs import _checks
+from blockcs import (
+    BlockSignal,
+    BlockStructure,
+    SensingMatrix,
+    _checks,
+    apply,
+    best_block_approx,
+    block_soft_threshold,
+    block_support,
+    cone_constraint_check,
+    disjoint_pair_energy_residual,
+    mixed_norm_2_0,
+    mixed_norm_2_1,
+    mixed_norm_2_inf,
+    polytope_decompose,
+    solve_noiseless,
+    solve_noiseless_batch,
+    solve_noisy,
+    solve_noisy_batch,
+    subset_energy_difference_residual,
+)
+from blockcs.serialize import signal_to_json
 from conftest import rejects_argument
 
 
@@ -53,3 +74,62 @@ def test_number_passes_every_float_and_real_type():
     assert math.isnan(_checks.number("x", math.nan))
     assert _checks.number("x", -math.inf) == -math.inf
     assert _checks.number("x", Fraction(1, 4)) == 0.25
+
+
+# --- signals ---
+
+_ST, _OTHER = BlockStructure((1, 2)), BlockStructure((2, 1))
+_SIG = BlockSignal([1.0, 0.0, 0.0], _ST)
+_PHI = SensingMatrix(np.eye(3), _ST)
+_B = [1.0, 0.0, 0.0]
+
+# (label, bad value, how the message shows it)
+_ARRAY = ("array", np.array(_B), "ndarray")
+_NONE = ("None", None, "NoneType")
+_OFF = ("other_structure", BlockSignal(_B, _OTHER), re.escape(repr(_OTHER)))
+
+# (entry point, argument name, call taking the value, the bad values it refuses): a structure
+# is checked only where there is one to lie on, and a truth may be None
+_SIGNAL_ARGUMENTS = [
+    ("mixed_norm_2_1", "x", mixed_norm_2_1, (_ARRAY, _NONE)),
+    ("mixed_norm_2_0", "x", mixed_norm_2_0, (_ARRAY, _NONE)),
+    ("mixed_norm_2_inf", "x", mixed_norm_2_inf, (_ARRAY, _NONE)),
+    ("block_support", "x", block_support, (_ARRAY, _NONE)),
+    ("best_block_approx", "x", lambda v: best_block_approx(v, 1), (_ARRAY, _NONE)),
+    ("block_soft_threshold", "x", lambda v: block_soft_threshold(v, 0.5), (_ARRAY, _NONE)),
+    ("polytope_decompose", "x", lambda v: polytope_decompose(v, 1.0, 1), (_ARRAY, _NONE)),
+    ("signal_to_json", "signal", signal_to_json, (_ARRAY, _NONE)),
+    ("BlockSignal.__add__", "other", lambda v: _SIG + v, (_ARRAY, _NONE, _OFF)),
+    ("BlockSignal.__sub__", "other", lambda v: _SIG - v, (_ARRAY, _NONE, _OFF)),
+    ("apply", "x", lambda v: apply(_PHI, v), (_ARRAY, _NONE, _OFF)),
+    ("subset_energy_difference_residual", "x",
+     lambda v: subset_energy_difference_residual(_PHI, v, 1, 2), (_ARRAY, _NONE, _OFF)),
+    ("disjoint_pair_energy_residual", "x",
+     lambda v: disjoint_pair_energy_residual(_PHI, v, 1, 1), (_ARRAY, _NONE, _OFF)),
+    ("cone_constraint_check", "h", lambda v: cone_constraint_check(v, _SIG, 1), (_ARRAY, _NONE)),
+    ("cone_constraint_check", "x", lambda v: cone_constraint_check(_SIG, v, 1), (_ARRAY, _NONE, _OFF)),
+    ("solve_noiseless", "truth", lambda v: solve_noiseless(_PHI, _B, truth=v), (_ARRAY, _OFF)),
+    ("solve_noisy", "truth", lambda v: solve_noisy(_PHI, _B, 0.1, truth=v), (_ARRAY, _OFF)),
+    ("solve_noiseless_batch", "truths[1]",
+     lambda v: solve_noiseless_batch(_PHI, np.eye(3)[:, :2], truths=[None, v]), (_ARRAY, _OFF)),
+    ("solve_noisy_batch", "truths[1]",
+     lambda v: solve_noisy_batch(_PHI, np.eye(3)[:, :2], 0.1, truths=[None, v]), (_ARRAY, _OFF)),
+]
+
+
+@pytest.mark.parametrize("name, call, value, got", [
+    pytest.param(name, call, value, got, id=f"{entry}-{name}-{label}")
+    for entry, name, call, bad in _SIGNAL_ARGUMENTS
+    for label, value, got in bad
+])
+def test_signal_arguments_are_checked_by_name(name, call, value, got):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a BlockSignal\b.*, got {got}$"):
+        call(value)
+
+
+def test_signal_check_says_whose_structure_it_wants():
+    want = f"x must be a BlockSignal on h's {_ST!r}, got {_OTHER!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        cone_constraint_check(_SIG, _OFF[1], 1)
+    with pytest.raises(ValueError, match=r"^x must be a BlockSignal, got list$"):
+        mixed_norm_2_1(_B)

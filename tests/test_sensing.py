@@ -52,6 +52,17 @@ def test_matrix_structure_mismatch():
         SensingMatrix(np.eye(3), BlockStructure((2, 2)))
 
 
+def test_matrices_are_equal_by_structure_and_entries():
+    phi = gaussian_matrix(3, BlockStructure((1, 2)), seed=4)
+    assert phi == SensingMatrix(phi.entries.copy(), phi.structure)
+    assert not phi != SensingMatrix(phi.entries.copy(), phi.structure)
+    assert phi != gaussian_matrix(3, BlockStructure((1, 2)), seed=5)
+    assert phi != SensingMatrix(phi.entries, BlockStructure((2, 1)))
+    assert phi.__eq__(phi.entries) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(phi)
+
+
 def test_apply_identity_and_zero(rng):
     st_ = BlockStructure((2, 3))
     phi = SensingMatrix(np.eye(5), st_)

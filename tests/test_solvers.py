@@ -384,6 +384,15 @@ def test_noisy_batch_projects_without_floating_point_warnings():
     assert [r.estimate.coeffs.tolist() for r in results[:2]] == [[0.0, 0.0], [0.0, 0.0]]
 
 
+def test_equal_solves_give_equal_results():
+    truth = BlockSignal([1.0, 0.0], BlockStructure((1, 1)))
+    result = solve_noisy(_EYE, [1.0, 0.0], 0.1, truth=truth)
+    twin = SensingMatrix(_EYE.entries.copy(), _EYE.structure)
+    assert result == solve_noisy(twin, np.array([1.0, 0.0]), 0.1, truth=truth)
+    assert result != solve_noisy(_EYE, [1.0, 0.0], 0.2, truth=truth)
+    assert result != solve_noisy(_EYE, [1.0, 0.0], 0.1)
+
+
 _ON_THREE = BlockSignal([1.0, 2.0, 3.0], BlockStructure.uniform(1, 3))
 _ONE_BLOCK = BlockSignal([1.0, 2.0], BlockStructure.uniform(2, 1))
 
