@@ -1,9 +1,9 @@
 """The package's one check of arguments from outside: counts, finite reals,
-reals and finite real arrays.
+reals, finite real arrays and instances of a class.
 
 Each check returns the value converted to int, float or a new float64
-array, or raises a ValueError that names the argument, what it accepts and
-what it was given.
+array, or the instance itself, or raises a ValueError that names the
+argument, what it accepts and what it was given.
 """
 
 from __future__ import annotations
@@ -61,6 +61,13 @@ def number(name: str, value) -> float:
     except OverflowError:  # an integer beyond the float range
         pass
     raise ValueError(f"{name} must be a real number, got {_shown(value)}")
+
+
+def instance(name: str, value, cls: type):
+    """`value`, when it is an instance of `cls`: a SensingMatrix, BlockStructure or SolverConfig."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def array(name: str, value, shape: tuple) -> np.ndarray:

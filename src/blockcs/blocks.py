@@ -1,9 +1,10 @@
-"""Block-structured vectors: partitions, mixed norms, block supports,
-and best block-s-term approximations.
+"""Block-structured vectors and matrices: partitions, mixed norms, block
+supports, and best block-s-term approximations.
 
 A block structure partitions R^N into l contiguous blocks of lengths
 d_1, ..., d_l.  Signals carry a reference to their structure so that all
-mixed-norm operations can be expressed per block.
+mixed-norm operations can be expressed per block, and a sensing matrix
+carries the structure that partitions its columns.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import _checks
 __all__ = [
     "BlockStructure",
     "BlockSignal",
+    "SensingMatrix",
     "BlockApproximation",
     "mixed_norm_2_1",
     "mixed_norm_2_0",
@@ -101,12 +103,14 @@ class BlockSignal:
     structure: BlockStructure
 
     def __post_init__(self):
-        coeffs = _checks.array("coeffs", self.coeffs, (self.structure.total_dim,))
+        structure = _checks.instance("structure", self.structure, BlockStructure)
+        coeffs = _checks.array("coeffs", self.coeffs, (structure.total_dim,))
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zeros(cls, structure: BlockStructure) -> "BlockSignal":
+        structure = _checks.instance("structure", structure, BlockStructure)
         return cls(np.zeros(structure.total_dim), structure)
 
     def block(self, i: int) -> np.ndarray:
@@ -151,6 +155,40 @@ def _check_signal(name: str, value, structure: BlockStructure | None = None,
         got = value.structure
     on = "" if structure is None else f" on {owner} {structure}"
     raise ValueError(f"{name} must be a BlockSignal{on}, got {got}")
+
+
+@dataclass(frozen=True, eq=False)
+class SensingMatrix:
+    """Dense M x N real matrix whose columns are partitioned by a block structure;
+    equal to a matrix of the same structure and entries, and not hashable."""
+
+    entries: np.ndarray
+    structure: BlockStructure
+
+    def __post_init__(self):
+        structure = _checks.instance("structure", self.structure, BlockStructure)
+        arr = _checks.array("entries", self.entries, (None, structure.total_dim))
+        if arr.shape[0] < 1:
+            raise ValueError("a sensing matrix needs at least one row")
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, SensingMatrix):
+            return NotImplemented
+        return self.structure == other.structure and np.array_equal(self.entries, other.entries)
+
+    @property
+    def num_rows(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def num_cols(self) -> int:
+        return self.entries.shape[1]
+
+    def column_block(self, i: int) -> np.ndarray:
+        """The M x d_i column-block of block `i`."""
+        return self.entries[:, self.structure.block_slice(i)]
 
 
 @dataclass(frozen=True)

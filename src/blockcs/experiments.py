@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _checks
-from .blocks import BlockSignal, BlockStructure, mixed_norm_2_1
+from .blocks import BlockSignal, BlockStructure, SensingMatrix, mixed_norm_2_1
 from .ric import (
     _effective_order,
     check_condition,
@@ -30,7 +30,7 @@ from .ric import (
     exact_block_ric,
 )
 from .seeding import generator, stream_key
-from .sensing import SensingMatrix, gaussian_matrix, sharpness_instance, spread_kernel_matrix, apply
+from .sensing import gaussian_matrix, sharpness_instance, spread_kernel_matrix, apply
 from .serialize import format_float
 from .solvers import SolverConfig, solve_noiseless, solve_noisy
 from .identities import (

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .blocks import BlockSignal, _check_signal, mixed_norm_2_1, mixed_norm_2_inf
-from .sensing import SensingMatrix
+from .blocks import BlockSignal, SensingMatrix, _check_signal, mixed_norm_2_1, mixed_norm_2_inf
 
 __all__ = [
     "PolytopeDecomposition",
@@ -108,7 +107,7 @@ def subset_energy_difference_residual(phi: SensingMatrix, x: BlockSignal, m: int
           - sum_{|Lam|=n} (l-m) ||Phi x_Lam||^2 / (n C(l,n))
             = (m - n) ||Phi x||^2 / l.
     """
-    l = phi.structure.num_blocks
+    l = _checks.instance("phi", phi, SensingMatrix).structure.num_blocks
     if l < 2:
         raise ValueError("the identity needs at least two blocks")
     m = _checks.count("m", m, 1, l)
@@ -135,7 +134,7 @@ def disjoint_pair_energy_residual(phi: SensingMatrix, x: BlockSignal, m: int, n:
     The vanishing-weight factor at l = m + n is expanded analytically so the
     evaluation stays finite there.
     """
-    l = phi.structure.num_blocks
+    l = _checks.instance("phi", phi, SensingMatrix).structure.num_blocks
     m = _checks.count("m", m, 1)
     n = _checks.count("n", n, 1)
     if l < m + n:

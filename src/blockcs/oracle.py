@@ -12,9 +12,8 @@ import numpy as np
 
 from . import _checks
 from . import ric as _ric
-from .blocks import BlockSignal, _check_signal, best_block_approx, mixed_norm_2_1
+from .blocks import BlockSignal, SensingMatrix, _check_signal, best_block_approx, mixed_norm_2_1
 from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, _support_chunks
-from .sensing import SensingMatrix
 
 __all__ = [
     "OracleSolution",
@@ -76,13 +75,15 @@ def brute_force_l20(
     Raises
     ------
     ValueError
-        If `s_max` is outside [0, l], `residual_tol` is negative or non-finite,
-        or the observation is not a finite real array of shape (m,).
+        If `phi` is not a SensingMatrix, `s_max` is outside [0, l],
+        `residual_tol` is negative or non-finite, or the observation is not a
+        finite real array of shape (m,).
     EnumerationCapError
         If the total number of supports up to s_max exceeds `cap`.
     NoSparseFitError
         If no support within s_max fits; carries the best residual seen.
     """
+    phi = _checks.instance("phi", phi, SensingMatrix)
     b = _checks.array("observation", b, (phi.num_rows,))
     outcome = brute_force_l20_batch(phi, b[:, None], s_max, residual_tol, cap)[0]
     if isinstance(outcome, NoSparseFitError):
@@ -104,7 +105,7 @@ def brute_force_l20_batch(
     that can reach a column's smallest residual are solved exactly, so every
     outcome is bit-identical to solving each support exactly.  The QR factors
     are kept for the next call on an equal matrix, within _FACTOR_BUDGET bytes."""
-    structure = phi.structure
+    structure = _checks.instance("phi", phi, SensingMatrix).structure
     l = structure.num_blocks
     s_max = _checks.count("s_max", s_max, 0, l)
     residual_tol = _checks.real("residual_tol", residual_tol, 0.0)

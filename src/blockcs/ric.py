@@ -15,15 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _checks
-
-if TYPE_CHECKING:
-    from .blocks import BlockStructure
-    from .sensing import SensingMatrix
+from .blocks import BlockStructure, SensingMatrix
 
 __all__ = [
     "RicCertificate",
@@ -117,10 +113,11 @@ def exact_block_ric(
     Raises
     ------
     ValueError
-        If `s` is outside [1, l].
+        If `phi` is not a SensingMatrix or `s` is outside [1, l].
     EnumerationCapError
         If C(l, s) exceeds `cap`.
     """
+    phi = _checks.instance("phi", phi, SensingMatrix)
     structure = phi.structure
     l = structure.num_blocks
     s = _checks.count("s", s, 1, l)

@@ -1,5 +1,7 @@
 """Sensing matrices: random ensembles, engineered well-conditioned instances,
 and the explicit square operator that sits exactly at the recovery threshold.
+The `SensingMatrix` type is defined in `blocks`, so that `ric`, which this
+module imports, can check its matrix arguments too.
 """
 
 from __future__ import annotations
@@ -9,12 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .blocks import BlockSignal, BlockStructure, _check_signal
+from .blocks import BlockSignal, BlockStructure, SensingMatrix, _check_signal
 from .ric import condition_threshold, exact_block_ric
 from .seeding import generator
 
 __all__ = [
-    "SensingMatrix",
     "SharpnessInstance",
     "gaussian_matrix",
     "spread_kernel_matrix",
@@ -25,47 +26,16 @@ __all__ = [
 _FLATTEN_ITERS = 100  # row-energy flattening passes of the spread-kernel construction
 
 
-@dataclass(frozen=True, eq=False)
-class SensingMatrix:
-    """Dense M x N real matrix whose columns are partitioned by a block structure;
-    equal to a matrix of the same structure and entries, and not hashable."""
-
-    entries: np.ndarray
-    structure: BlockStructure
-
-    def __post_init__(self):
-        arr = _checks.array("entries", self.entries, (None, self.structure.total_dim))
-        if arr.shape[0] < 1:
-            raise ValueError("a sensing matrix needs at least one row")
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    def __eq__(self, other):
-        if not isinstance(other, SensingMatrix):
-            return NotImplemented
-        return self.structure == other.structure and np.array_equal(self.entries, other.entries)
-
-    @property
-    def num_rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def num_cols(self) -> int:
-        return self.entries.shape[1]
-
-    def column_block(self, i: int) -> np.ndarray:
-        """The M x d_i column-block of block `i`."""
-        return self.entries[:, self.structure.block_slice(i)]
-
-
 def apply(phi: SensingMatrix, x: BlockSignal) -> np.ndarray:
     """Matrix-vector product Phi x.
 
     Raises
     ------
     ValueError
-        If `x` is not a BlockSignal on the matrix's structure.
+        If `phi` is not a SensingMatrix or `x` is not a BlockSignal on its
+        structure.
     """
+    phi = _checks.instance("phi", phi, SensingMatrix)
     return phi.entries @ _check_signal("x", x, phi.structure, "the matrix's").coeffs
 
 
@@ -76,6 +46,7 @@ def gaussian_matrix(m: int, structure: BlockStructure, seed: int) -> SensingMatr
     (m, structure, seed) yields a bit-identical matrix.
     """
     m = _checks.count("m", m, 1)
+    structure = _checks.instance("structure", structure, BlockStructure)
     rng = generator(seed)
     entries = rng.standard_normal((m, structure.total_dim)) / np.sqrt(m)
     return SensingMatrix(entries, structure)
@@ -105,7 +76,7 @@ def spread_kernel_matrix(
     EnumerationCapError
         If C(l, balance_order) exceeds the default enumeration cap.
     """
-    n = structure.total_dim
+    n = _checks.instance("structure", structure, BlockStructure).total_dim
     m = _checks.count("m", m, 1, n - 1)
     rng = generator(seed)
     k = n - m

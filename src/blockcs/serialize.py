@@ -17,8 +17,7 @@ import json
 from pathlib import Path
 
 from . import _checks
-from .blocks import BlockSignal, BlockStructure, _check_signal
-from .sensing import SensingMatrix
+from .blocks import BlockSignal, BlockStructure, SensingMatrix, _check_signal
 
 __all__ = [
     "structure_to_json",
@@ -44,6 +43,7 @@ def format_float(value: float) -> str:
 
 
 def structure_to_json(structure: BlockStructure) -> dict:
+    structure = _checks.instance("structure", structure, BlockStructure)
     return {"blocks": list(structure.block_lengths)}
 
 
@@ -69,6 +69,7 @@ def signal_from_json(obj: dict) -> BlockSignal:
 
 
 def matrix_to_json(phi: SensingMatrix) -> dict:
+    phi = _checks.instance("phi", phi, SensingMatrix)
     return {
         "m": phi.num_rows,
         "n": phi.num_cols,

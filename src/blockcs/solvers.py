@@ -19,6 +19,10 @@ The dual residual is evaluated on every iteration.  A column converges only
 when it also passes the dual test, so the primal residual is evaluated only
 when some running column passes it, on every rebalancing iteration (each
 50th) and on the last iteration; skipping it elsewhere changes no output.
+
+scipy is imported by the first solve in a process, where the Cholesky
+factor is built, not when the package loads: the rest of the package needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -26,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import _checks
-from .blocks import BlockSignal, _check_signal, mixed_norm_2_1
-from .sensing import SensingMatrix
+from .blocks import BlockSignal, SensingMatrix, _check_signal, mixed_norm_2_1
 
 __all__ = [
     "SolverConfig",
@@ -132,6 +134,8 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     lengths = np.asarray(phi.structure.block_lengths)
     m, n = entries.shape
     batch = B.shape[1]
+
+    import scipy.linalg  # here and nowhere else: a process that never solves never loads scipy
 
     # the caller checked B and rhos finite, so LAPACK's solve runs unchecked
     chol, lower = scipy.linalg.cho_factor(np.eye(n) + entries_t @ entries)
@@ -238,9 +242,14 @@ def _truth(phi, name, truth):
 def _solve_batch(phi, B, rhos, config, truths):
     """Solve column j of the checked (m, n) `B` with the checked radius rhos[j] >= 0;
     a truth that is not None must be a BlockSignal on phi's block structure."""
-    cfg = config if config is not None else SolverConfig()
+    cfg = SolverConfig() if config is None else _checks.instance("config", config, SolverConfig)
     batch = B.shape[1]
     if truths is not None:
+        try:
+            truths = list(truths)
+        except TypeError:
+            raise ValueError(f"truths must be a sequence of BlockSignal or None entries, "
+                             f"got {type(truths).__name__}") from None
         if len(truths) != batch:
             raise ValueError("one truth signal per right-hand side is required")
         truths = [_truth(phi, f"truths[{j}]", truth) for j, truth in enumerate(truths)]
@@ -277,6 +286,7 @@ def solve_noiseless(
     outside the range of Phi raises InfeasibleProblemError, and one that is
     not a finite real array of shape (m,) raises ValueError.
     """
+    phi = _checks.instance("phi", phi, SensingMatrix)
     b = _checks.array("observation", b, (phi.num_rows,))
     return _solve_batch(phi, b[:, None], np.zeros(1), config, [_truth(phi, "truth", truth)])[0]
 
@@ -293,6 +303,7 @@ def solve_noisy(
 
     With rho = 0 this coincides with `solve_noiseless` up to tolerances.
     """
+    phi = _checks.instance("phi", phi, SensingMatrix)
     b = _checks.array("observation", b, (phi.num_rows,))
     rho = _checks.real("rho", rho, 0.0)
     return _solve_batch(phi, b[:, None], np.full(1, rho), config, [_truth(phi, "truth", truth)])[0]
@@ -306,6 +317,7 @@ def solve_noiseless_batch(
 ) -> list[RecoveryResult]:
     """Solve the noiseless program for every column of the (m, n) observations
     `bs` against one matrix."""
+    phi = _checks.instance("phi", phi, SensingMatrix)
     B = _checks.array("observations", bs, (phi.num_rows, None))
     return _solve_batch(phi, B, np.zeros(B.shape[1]), config, truths)
 
@@ -320,7 +332,10 @@ def solve_noisy_batch(
     """Solve the noise-ball program for every column of the (m, n) observations
     `bs`; `rhos` may be a scalar or one radius per column, each a finite
     real >= 0."""
+    phi = _checks.instance("phi", phi, SensingMatrix)
     B = _checks.array("observations", bs, (phi.num_rows, None))
+    if isinstance(rhos, np.ndarray) and rhos.ndim == 0:
+        rhos = rhos.item()  # a 0-d array is the scalar it holds
     if np.isscalar(rhos):
         rhos = [_checks.real("rhos", rhos, 0.0)] * B.shape[1]
     rhos = _checks.array("rhos", rhos, (B.shape[1],))

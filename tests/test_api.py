@@ -1,4 +1,9 @@
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import blockcs
 
@@ -37,3 +42,41 @@ def test_each_export_is_the_object_of_its_defining_module():
         module = importlib.import_module(obj.__module__)
         assert module.__name__.startswith("blockcs.") and getattr(module, name) is obj, name
         assert name in module.__all__, name
+
+
+# Run in a fresh interpreter: this test process has scipy loaded by other test modules.
+_WITHOUT_A_SOLVE = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    import blockcs, blockcs.cli
+    from blockcs.serialize import matrix_to_json, save_json
+
+    tmp = Path(sys.argv[1])
+    inst = blockcs.sharpness_instance(1.0, 2, 2, 6)
+    b = blockcs.apply(inst.phi, inst.x0)
+    delta = blockcs.exact_block_ric(inst.phi, 2).delta
+    blockcs.brute_force_l20(inst.phi, b, 2)
+    blockcs.check_condition(0.2, 1.0, 2)
+    blockcs.error_bound_tight(1.0, 2, 0.2, 0.1, 0.1)
+    blockcs.error_bound_loose(1.0, 2, 0.2, 0.1, 0.1)
+    blockcs.subset_energy_difference_residual(inst.phi, inst.x0, 2, 3)
+    save_json(matrix_to_json(inst.phi), tmp / "phi.json")
+    (tmp / "b.json").write_text(json.dumps(b.tolist()))
+    for argv in (["bound", "--t", "1", "--s", "2", "--delta", "0.2"],
+                 ["ric", "--matrix", str(tmp / "phi.json"), "--order", "2"],
+                 ["oracle", "--matrix", str(tmp / "phi.json"), "--obs", str(tmp / "b.json"),
+                  "--smax", "2"]):
+        assert blockcs.cli.main([*argv, "--out", str(tmp / "out.json")]) == 0, argv
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    blockcs.solve_noiseless(inst.phi, b)
+    print("scipy.linalg" in sys.modules)
+""")
+
+
+def test_scipy_is_loaded_by_the_first_solve_only(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(blockcs.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_A_SOLVE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

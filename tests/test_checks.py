@@ -14,8 +14,12 @@ from blockcs import (
     best_block_approx,
     block_soft_threshold,
     block_support,
+    brute_force_l20,
+    brute_force_l20_batch,
     cone_constraint_check,
     disjoint_pair_energy_residual,
+    exact_block_ric,
+    gaussian_matrix,
     mixed_norm_2_0,
     mixed_norm_2_1,
     mixed_norm_2_inf,
@@ -24,9 +28,10 @@ from blockcs import (
     solve_noiseless_batch,
     solve_noisy,
     solve_noisy_batch,
+    spread_kernel_matrix,
     subset_energy_difference_residual,
 )
-from blockcs.serialize import signal_to_json
+from blockcs.serialize import matrix_to_json, signal_to_json, structure_to_json
 from conftest import rejects_argument
 
 
@@ -133,3 +138,67 @@ def test_signal_check_says_whose_structure_it_wants():
         cone_constraint_check(_SIG, _OFF[1], 1)
     with pytest.raises(ValueError, match=r"^x must be a BlockSignal, got list$"):
         mixed_norm_2_1(_B)
+
+
+# --- matrices, structures and solver configs ---
+
+# (entry point, argument name, the class it wants, call taking the value, the bad values with
+# how the message shows each)
+_INSTANCE_ARGUMENTS = [
+    *[(entry, "phi", "SensingMatrix", call,
+       ((np.eye(3), "ndarray"), (None, "NoneType"), (_ST, "BlockStructure")))
+      for entry, call in [
+          ("solve_noiseless", lambda v: solve_noiseless(v, _B)),
+          ("solve_noisy", lambda v: solve_noisy(v, _B, 0.1)),
+          ("solve_noiseless_batch", lambda v: solve_noiseless_batch(v, np.eye(3))),
+          ("solve_noisy_batch", lambda v: solve_noisy_batch(v, np.eye(3), 0.1)),
+          ("brute_force_l20", lambda v: brute_force_l20(v, _B, 1)),
+          ("brute_force_l20_batch", lambda v: brute_force_l20_batch(v, np.eye(3), 1)),
+          ("exact_block_ric", lambda v: exact_block_ric(v, 1)),
+          ("apply", lambda v: apply(v, _SIG)),
+          ("subset_energy_difference_residual",
+           lambda v: subset_energy_difference_residual(v, _SIG, 1, 2)),
+          ("disjoint_pair_energy_residual", lambda v: disjoint_pair_energy_residual(v, _SIG, 1, 1)),
+          ("matrix_to_json", matrix_to_json),
+      ]],
+    *[(entry, "structure", "BlockStructure", call,
+       (((1, 2), "tuple"), ([1, 2], "list"), (None, "NoneType")))
+      for entry, call in [
+          ("BlockSignal", lambda v: BlockSignal(_B, v)),
+          ("BlockSignal.zeros", BlockSignal.zeros),
+          ("SensingMatrix", lambda v: SensingMatrix(np.eye(3), v)),
+          ("gaussian_matrix", lambda v: gaussian_matrix(2, v, 1)),
+          ("spread_kernel_matrix", lambda v: spread_kernel_matrix(2, v, 1)),
+          ("structure_to_json", structure_to_json),
+      ]],
+    *[(entry, "config", "SolverConfig", call,
+       (({"max_iters": 3}, "dict"), (3, "int")))
+      for entry, call in [
+          ("solve_noiseless", lambda v: solve_noiseless(_PHI, _B, config=v)),
+          ("solve_noisy", lambda v: solve_noisy(_PHI, _B, 0.1, config=v)),
+          ("solve_noiseless_batch", lambda v: solve_noiseless_batch(_PHI, np.eye(3), config=v)),
+          ("solve_noisy_batch", lambda v: solve_noisy_batch(_PHI, np.eye(3), 0.1, config=v)),
+      ]],
+]
+
+
+@pytest.mark.parametrize("name, cls, call, value, got", [
+    pytest.param(name, cls, call, value, got, id=f"{entry}-{name}-{got}")
+    for entry, name, cls, call, bad in _INSTANCE_ARGUMENTS
+    for value, got in bad
+])
+def test_matrix_structure_and_config_arguments_are_checked_by_name(name, cls, call, value, got):
+    with pytest.raises(ValueError, match=rf"^{name} must be a {cls}, got {got}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value, got", [(5, "int"), (0.5, "float"), (object(), "object")],
+                         ids=["int", "float", "object"])
+@pytest.mark.parametrize("solve", [
+    lambda v: solve_noiseless_batch(_PHI, np.eye(3), truths=v),
+    lambda v: solve_noisy_batch(_PHI, np.eye(3), 0.1, truths=v),
+], ids=["noiseless", "noisy"])
+def test_batch_solves_name_truths_that_are_no_sequence(solve, value, got):
+    with pytest.raises(ValueError, match=rf"^truths must be a sequence of BlockSignal or None "
+                                         rf"entries, got {got}$"):
+        solve(value)

@@ -375,6 +375,21 @@ def test_noisy_batch_rejects_a_radius_per_column_that_is_negative_or_too_many():
         solve_noisy_batch(_EYE, np.eye(2), [0.1, 0.2, 0.3])
 
 
+def test_noisy_batch_takes_a_0d_radius_array_as_its_scalar():
+    B = np.array([[1.0, 0.5], [0.0, 2.0]])
+    assert solve_noisy_batch(_EYE, B, np.array(0.1)) == solve_noisy_batch(_EYE, B, 0.1)
+    assert solve_noisy_batch(_EYE, B, np.array(1)) == solve_noisy_batch(_EYE, B, 1.0)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (np.array(-0.1), "-0.1"), (np.array(math.nan), "nan"), (np.array(True), "True"),
+    (np.array("0.1"), "'0.1'"),
+], ids=["negative", "nan", "bool", "str"])
+def test_noisy_batch_rejects_a_bad_0d_radius_array_by_name(value, shown):
+    with pytest.raises(ValueError, match=rf"^rhos must be a finite real >= 0.0, got {shown}$"):
+        solve_noisy_batch(_EYE, np.eye(2), value)
+
+
 def test_noisy_batch_projects_without_floating_point_warnings():
     # pytest turns warnings into errors: a zero column at rho 0 makes 0/0 in the
     # z-update, and a huge rho over a tiny column overflows rho / ||z||
