@@ -64,9 +64,11 @@ def number(name: str, value) -> float:
 
 
 def instance(name: str, value, cls: type):
-    """`value`, when it is an instance of `cls`: a SensingMatrix, BlockStructure or SolverConfig."""
+    """`value`, when it is an instance of `cls`: a SensingMatrix, BlockStructure,
+    SolverConfig or ExperimentSpec."""
     if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
 
 

@@ -42,8 +42,12 @@ class BlockStructure:
     block_lengths: tuple[int, ...]
 
     def __post_init__(self):
-        lengths = tuple(_checks.count(f"block_lengths[{i}]", d, 1)
-                        for i, d in enumerate(self.block_lengths))
+        try:
+            items = iter(self.block_lengths)
+        except TypeError:
+            raise ValueError(f"block_lengths must be a sequence of integers >= 1, "
+                             f"got {type(self.block_lengths).__name__}") from None
+        lengths = tuple(_checks.count(f"block_lengths[{i}]", d, 1) for i, d in enumerate(items))
         if len(lengths) < 1:
             raise ValueError("a block structure needs at least one block")
         object.__setattr__(self, "block_lengths", lengths)

@@ -669,6 +669,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     (summary).  Outputs for identical (spec, seed) are identical apart from
     the wall_time column.
     """
+    spec = _checks.instance("spec", spec, ExperimentSpec)
     records, summary = _RUNNERS[spec.kind](spec, _grid_values(spec.kind, spec.grid))
     header = {
         "kind": spec.kind,

@@ -85,7 +85,7 @@ def brute_force_l20(
     """
     phi = _checks.instance("phi", phi, SensingMatrix)
     b = _checks.array("observation", b, (phi.num_rows,))
-    outcome = brute_force_l20_batch(phi, b[:, None], s_max, residual_tol, cap)[0]
+    outcome = _l20(phi, b[:, None], *_limits(phi, s_max, residual_tol, cap))[0]
     if isinstance(outcome, NoSparseFitError):
         raise outcome
     return outcome
@@ -102,21 +102,37 @@ def brute_force_l20_batch(
     OracleSolution per column, or the NoSparseFitError (returned, not raised)
     for a column that no support fits.  Raises as `brute_force_l20` does.
     One stacked QR per chunk and column count screens the supports; only those
-    that can reach a column's smallest residual are solved exactly, so every
-    outcome is bit-identical to solving each support exactly.  The QR factors
-    are kept for the next call on an equal matrix, within _FACTOR_BUDGET bytes."""
-    structure = _checks.instance("phi", phi, SensingMatrix).structure
-    l = structure.num_blocks
+    that can reach a column's smallest residual are candidates.  A candidate is
+    solved exactly only where a fit is possible: when the screen cannot bound it
+    (forced) or its certified lower bound, screened residual minus margin, is
+    <= residual_tol.  The other candidates are deferred, and solved only for the
+    best residual of a column that no support fits.  So every outcome is
+    bit-identical to solving each support exactly.  The QR factors are kept for
+    the next call on an equal matrix, within _FACTOR_BUDGET bytes."""
+    phi = _checks.instance("phi", phi, SensingMatrix)
+    s_max, residual_tol = _limits(phi, s_max, residual_tol, cap)
+    B = _checks.array("observations", B, (phi.num_rows, None))
+    return _l20(phi, B, s_max, residual_tol)
+
+
+def _limits(phi: SensingMatrix, s_max, residual_tol, cap) -> tuple[int, float]:
+    """The checked (s_max, residual_tol), once the supports up to s_max are within `cap`."""
+    l = phi.structure.num_blocks
     s_max = _checks.count("s_max", s_max, 0, l)
     residual_tol = _checks.real("residual_tol", residual_tol, 0.0)
     _check_cap(sum(math.comb(l, k) for k in range(s_max + 1)), cap,
                f"sum of C({l}, k) for k <= {s_max}")
-    B = _checks.array("observations", B, (phi.num_rows, None))
+    return s_max, residual_tol
 
+
+def _l20(phi: SensingMatrix, B: np.ndarray, s_max: int, residual_tol: float) -> list:
+    """`brute_force_l20_batch` on checked arguments."""
+    structure = phi.structure
     columns = np.ascontiguousarray(B.T)  # observation j as its own contiguous vector
     column_norms = np.linalg.norm(columns, axis=1)
     outcomes: list = [None] * len(columns)
     best_overall = [math.inf] * len(columns)
+    deferred = [[] for _ in columns]  # per column: the support columns of candidates that cannot fit
     unresolved = list(range(len(columns)))
     searched = 0
     for k in range(s_max + 1):
@@ -128,17 +144,20 @@ def brute_force_l20_batch(
                 res, margin = _screen(q, kappa, obs, norms)
                 upper = np.where(forced[:, None], np.inf, res + margin)  # forced: bounds nothing
                 bound = np.minimum(bound, upper.min(axis=0))
-                for i, j in zip(*np.nonzero((res - margin <= bound) | forced[:, None])):
-                    sub, b = phi.entries[:, cols[i]], columns[unresolved[j]]
-                    coef, *_ = np.linalg.lstsq(sub, b, rcond=_SVD_CUTOFF)
-                    res_ij = float(np.linalg.norm(sub @ coef - b))
+                lower = res - margin
+                for i, j in zip(*np.nonzero((lower <= bound) | forced[:, None])):
+                    if lower[i, j] > residual_tol and not forced[i]:  # only a no-fit report needs it
+                        deferred[unresolved[j]].append(cols[i])
+                        continue
+                    res_ij, coef = _solve(phi.entries[:, cols[i]], columns[unresolved[j]])
                     # groups split a chunk out of order: ties keep the lexicographically first
                     if (res_ij, searched + rows[i]) < best[j][:2]:
                         best[j] = (res_ij, searched + rows[i], (sups[rows[i]], cols[i], coef))
             searched += len(sups)
-        for j, (best_res, _, (sup, cols, coef)) in zip(unresolved, best):
+        for j, (best_res, _, found) in zip(unresolved, best):
             best_overall[j] = min(best_overall[j], best_res)
             if best_res <= residual_tol:
+                sup, cols, coef = found
                 x = np.zeros(structure.total_dim)
                 x[cols] = coef
                 outcomes[j] = OracleSolution(BlockSignal(x, structure), tuple(sup.tolist()), k,
@@ -147,10 +166,18 @@ def brute_force_l20_batch(
         if not unresolved:
             break
     for j in unresolved:
+        for cols in deferred[j]:
+            best_overall[j] = min(best_overall[j], _solve(phi.entries[:, cols], columns[j])[0])
         message = (f"no block support of size <= {s_max} fits within residual_tol={residual_tol:g} "
                    f"(best residual {best_overall[j]:.3e})")
         outcomes[j] = NoSparseFitError(message, best_overall[j])
     return outcomes
+
+
+def _solve(sub: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """(residual, coefficients) of the exact least-squares fit of `b` on the columns `sub`."""
+    coef, *_ = np.linalg.lstsq(sub, b, rcond=_SVD_CUTOFF)
+    return float(np.linalg.norm(sub @ coef - b)), coef
 
 
 def _factored_level(phi: SensingMatrix, k: int):

@@ -9,7 +9,11 @@ parallel and serial execution see the same per-trial streams.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from . import _checks
 
 __all__ = ["stream_key", "generator"]
 
@@ -25,10 +29,12 @@ def _splitmix64(z: int) -> int:
 
 
 def stream_key(seed: int, *indices: int) -> int:
-    """64-bit mix of a base seed and stream indices (documented, stable)."""
-    key = _splitmix64(seed & _MASK64)
-    for ix in indices:
-        key = _splitmix64(key ^ ((ix & _MASK64) * _GOLDEN & _MASK64))
+    """64-bit mix of a base seed and stream indices (documented, stable): each an
+    integer of any size, taken modulo 2**64."""
+    key = _splitmix64(_checks.count("seed", seed, -math.inf) & _MASK64)
+    for n, ix in enumerate(indices):
+        key = _splitmix64(key ^ ((_checks.count(f"indices[{n}]", ix, -math.inf) & _MASK64)
+                                 * _GOLDEN & _MASK64))
     return key
 
 

@@ -284,6 +284,14 @@ def test_rejects_bad_count(name, call, value):
         call(value)
 
 
+@pytest.mark.parametrize("value, got", [(5, "int"), (None, "NoneType"), (2.5, "float")],
+                         ids=["int", "None", "float"])
+def test_structure_rejects_block_lengths_that_are_no_sequence(value, got):
+    with pytest.raises(ValueError, match=rf"^block_lengths must be a sequence of integers >= 1, "
+                                         rf"got {got}$"):
+        BlockStructure(value)
+
+
 @pytest.mark.parametrize("value", BAD_REALS)
 def test_scalar_multiple_rejects_bad_scalar(value):
     x = BlockSignal([1.0, 2.0], BlockStructure((2,)))

@@ -24,6 +24,7 @@ from blockcs import (
     mixed_norm_2_1,
     mixed_norm_2_inf,
     polytope_decompose,
+    run_experiment,
     solve_noiseless,
     solve_noiseless_batch,
     solve_noisy,
@@ -179,6 +180,8 @@ _INSTANCE_ARGUMENTS = [
           ("solve_noiseless_batch", lambda v: solve_noiseless_batch(_PHI, np.eye(3), config=v)),
           ("solve_noisy_batch", lambda v: solve_noisy_batch(_PHI, np.eye(3), 0.1, config=v)),
       ]],
+    ("run_experiment", "spec", "ExperimentSpec", run_experiment,
+     ((5, "int"), (None, "NoneType"), ({"kind": "IDENTITY_SUITE"}, "dict"))),
 ]
 
 
@@ -188,7 +191,8 @@ _INSTANCE_ARGUMENTS = [
     for value, got in bad
 ])
 def test_matrix_structure_and_config_arguments_are_checked_by_name(name, cls, call, value, got):
-    with pytest.raises(ValueError, match=rf"^{name} must be a {cls}, got {got}$"):
+    article = "an" if cls[0] in "AEIOU" else "a"
+    with pytest.raises(ValueError, match=rf"^{name} must be {article} {cls}, got {got}$"):
         call(value)
 
 

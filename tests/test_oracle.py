@@ -19,11 +19,13 @@ from blockcs import (
     OracleSolution,
     SensingMatrix,
     apply,
+    block_support,
     brute_force_l20,
     brute_force_l20_batch,
     cone_constraint_check,
     gaussian_matrix,
     sharpness_instance,
+    spread_kernel_matrix,
     tail_power_check,
 )
 from blockcs import oracle, ric
@@ -289,6 +291,41 @@ def test_batch_returns_no_fit_errors_that_the_single_call_raises():
     with pytest.raises(NoSparseFitError) as err:
         brute_force_l20(inst.phi, noisy, s_max=2)
     assert (str(err.value), err.value.best_residual) == (str(no_fit), no_fit.best_residual)
+
+
+def _lstsq_calls():
+    return mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq)
+
+
+def test_a_column_that_fits_costs_one_exact_solve():
+    # every column is a generic 2-block-sparse signal: the levels below 2 fit nothing,
+    # so only the true support's candidate is solved exactly
+    structure = BlockStructure.uniform(2, 8)
+    phi = spread_kernel_matrix(12, structure, seed=5)
+    rng = np.random.default_rng(11)
+    truths = [random_block_sparse(rng, structure, 2) for _ in range(12)]
+    B = np.column_stack([apply(phi, x) for x in truths])
+    with _lstsq_calls() as lstsq:
+        batch = brute_force_l20_batch(phi, B, 2)
+    assert lstsq.call_count == B.shape[1]
+    with _lstsq_calls() as lstsq:
+        single = [brute_force_l20(phi, B[:, j], 2) for j in range(B.shape[1])]
+    assert lstsq.call_count == B.shape[1]
+    for j, (x, a, b) in enumerate(zip(truths, batch, single)):
+        assert a.sparsity == 2 and a.support == tuple(sorted(block_support(x)))
+        expected = _outcome_key(_reference_l20(phi, B[:, j].copy(), 2))
+        assert _outcome_key(a) == _outcome_key(b) == expected
+
+
+def test_a_column_that_fits_nothing_reports_the_reference_best_residual():
+    # random observations fit no support: the deferred candidates give the best residual
+    phi = spread_kernel_matrix(21, BlockStructure.uniform(2, 12), seed=1)
+    B = np.random.default_rng(7).standard_normal((21, 6))
+    batch = brute_force_l20_batch(phi, B, 2)
+    for j, outcome in enumerate(batch):
+        expected = _outcome_key(_reference_l20(phi, B[:, j].copy(), 2))
+        assert isinstance(outcome, NoSparseFitError)
+        assert _outcome_key(outcome) == _outcome_key(_standalone(phi, B[:, j], 2)) == expected
 
 
 def test_batch_rejects_bad_observations_and_accepts_an_empty_batch():

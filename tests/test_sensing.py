@@ -11,11 +11,13 @@ from blockcs import (
     block_support,
     exact_block_ric,
     gaussian_matrix,
+    generator,
     mixed_norm_2_0,
     mixed_norm_2_1,
     sharpness_instance,
     spread_kernel_matrix,
     SensingMatrix,
+    stream_key,
 )
 from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, bad_arrays, rejects_argument, rejects_array
 
@@ -194,6 +196,9 @@ def test_matrix_rejects_non_finite_entries(bad):
         SensingMatrix([[1.0, bad]], BlockStructure.uniform(1, 2))
 
 
+_BAD_SEEDS = (*BAD_COUNTS, "a", None)
+
+
 @pytest.mark.parametrize("name, call, value", bad_arguments(
     ("gaussian_matrix", "m", lambda v: gaussian_matrix(v, BlockStructure.uniform(2, 4), 1),
      BAD_COUNTS),
@@ -203,10 +208,24 @@ def test_matrix_rejects_non_finite_entries(bad):
     ("sharpness_instance", "s", lambda v: sharpness_instance(1.0, v, 2, 6), BAD_COUNTS),
     ("sharpness_instance", "d", lambda v: sharpness_instance(1.0, 2, v, 6), BAD_COUNTS),
     ("sharpness_instance", "l", lambda v: sharpness_instance(1.0, 2, 2, v), BAD_COUNTS),
+    ("gaussian_matrix", "seed", lambda v: gaussian_matrix(4, BlockStructure.uniform(2, 4), v),
+     _BAD_SEEDS),
+    ("generator", "seed", generator, _BAD_SEEDS),
+    ("generator", "indices[0]", lambda v: generator(1, v), _BAD_SEEDS),
+    ("stream_key", "seed", stream_key, _BAD_SEEDS),
+    ("stream_key", "indices[1]", lambda v: stream_key(1, 2, v), _BAD_SEEDS),
 ))
 def test_rejects_bad_count_or_real(name, call, value):
     with rejects_argument(name, value):
         call(value)
+
+
+def test_stream_keys_take_any_integer_modulo_2_to_the_64():
+    assert stream_key(5) == stream_key(np.int64(5)) == 7134611160154358618
+    assert stream_key(20250810, 1, 3) == stream_key(np.uint32(20250810), np.int8(1), np.uint64(3))
+    assert stream_key(20250810, 1, 3) == 15350587033032687105
+    assert stream_key(2**64 - 1, -7) == stream_key(-1, np.int32(-7)) == 3823921991345490766
+    assert generator(np.int64(7), 2).random() == generator(7, 2).random()
 
 
 @pytest.mark.parametrize("name, call, value", bad_arrays(
