@@ -1,8 +1,8 @@
 """The package's one check of arguments from outside: counts, finite reals,
-reals, finite real arrays and instances of a class.
+reals, finite real arrays, instances of a class and file paths.
 
-Each check returns the value converted to int, float or a new float64
-array, or the instance itself, or raises a ValueError that names the
+Each check returns the value converted to int, float, a new float64 array
+or str, or the instance itself, or raises a ValueError that names the
 argument, what it accepts and what it was given.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -70,6 +71,14 @@ def instance(name: str, value, cls: type):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise ValueError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def path(name: str, value) -> str:
+    """`value` as a str, when it is a non-empty str or os.PathLike naming a str path."""
+    text = os.fspath(value) if isinstance(value, (str, os.PathLike)) else None
+    if not isinstance(text, str) or not text:
+        raise ValueError(f"{name} must be a non-empty str or os.PathLike path, got {_shown(value)}")
+    return text
 
 
 def array(name: str, value, shape: tuple) -> np.ndarray:

@@ -170,13 +170,14 @@ def _cmd_verify_identities(args) -> int:
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--out", type=str, default=None, help="output path")
+    matrix = _Parser(add_help=False)
+    matrix.add_argument("--matrix", required=True)
+    matrix.add_argument("--structure", default=None, help="sidecar structure JSON for CSV matrices")
 
     parser = _Parser(prog="blockcs", description="Block-sparse compressed sensing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("recover", parents=[common], help="solve the mixed-norm recovery program")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--structure", default=None, help="sidecar structure JSON for CSV matrices")
+    p = sub.add_parser("recover", parents=[common, matrix], help="solve the mixed-norm recovery program")
     p.add_argument("--obs", required=True)
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--truth", default=None)
@@ -184,9 +185,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=_cmd_recover)
 
-    p = sub.add_parser("ric", parents=[common], help="exact block restricted-isometry constant")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--structure", default=None)
+    p = sub.add_parser("ric", parents=[common, matrix], help="exact block restricted-isometry constant")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.set_defaults(fn=_cmd_ric)
@@ -200,9 +199,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--variant", choices=("tight", "loose", "both"), default="both")
     p.set_defaults(fn=_cmd_bound)
 
-    p = sub.add_parser("oracle", parents=[common], help="brute-force sparsest block fit")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--structure", default=None)
+    p = sub.add_parser("oracle", parents=[common, matrix], help="brute-force sparsest block fit")
     p.add_argument("--obs", required=True)
     p.add_argument("--smax", type=int, required=True)
     p.add_argument("--residual-tol", type=float, default=DEFAULT_RESIDUAL_TOL)

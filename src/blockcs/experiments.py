@@ -66,16 +66,6 @@ def _at_least(cast, low):
     return convert
 
 
-def _integer(value) -> int:
-    """int"""
-    return _checks.count("value", value, -math.inf)
-
-
-def _positive(value) -> float:
-    """real > 0"""
-    return _checks.real("value", value, 0.0, strict=True)
-
-
 def _flag(value) -> bool:
     """bool"""
     if not isinstance(value, bool):
@@ -178,7 +168,8 @@ def _grid_values(kind: str, grid: dict) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run, checked when it is made:
+    `output_path` (a str or os.PathLike) is stored as a str."""
 
     kind: str
     seed: int
@@ -193,9 +184,14 @@ class ExperimentSpec:
         if not isinstance(self.grid, dict) or not self.grid:
             raise ValueError("grid must be a non-empty mapping of parameter ranges")
         _grid_values(self.kind, self.grid)
-        for key, convert in (("seed", _integer), ("success_tol", _positive)):
+        for key, check in (
+            ("seed", lambda value: _checks.count("value", value, -math.inf)),
+            ("solver", lambda value: _checks.instance("value", value, SolverConfig)),
+            ("output_path", lambda value: _checks.path("value", value)),
+            ("success_tol", lambda value: _checks.real("value", value, 0.0, strict=True)),
+        ):
             try:
-                object.__setattr__(self, key, convert(getattr(self, key)))
+                object.__setattr__(self, key, check(getattr(self, key)))
             except ValueError as exc:
                 raise ValueError(f"experiment spec key {key!r}: {exc}") from None
 
@@ -205,20 +201,23 @@ def spec_to_json(spec: ExperimentSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> ExperimentSpec:
+    """The spec a JSON object describes, with "seed" 0 and "grid" {} when absent
+    and "solver" a mapping of SolverConfig keys."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError('experiment spec JSON must carry at least "kind"')
+    keys = [f.name for f in fields(ExperimentSpec)]
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ValueError(f"experiment spec has no key {unknown[0]!r}; it reads {keys}")
+    solver = obj.get("solver", {})
+    if not isinstance(solver, dict):
+        raise ValueError("experiment spec key 'solver': value must be a mapping of SolverConfig keys, "
+                         f"got {type(solver).__name__}")
     try:
-        solver = SolverConfig(**obj.get("solver", {}))
-    except (TypeError, ValueError) as exc:  # "solver" is no mapping, or has an unknown or bad key
-        raise ValueError(f'experiment spec "solver": {exc}') from None
-    return ExperimentSpec(
-        kind=obj["kind"],
-        seed=obj.get("seed", 0),
-        grid=obj.get("grid", {}),
-        solver=solver,
-        output_path=str(obj.get("output_path", "experiment")),
-        success_tol=obj.get("success_tol", 1e-5),
-    )
+        solver = SolverConfig(**solver)
+    except (TypeError, ValueError) as exc:  # a key SolverConfig lacks, or a bad value
+        raise ValueError(f"experiment spec key 'solver': {exc}") from None
+    return ExperimentSpec(**{"seed": 0, "grid": {}, **obj, "solver": solver})
 
 
 @dataclass(frozen=True)
@@ -676,8 +675,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         "seed": spec.seed,
         "success_tol": format_float(spec.success_tol),
     }
-    csv_path = str(spec.output_path) + ".csv"
-    json_path = str(spec.output_path) + ".json"
+    csv_path = spec.output_path + ".csv"
+    json_path = spec.output_path + ".json"
     records_to_csv(records, csv_path, header)
     payload = {
         "kind": spec.kind,

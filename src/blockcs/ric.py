@@ -199,17 +199,18 @@ def check_condition(delta: float, t: float, s: int) -> ConditionReport:
     t = _checks.real("t", t)
     s = _checks.count("s", s, 0)
     delta = _checks.number("delta", delta)
-    if not 0.0 < t < 4.0 / 3.0:
-        return ConditionReport(False, t, s, delta, None, _effective_order(t, s), "t_out_of_range")
-    threshold = t / (4.0 - t)
-    eff = _effective_order(t, s)
-    if not 0.0 <= delta < math.inf:
-        return ConditionReport(False, t, s, delta, threshold, eff, "invalid_delta")
-    if t * s < 2.0 - 1e-12:
-        return ConditionReport(False, t, s, delta, threshold, eff, "ts_below_two")
-    if not delta < threshold:
-        return ConditionReport(False, t, s, delta, threshold, eff, "delta_not_below_threshold")
-    return ConditionReport(True, t, s, delta, threshold, eff, None)
+    threshold = t / (4.0 - t) if 0.0 < t < 4.0 / 3.0 else None
+    if threshold is None:
+        reason = "t_out_of_range"
+    elif not 0.0 <= delta < math.inf:
+        reason = "invalid_delta"
+    elif t * s < 2.0 - 1e-12:
+        reason = "ts_below_two"
+    elif not delta < threshold:
+        reason = "delta_not_below_threshold"
+    else:
+        reason = None
+    return ConditionReport(reason is None, t, s, delta, threshold, _effective_order(t, s), reason)
 
 
 @dataclass(frozen=True)
@@ -229,20 +230,24 @@ class BoundReport:
     variant: str
 
 
-def _bound_ingredients(t: float, s: int, delta: float, rho: float, tail_norm: float):
+def _error_bound(variant: str, t, s, delta, rho, tail_norm) -> BoundReport:
+    """The "tight" or "loose" bound; the two differ only in the tail coefficient."""
     report = check_condition(delta, t, s)
     if not report.ok:
-        raise ValueError(
-            f"error bound requires the recovery condition to hold ({report.reason}: "
-            f"t={t}, s={s}, delta={delta})"
-        )
+        raise ValueError(f"error bound requires the recovery condition to hold "
+                         f"({report.reason}: t={t}, s={s}, delta={delta})")
     rho = _checks.real("rho", rho, 0.0)
     tail_norm = _checks.real("tail_norm", tail_norm, 0.0)
     t, s, delta = report.t, report.s, report.delta
     t_tilde = max(math.sqrt(t), t)
     denom = t + (t - 4.0) * delta
     noise_coeff = 2.0 * math.sqrt(2.0) * math.sqrt(1.0 + delta) * t_tilde / denom
-    return t, s, delta, rho, tail_norm, t_tilde, denom, noise_coeff
+    if variant == "tight":
+        tail_coeff = 0.5 * math.sqrt(2.0 / s) * ((8.0 * delta + 4.0 * math.sqrt(denom * delta)) / denom + 1.0)
+    else:
+        tail_coeff = math.sqrt(2.0 / s) * ((4.0 * delta + 2.0 * math.sqrt(denom * delta)) / denom + math.sqrt(2.0))
+    bound = noise_coeff * rho + tail_coeff * tail_norm
+    return BoundReport(t, s, delta, rho, tail_norm, t_tilde, denom, noise_coeff, tail_coeff, bound, variant)
 
 
 def error_bound_tight(t: float, s: int, delta: float, rho: float, tail_norm: float) -> BoundReport:
@@ -257,16 +262,7 @@ def error_bound_tight(t: float, s: int, delta: float, rho: float, tail_norm: flo
 
     where denom = t + (t-4)*delta > 0 under the recovery condition.
     """
-    t, s, delta, rho, tail_norm, t_tilde, denom, noise_coeff = _bound_ingredients(
-        t, s, delta, rho, tail_norm)
-    tail_coeff = (
-        0.5
-        * math.sqrt(2.0 / s)
-        * ((8.0 * delta + 4.0 * math.sqrt(denom * delta)) / denom + 1.0)
-    )
-    bound = noise_coeff * rho + tail_coeff * tail_norm
-    return BoundReport(t, s, delta, rho, tail_norm, t_tilde, denom,
-                       noise_coeff, tail_coeff, bound, "tight")
+    return _error_bound("tight", t, s, delta, rho, tail_norm)
 
 
 def error_bound_loose(t: float, s: int, delta: float, rho: float, tail_norm: float) -> BoundReport:
@@ -276,14 +272,7 @@ def error_bound_loose(t: float, s: int, delta: float, rho: float, tail_norm: flo
 
     which always dominates the tight variant's tail coefficient.
     """
-    t, s, delta, rho, tail_norm, t_tilde, denom, noise_coeff = _bound_ingredients(
-        t, s, delta, rho, tail_norm)
-    tail_coeff = math.sqrt(2.0 / s) * (
-        (4.0 * delta + 2.0 * math.sqrt(denom * delta)) / denom + math.sqrt(2.0)
-    )
-    bound = noise_coeff * rho + tail_coeff * tail_norm
-    return BoundReport(t, s, delta, rho, tail_norm, t_tilde, denom,
-                       noise_coeff, tail_coeff, bound, "loose")
+    return _error_bound("loose", t, s, delta, rho, tail_norm)
 
 
 def ric_scaling_bound(delta_s: float, kappa: float) -> float:

@@ -239,21 +239,25 @@ def _truth(phi, name, truth):
     return truth if truth is None else _check_signal(name, truth, phi.structure, "the matrix's")
 
 
+def _truths(phi, truths, batch: int):
+    """`truths`, when it is None or a sequence of `batch` entries that `_truth` takes, as a list."""
+    if truths is None:
+        return None
+    try:
+        truths = list(truths)
+    except TypeError:
+        raise ValueError(f"truths must be a sequence of BlockSignal or None entries, "
+                         f"got {type(truths).__name__}") from None
+    if len(truths) != batch:
+        raise ValueError("one truth signal per right-hand side is required")
+    return [_truth(phi, f"truths[{j}]", truth) for j, truth in enumerate(truths)]
+
+
 def _solve_batch(phi, B, rhos, config, truths):
-    """Solve column j of the checked (m, n) `B` with the checked radius rhos[j] >= 0;
-    a truth that is not None must be a BlockSignal on phi's block structure."""
+    """Solve column j of the checked (m, n) `B` with the checked radius rhos[j] >= 0
+    and the checked truths[j] (truths may be None)."""
     cfg = SolverConfig() if config is None else _checks.instance("config", config, SolverConfig)
-    batch = B.shape[1]
-    if truths is not None:
-        try:
-            truths = list(truths)
-        except TypeError:
-            raise ValueError(f"truths must be a sequence of BlockSignal or None entries, "
-                             f"got {type(truths).__name__}") from None
-        if len(truths) != batch:
-            raise ValueError("one truth signal per right-hand side is required")
-        truths = [_truth(phi, f"truths[{j}]", truth) for j, truth in enumerate(truths)]
-    if batch == 0:
+    if B.shape[1] == 0:
         return []
 
     scale = np.maximum(1.0, np.linalg.norm(B, axis=0))
@@ -319,7 +323,7 @@ def solve_noiseless_batch(
     `bs` against one matrix."""
     phi = _checks.instance("phi", phi, SensingMatrix)
     B = _checks.array("observations", bs, (phi.num_rows, None))
-    return _solve_batch(phi, B, np.zeros(B.shape[1]), config, truths)
+    return _solve_batch(phi, B, np.zeros(B.shape[1]), config, _truths(phi, truths, B.shape[1]))
 
 
 def solve_noisy_batch(
@@ -341,4 +345,4 @@ def solve_noisy_batch(
     rhos = _checks.array("rhos", rhos, (B.shape[1],))
     if (rhos < 0).any():
         raise ValueError(f"rhos must hold reals >= 0.0, got {rhos.min():g}")
-    return _solve_batch(phi, B, rhos, config, truths)
+    return _solve_batch(phi, B, rhos, config, _truths(phi, truths, B.shape[1]))

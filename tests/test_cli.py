@@ -248,14 +248,17 @@ def test_sweep_mistyped_spec_exit_one(tmp_path, capsys, spec):
 @pytest.mark.parametrize("key, value", [
     ("seed", 2.7), ("seed", [1]), ("success_tol", [1]), ("success_tol", float("nan")),
     pytest.param("success_tol", 10**400, id="success_tol-400_digits"),
+    ("solver", 5), ("output_path", None), ("output_path", 5), ("output_path", ""), ("sead", 1),
 ])
-def test_sweep_bad_seed_or_success_tol_exit_one(tmp_path, capsys, key, value):
+def test_sweep_bad_seed_or_success_tol_exit_one(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)  # where an output_path of None would write None.csv
     cfg_path = tmp_path / "spec.json"
     cfg_path.write_text(json.dumps({"kind": "IDENTITY_SUITE", "grid": {"trials": 1},
                                     "output_path": str(tmp_path / "ids"), key: value}))
     assert main(["sweep", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(key) in err and "Traceback" not in err
+    assert err.startswith("error:") and repr(key) in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_subcommands_reject_flags_they_do_not_read(instance_files):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -76,18 +77,25 @@ def test_spec_from_json_rejects_unknown_solver_key():
     ("seed", [1]),
     ("seed", "1"),
     ("seed", None),
+    ("solver", 5),
+    ("output_path", None),
+    ("output_path", 5),
+    ("output_path", ""),
+    ("sead", 1),  # no spec key: only spec_from_json can be given it
 ])
 def test_spec_rejects_bad_seed_or_success_tol(key, value):
     with pytest.raises(ValueError, match=f"key {key!r}"):
         spec_from_json({"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, key: value})
-    with pytest.raises(ValueError, match=f"key {key!r}"):
-        ExperimentSpec(**{"kind": "IDENTITY_SUITE", "seed": 1, "grid": {"trials": 1}, key: value})
+    if key in {f.name for f in fields(ExperimentSpec)}:
+        with pytest.raises(ValueError, match=f"key {key!r}"):
+            ExperimentSpec(**{"kind": "IDENTITY_SUITE", "seed": 1, "grid": {"trials": 1}, key: value})
 
 
 def test_spec_from_json_keeps_seed_int_and_success_tol_float():
-    spec = spec_from_json({"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "seed": 3, "success_tol": 1})
-    assert (spec.seed, spec.success_tol) == (3, 1.0)
-    assert type(spec.seed) is int and type(spec.success_tol) is float
+    spec = spec_from_json({"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "seed": 3, "success_tol": 1,
+                           "output_path": Path("runs") / "ids"})
+    assert (spec.seed, spec.success_tol, spec.output_path) == (3, 1.0, str(Path("runs") / "ids"))
+    assert type(spec.seed) is int and type(spec.success_tol) is float and type(spec.output_path) is str
 
 
 def _grid_table() -> str:
@@ -102,6 +110,12 @@ def _grid_table() -> str:
 
 def test_readme_grid_table_matches_formats():
     assert _grid_table() in README.read_text()
+
+
+def test_readme_spec_example_loads():
+    example = README.read_text().split("```json\n", 1)[1].split("```", 1)[0]
+    spec = spec_from_json(json.loads(example))
+    assert (spec.kind, spec.seed, spec.output_path) == ("PHASE_TRANSITION", 42, "phase")
 
 
 def test_spec_json_round_trip():

@@ -1,7 +1,8 @@
 """Golden outputs: every experiment kind on a small grid writes exactly the
 CSV (wall_time column removed) and JSON stored under tests/data/golden/, and
 the `recover`, `ric` (wall_time removed) and `oracle` subcommands write
-exactly the JSON stored there for one spread-kernel instance.  Exact block
+exactly the JSON stored there for one spread-kernel instance, as `bound`
+does for one admissible (t, s, delta) with nonzero rho and tail.  Exact block
 RIC certificates and spread-kernel matrix entries over a seeded grid of
 uniform and ragged shapes match `ric_certificates.json` bit for bit, and the
 batch solver's outputs on a grid of noiseless, noisy and mixed-radius batches
@@ -71,6 +72,8 @@ CLI_COMMANDS = {
     "cli_ric": ["ric", "--matrix", "{phi}", "--order", "2"],
     "cli_oracle_found": ["oracle", "--matrix", "{phi}", "--obs", "{b}", "--smax", "2"],
     "cli_oracle_not_found": ["oracle", "--matrix", "{phi}", "--obs", "{b}", "--smax", "1"],
+    "cli_bound": ["bound", "--t", "0.9", "--s", "3", "--delta", "0.2", "--rho", "0.05",
+                  "--tail", "0.3", "--variant", "both"],
 }
 
 
