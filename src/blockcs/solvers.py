@@ -11,9 +11,12 @@ block soft-thresholding w-update, and a z-update that projects onto the
 rho-ball (the origin when rho = 0).  Every proximal piece is closed form.
 
 A batch entry point runs many right-hand sides against one matrix in a
-single vectorized iteration.  The columns share one penalty, rebalanced on
-the columns still running, so a column's iteration count and estimate can
-differ from those of its one-at-a-time solve.
+single vectorized iteration.  Each column keeps its own penalty, rebalanced
+every 50th iteration on its own residuals, and leaves the iteration when it
+converges.  So a column gets the result of its one-at-a-time solve: the same
+iteration count, and an estimate that differs only by BLAS rounding, which
+can depend on the batch width.  A batch of one runs the one-at-a-time
+iteration itself.
 
 The dual residual is evaluated on every iteration.  A column converges only
 when it also passes the dual test, so the primal residual is evaluated only
@@ -70,6 +73,9 @@ class SolverConfig:
         object.__setattr__(self, "max_iters", _checks.count("max_iters", self.max_iters, 1))
         for name in ("primal_tol", "dual_tol", "penalty", "feasibility_tol"):
             object.__setattr__(self, name, _checks.real(name, getattr(self, name), 0.0, strict=True))
+        if 1.0 / self.penalty == np.inf:  # the shrink threshold would be inf and the estimate NaN
+            raise ValueError(f"penalty must be a finite real > 0.0 with a finite reciprocal, "
+                             f"got {self.penalty!r}")
         relaxation = _checks.real("over_relaxation", self.over_relaxation, 1.0, 1.9)
         object.__setattr__(self, "over_relaxation", relaxation)
 
@@ -108,11 +114,19 @@ def block_soft_threshold(x: BlockSignal, tau: float) -> BlockSignal:
     return BlockSignal(coeffs[:, 0], st)
 
 
-def _block_shrink(V: np.ndarray, starts, lengths, tau: float) -> np.ndarray:
-    """Columnwise block soft threshold of an (N, batch) array, for tau > 0
-    (a block whose norm is at most tau gets scale 1 - tau/tau = 0)."""
+def _block_shrink(V: np.ndarray, starts, lengths, tau) -> np.ndarray:
+    """Columnwise block soft threshold of an (N, batch) array, for tau > 0, one
+    float or one per column (a block whose norm is at most tau gets scale
+    1 - tau/tau = 0)."""
     norms = np.sqrt(np.add.reduceat(V * V, starts, axis=0))
     return (1.0 - tau / np.maximum(norms, tau)).repeat(lengths, axis=0) * V
+
+
+def _thresholds(beta: np.ndarray):
+    """The shrink threshold 1/beta of each column: for a lone column a float,
+    which numpy broadcasts faster than a 1-entry array and to the same bits."""
+    tau = 1.0 / beta
+    return float(tau[0]) if tau.size == 1 else tau
 
 
 def _column_norms(A: np.ndarray) -> np.ndarray:
@@ -144,8 +158,10 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     w, u = np.zeros((n, batch)), np.zeros((n, batch))
     z, v = np.zeros((m, batch)), np.zeros((m, batch))
     zb = z + B
-    alpha, beta = cfg.over_relaxation, cfg.penalty
+    alpha = cfg.over_relaxation
     alpha_c = 1.0 - alpha
+    beta = np.full(batch, cfg.penalty)
+    tau = _thresholds(beta)  # recomputed only when beta changes or columns leave
     czb = alpha_c * zb  # constant when every rho is 0, as z then stays 0
     noiseless = np.all(rhos == 0.0)
 
@@ -153,7 +169,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     iters = np.full(batch, cfg.max_iters, dtype=int)
     prim, dual = np.full(batch, np.inf), np.full(batch, np.inf)
     done = np.zeros(batch, dtype=bool)
-    dual_tol = np.full(batch, cfg.dual_tol)  # -inf once a column is done, so it is hit once
+    cols = np.arange(batch)  # the original index of each column still running
 
     # z-update: rhos / nz is 0/0, rho/0 or an overflow where nz is 0 or tiny; fmin takes 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -164,7 +180,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
             pxr = alpha * px + (czb if noiseless else alpha_c * zb)
             w_old = w
             xu = xr + u
-            w = _block_shrink(xu, starts, lengths, 1.0 / beta)
+            w = _block_shrink(xu, starts, lengths, tau)
             u = xu - w
             dw = w - w_old
             v_next = v + pxr - B
@@ -178,7 +194,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
             rd = beta * _column_norms(dw)
 
             # only a column that passes the dual test can be hit: rp waits for one
-            hit = rd <= dual_tol
+            hit = rd <= cfg.dual_tol
             balance = it % _BALANCE_EVERY == 0
             if not (balance or it == cfg.max_iters or np.logical_or.reduce(hit)):
                 continue
@@ -186,27 +202,34 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
             rp = np.sqrt(_column_norms(x - w) ** 2 + _column_norms(rz) ** 2)
             hit &= rp <= cfg.primal_tol
             if np.logical_or.reduce(hit):
-                est[:, hit] = w[:, hit]
-                iters[hit] = it
-                prim[hit] = rp[hit]
-                dual[hit] = rd[hit]
-                done |= hit
-                dual_tol[hit] = -np.inf
-                if done.all():
+                # snapshot the converged columns, then drop them from the loop's arrays
+                hit_cols = cols[hit]
+                est[:, hit_cols] = w[:, hit]
+                iters[hit_cols] = it
+                prim[hit_cols] = rp[hit]
+                dual[hit_cols] = rd[hit]
+                done[hit_cols] = True
+                keep = ~hit
+                cols, rp, rd, beta, rhos = (a[keep] for a in (cols, rp, rd, beta, rhos))
+                w, u, z, v, zb, czb, B = (a[:, keep] for a in (w, u, z, v, zb, czb, B))
+                if not cols.size:
                     break
+                tau = _thresholds(beta)
 
             if balance:
-                rp_max, rd_max = rp[~done].max(), rd[~done].max()
-                if rp_max > _BALANCE_RATIO * rd_max:
-                    beta *= _BALANCE_FACTOR
-                    u /= _BALANCE_FACTOR
-                    v /= _BALANCE_FACTOR
-                elif rd_max > _BALANCE_RATIO * rp_max:
-                    beta /= _BALANCE_FACTOR
-                    u *= _BALANCE_FACTOR
-                    v *= _BALANCE_FACTOR
+                # each column balances its own residuals and rescales its own duals
+                up = rp > _BALANCE_RATIO * rd
+                down = rd > _BALANCE_RATIO * rp
+                if np.logical_or.reduce(up | down):
+                    scale = np.where(up, _BALANCE_FACTOR, np.where(down, 1.0 / _BALANCE_FACTOR, 1.0))
+                    beta = beta * scale
+                    tau = _thresholds(beta)
+                    u /= scale
+                    v /= scale
 
-    return np.where(done, est, w), iters, np.where(done, prim, rp), np.where(done, dual, rd), done
+    est[:, cols] = w  # the last iterate of every column still running
+    prim[cols], dual[cols] = rp, rd
+    return est, iters, prim, dual, done
 
 
 def _build_results(phi, B, rhos, outputs, truths):
@@ -320,7 +343,12 @@ def solve_noiseless_batch(
     truths=None,
 ) -> list[RecoveryResult]:
     """Solve the noiseless program for every column of the (m, n) observations
-    `bs` against one matrix."""
+    `bs` against one matrix.
+
+    Each column runs with its own penalty and leaves the iteration when it
+    converges, so its result is that of `solve_noiseless` on the column: the
+    same iterations, and an estimate equal up to BLAS rounding.
+    """
     phi = _checks.instance("phi", phi, SensingMatrix)
     B = _checks.array("observations", bs, (phi.num_rows, None))
     return _solve_batch(phi, B, np.zeros(B.shape[1]), config, _truths(phi, truths, B.shape[1]))
@@ -335,7 +363,12 @@ def solve_noisy_batch(
 ) -> list[RecoveryResult]:
     """Solve the noise-ball program for every column of the (m, n) observations
     `bs`; `rhos` may be a scalar or one radius per column, each a finite
-    real >= 0."""
+    real >= 0.
+
+    Each column runs with its own penalty and leaves the iteration when it
+    converges, so its result is that of `solve_noisy` on the column and its
+    radius: the same iterations, and an estimate equal up to BLAS rounding.
+    """
     phi = _checks.instance("phi", phi, SensingMatrix)
     B = _checks.array("observations", bs, (phi.num_rows, None))
     if isinstance(rhos, np.ndarray) and rhos.ndim == 0:

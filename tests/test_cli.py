@@ -245,6 +245,20 @@ def test_sweep_mistyped_spec_exit_one(tmp_path, capsys, spec):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_sweep_refuses_a_penalty_whose_reciprocal_overflows(tmp_path, capsys):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({
+        "kind": "RECOVERY_TRIALS", "seed": 1, "output_path": str(tmp_path / "out"),
+        "grid": {"l": 6, "d": 2, "m": 9, "s": 1, "rho": [0.0], "trials": 1},
+        "solver": {"penalty": 1e-310},
+    }))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: experiment spec key 'solver': penalty must be a finite real > 0.0 "
+                   "with a finite reciprocal, got 1e-310\n")
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("key, value", [
     ("seed", 2.7), ("seed", [1]), ("success_tol", [1]), ("success_tol", float("nan")),
     pytest.param("success_tol", 10**400, id="success_tol-400_digits"),

@@ -137,9 +137,9 @@ def _ric_certificates() -> str:
 
 # case name -> (ensemble, block lengths, rows, seed, noise radius per column, max_iters).
 # Every matrix has fewer rows than columns, so each observation is feasible.
-# `noiseless_12_gaussian_d1` and `mixed_12_gaussian_d2` rebalance the penalty
-# both up and down; the `unconverged_*` cases stop at max_iters, the second
-# after some of its columns have converged.
+# In `noiseless_12_gaussian_d1` some columns' penalties rebalance up and others'
+# down; every 12-column noisy or mixed case rebalances up; the `unconverged_*`
+# cases stop at max_iters, the second after 4 of its 12 columns have converged.
 _MIXED_RHOS = (0.0, 1e-3, 1e-2, 1e-1) * 3
 ADMM_CASES = {
     "noiseless_1_gaussian_d1": ("gaussian", (1,) * 8, 6, 1, (0.0,), 50_000),

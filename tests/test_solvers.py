@@ -22,6 +22,7 @@ from blockcs import (
     cone_constraint_check,
     error_bound_tight,
     exact_block_ric,
+    gaussian_matrix,
     mixed_norm_2_1,
     sharpness_instance,
     solve_noiseless,
@@ -327,6 +328,16 @@ def test_solver_config_validation():
         SolverConfig(penalty=-1.0)
 
 
+def test_solver_config_refuses_a_penalty_whose_reciprocal_overflows():
+    with pytest.raises(ValueError, match=r"^penalty must be a finite real > 0.0 with a finite "
+                                         r"reciprocal, got 1e-310$"):
+        SolverConfig(penalty=1e-310)
+    # a penalty just above the cut (1 / the largest float, about 5.56e-309) solves finitely
+    phi = spread_kernel_matrix(6, BlockStructure.uniform(2, 4), seed=1)
+    cfg = SolverConfig(penalty=5.6e-309, max_iters=60)
+    assert np.isfinite(solve_noiseless(phi, phi.entries @ np.arange(8.0), cfg).estimate.coeffs).all()
+
+
 def test_result_residuals_respect_tolerances(rng):
     phi, _ = _certified_instance(seed=31)
     x = random_block_sparse(rng, phi.structure, 2)
@@ -447,7 +458,8 @@ def _block_shrink(V, starts, lengths, tau):
 
 def _reference_admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig):
     """The splitting iteration with every residual evaluated on every
-    iteration: the reference that `solvers._admm` must match bit for bit."""
+    iteration and one penalty shared by the batch: the reference that
+    `solvers._admm` must match bit for bit on a batch of one."""
     entries = phi.entries
     entries_t = entries.T
     starts = phi.structure._edges[:-1]
@@ -527,36 +539,68 @@ def _reference_admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: So
     return np.where(done, est, w), iters, np.where(done, prim, rp), np.where(done, dual, rd), done
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    lengths=st.one_of(
+@st.composite
+def _batch_problems(draw, max_columns):
+    """(phi, B, rhos, cfg): up to `max_columns` observations of 1-block-sparse
+    signals, each moved off its exact value by noise of its radius, some zeroed."""
+    lengths = draw(st.one_of(
         st.tuples(st.integers(1, 3), st.integers(2, 8)).map(lambda dl: (dl[0],) * dl[1]),
         st.lists(st.integers(1, 3), min_size=2, max_size=8).map(tuple),
-    ),
-    seed=st.integers(0, 2**32),
-    rhos=st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 1e-1]), min_size=1, max_size=12),
-    max_iters=st.sampled_from([1, 49, 50, 51, 400, None]),
-    data=st.data(),
-)
-def test_admm_matches_reference_loop_bit_for_bit(lengths, seed, rhos, max_iters, data):
+    ), label="lengths")
+    rhos = draw(st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 1e-1]), min_size=1,
+                         max_size=max_columns), label="rhos")
+    max_iters = draw(st.sampled_from([1, 49, 50, 51, 400, None]), label="max_iters")
     structure = BlockStructure(lengths)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32), label="seed"))
     n = structure.total_dim
-    m = data.draw(st.integers(1, n), label="m")
-    phi = SensingMatrix(rng.standard_normal((m, n)), structure)
+    phi = SensingMatrix(rng.standard_normal((draw(st.integers(1, n), label="m"), n)), structure)
     B = np.column_stack([
-        apply(phi, random_block_sparse(rng, structure, 1)) + rho * rng.standard_normal(m)
+        apply(phi, random_block_sparse(rng, structure, 1)) + rho * rng.standard_normal(phi.num_rows)
         for rho in rhos
     ])
-    zero = data.draw(st.lists(st.booleans(), min_size=len(rhos), max_size=len(rhos)), label="zero")
+    zero = draw(st.lists(st.booleans(), min_size=len(rhos), max_size=len(rhos)), label="zero")
     B[:, np.array(zero)] = 0.0
-    rhos = np.array(rhos)
     cfg = SolverConfig() if max_iters is None else SolverConfig(max_iters=max_iters)
+    return phi, B, np.array(rhos), cfg
 
-    est, iters, prim, dual, done = solvers._admm(phi, B, rhos, cfg)
-    ref_est, ref_iters, ref_prim, ref_dual, ref_done = _reference_admm(phi, B, rhos, cfg)
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_batch_problems(max_columns=1))
+def test_admm_matches_reference_loop_bit_for_bit(problem):
+    # a batch of one: the only width at which the per-column loop and the reference agree bit for bit
+    est, iters, prim, dual, done = solvers._admm(*problem)
+    ref_est, ref_iters, ref_prim, ref_dual, ref_done = _reference_admm(*problem)
     assert est.tobytes() == ref_est.tobytes()
     assert iters.tolist() == ref_iters.tolist()
     assert prim.tobytes() == ref_prim.tobytes()
     assert dual.tobytes() == ref_dual.tobytes()
     assert done.tolist() == ref_done.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_batch_problems(max_columns=12))
+def test_admm_batch_columns_match_their_standalone_solves(problem):
+    # not bit for bit: BLAS may round column j of a product differently at another batch width
+    phi, B, rhos, cfg = problem
+    est, iters, _, _, done = solvers._admm(phi, B, rhos, cfg)
+    for j in range(B.shape[1]):
+        one_est, one_iters, _, _, one_done = solvers._admm(phi, B[:, [j]], rhos[[j]], cfg)
+        assert (iters[j], done[j]) == (one_iters[0], one_done[0])
+        scale = max(1.0, np.linalg.norm(one_est[:, 0]))
+        assert np.linalg.norm(est[:, j] - one_est[:, 0]) <= 1e-12 * scale
+
+
+def test_batch_returns_an_unconverged_column_in_its_place():
+    # the noisy middle column runs to max_iters after the noiseless ones leave the loop, one at a time
+    phi = gaussian_matrix(11, BlockStructure.uniform(2, 8), 2)
+    rng = np.random.default_rng(0)
+    B = np.column_stack([apply(phi, random_block_sparse(rng, phi.structure, 2)) for _ in range(3)])
+    rhos, cfg = [0.0, 1e-3, 0.0], SolverConfig(max_iters=400)
+    batch = solve_noisy_batch(phi, B, rhos, cfg)
+    assert [(r.iterations, r.converged) for r in batch] == [(157, True), (400, False), (113, True)]
+    for j, res in enumerate(batch):
+        alone = solve_noisy(phi, B[:, j], rhos[j], cfg)
+        assert (res.iterations, res.converged) == (alone.iterations, alone.converged)
+        np.testing.assert_allclose(res.estimate.coeffs, alone.estimate.coeffs, rtol=0, atol=1e-12)
+        assert res.primal_residual == pytest.approx(alone.primal_residual, rel=1e-9)
+        assert res.dual_residual == pytest.approx(alone.dual_residual, rel=1e-9)
