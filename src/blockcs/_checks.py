@@ -1,9 +1,9 @@
 """The package's one check of arguments from outside: counts, finite reals,
-reals, finite real arrays, instances of a class and file paths.
+reals, finite real arrays, squared norms, instances of a class and file paths.
 
 Each check returns the value converted to int, float, a new float64 array
-or str, or the instance itself, or raises a ValueError that names the
-argument, what it accepts and what it was given.
+or str, the instance itself, or the squared norms, or raises a ValueError
+that names the argument, what it accepts and what it was given.
 """
 
 from __future__ import annotations
@@ -102,3 +102,15 @@ def array(name: str, value, shape: tuple) -> np.ndarray:
             got = "a NaN or inf entry"
     want = ", ".join("*" if n is None else str(n) for n in shape) + ("," if len(shape) == 1 else "")
     raise ValueError(f"{name} must be a finite real array of shape ({want}), got {got}")
+
+
+def squares(name: str, value: np.ndarray, axis=None) -> np.ndarray:
+    """np.add.reduce(value * value, axis), the squared norms of the finite float64
+    array `value` along `axis` (of all of it when None), when each is finite: an
+    entry beyond about 1.3e154 makes its square overflow."""
+    with np.errstate(over="ignore"):
+        sums = np.add.reduce(value * value, axis=axis)
+    if not np.isfinite(sums).all():
+        raise ValueError(f"{name} must have a finite squared norm, "
+                         f"got entries as large as {np.abs(value).max():g}")
+    return sums

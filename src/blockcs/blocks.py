@@ -164,7 +164,8 @@ def _check_signal(name: str, value, structure: BlockStructure | None = None,
 @dataclass(frozen=True, eq=False)
 class SensingMatrix:
     """Dense M x N real matrix whose columns are partitioned by a block structure;
-    equal to a matrix of the same structure and entries, and not hashable."""
+    equal to a matrix of the same structure and entries, and not hashable.  Its
+    squared Frobenius norm must be finite, so that its Gram matrix is."""
 
     entries: np.ndarray
     structure: BlockStructure
@@ -174,6 +175,7 @@ class SensingMatrix:
         arr = _checks.array("entries", self.entries, (None, structure.total_dim))
         if arr.shape[0] < 1:
             raise ValueError("a sensing matrix needs at least one row")
+        _checks.squares("entries", arr)
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 

@@ -33,6 +33,7 @@ _SVD_CUTOFF = 1e-10  # relative singular-value cutoff for restricted least squar
 # and solves a support with cond >= 1 / (_RANK_GUARD * _SVD_CUTOFF) exactly.
 _SCREEN_MARGIN = 64.0
 _RANK_GUARD = 1e4
+_EPS = float(np.finfo(float).eps)
 _FACTOR_BUDGET = 64 * 1024  # bytes kept between calls: one matrix's entries and screen factors
 _ARRAY_OVERHEAD = 256  # bytes a kept array costs beyond its data: its object and containers
 _kept: tuple = (b"", None, 0, {})  # the one matrix whose factors are kept: see _factored_level
@@ -85,7 +86,7 @@ def brute_force_l20(
     """
     phi = _checks.instance("phi", phi, SensingMatrix)
     b = _checks.array("observation", b, (phi.num_rows,))
-    outcome = _l20(phi, b[:, None], *_limits(phi, s_max, residual_tol, cap))[0]
+    outcome = _l20(phi, "observation", b[:, None], *_limits(phi, s_max, residual_tol, cap))[0]
     if isinstance(outcome, NoSparseFitError):
         raise outcome
     return outcome
@@ -112,7 +113,7 @@ def brute_force_l20_batch(
     phi = _checks.instance("phi", phi, SensingMatrix)
     s_max, residual_tol = _limits(phi, s_max, residual_tol, cap)
     B = _checks.array("observations", B, (phi.num_rows, None))
-    return _l20(phi, B, s_max, residual_tol)
+    return _l20(phi, "observations", B, s_max, residual_tol)
 
 
 def _limits(phi: SensingMatrix, s_max, residual_tol, cap) -> tuple[int, float]:
@@ -125,34 +126,47 @@ def _limits(phi: SensingMatrix, s_max, residual_tol, cap) -> tuple[int, float]:
     return s_max, residual_tol
 
 
-def _l20(phi: SensingMatrix, B: np.ndarray, s_max: int, residual_tol: float) -> list:
-    """`brute_force_l20_batch` on checked arguments."""
+def _l20(phi: SensingMatrix, name: str, B: np.ndarray, s_max: int, residual_tol: float) -> list:
+    """`brute_force_l20_batch` on checked arguments, once the columns of `B`, the
+    argument `name`, have finite squared norms."""
     structure = phi.structure
     columns = np.ascontiguousarray(B.T)  # observation j as its own contiguous vector
-    column_norms = np.linalg.norm(columns, axis=1)
+    column_norms = np.sqrt(_checks.squares(name, columns, axis=1))
     outcomes: list = [None] * len(columns)
     best_overall = [math.inf] * len(columns)
     deferred = [[] for _ in columns]  # per column: the support columns of candidates that cannot fit
     unresolved = list(range(len(columns)))
     searched = 0
     for k in range(s_max + 1):
-        obs, norms = columns[unresolved].T, column_norms[unresolved]
-        bound = np.full(len(unresolved), np.inf)  # running upper bound on each best exact residual
+        if len(unresolved) == len(columns):
+            obs, norms = columns.T, column_norms
+        else:
+            obs, norms = columns[unresolved].T, column_norms[unresolved]
+        bound = None  # running upper bound on each best exact residual
         best = [(math.inf, 0, None)] * len(unresolved)
         for sups, groups in _factored_level(phi, k):
             for rows, cols, (q, kappa, forced) in groups:
                 res, margin = _screen(q, kappa, obs, norms)
-                upper = np.where(forced[:, None], np.inf, res + margin)  # forced: bounds nothing
-                bound = np.minimum(bound, upper.min(axis=0))
+                upper = res + margin
+                if forced is not None:
+                    upper = np.where(forced[:, None], np.inf, upper)  # forced: bounds nothing
+                least = upper.min(axis=0)
+                bound = least if bound is None else np.minimum(bound, least)
                 lower = res - margin
-                for i, j in zip(*np.nonzero((lower <= bound) | forced[:, None])):
-                    if lower[i, j] > residual_tol and not forced[i]:  # only a no-fit report needs it
+                hits = lower <= bound
+                if forced is not None:
+                    hits |= forced[:, None]
+                at_i, at_j = hits.nonzero()
+                for i, j, low in zip(at_i.tolist(), at_j.tolist(), lower[at_i, at_j].tolist()):
+                    if low > residual_tol and (forced is None or not forced[i]):
+                        # only a no-fit report needs it
                         deferred[unresolved[j]].append(cols[i])
                         continue
                     res_ij, coef = _solve(phi.entries[:, cols[i]], columns[unresolved[j]])
                     # groups split a chunk out of order: ties keep the lexicographically first
-                    if (res_ij, searched + rows[i]) < best[j][:2]:
-                        best[j] = (res_ij, searched + rows[i], (sups[rows[i]], cols[i], coef))
+                    position = searched + int(rows[i])
+                    if (res_ij, position) < best[j][:2]:
+                        best[j] = (res_ij, position, (sups[rows[i]], cols[i], coef))
             searched += len(sups)
         for j, (best_res, _, found) in zip(unresolved, best):
             best_overall[j] = min(best_overall[j], best_res)
@@ -177,7 +191,8 @@ def _l20(phi: SensingMatrix, B: np.ndarray, s_max: int, residual_tol: float) -> 
 def _solve(sub: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     """(residual, coefficients) of the exact least-squares fit of `b` on the columns `sub`."""
     coef, *_ = np.linalg.lstsq(sub, b, rcond=_SVD_CUTOFF)
-    return float(np.linalg.norm(sub @ coef - b)), coef
+    diff = sub @ coef - b
+    return math.sqrt(diff.dot(diff)), coef  # np.linalg.norm(diff), bit for bit
 
 
 def _factored_level(phi: SensingMatrix, k: int):
@@ -220,10 +235,11 @@ def _factor(entries: np.ndarray, cols: np.ndarray):
     """(q, kappa, forced) of the supports with columns `cols` (g, c), which need no
     observation: q stacks their Q factors, kappa[i] bounds the condition number of
     support i unless forced[i], a support that may be rank-deficient under the cutoff.
-    q is None for the empty support and for supports with more columns than rows."""
+    q is None for the empty support and for supports with more columns than rows;
+    forced is None when no support is forced."""
     g, c = cols.shape
     if c == 0:  # the empty support: its residual is ||b||
-        return None, np.zeros(g), np.zeros(g, dtype=bool)
+        return None, np.zeros(g), None
     if c > entries.shape[0]:  # more columns than rows
         return None, np.zeros(g), np.ones(g, dtype=bool)
     q, r = np.linalg.qr(entries[:, cols].transpose(1, 0, 2))
@@ -237,20 +253,21 @@ def _factor(entries: np.ndarray, cols: np.ndarray):
         smallest2 = pivots2.min(axis=1)
         forced = ~(smallest2 > (_RANK_GUARD * _SVD_CUTOFF) ** 2 * scale2)
         kappa = np.sqrt(np.where(forced, 0.0, scale2 / smallest2))
-    return q, kappa, forced
+    return q, kappa, (forced if forced.any() else None)
 
 
 def _screen(q, kappa: np.ndarray, obs: np.ndarray, norms: np.ndarray):
     """(res, margin) of the supports factored as (q, kappa) against `obs` (m, n):
     res[i, j] = ||b_j - Q_i Q_i^T b_j|| is within margin[i, j] of the exact residual
-    unless the support is forced.  Without q, res is ||b_j||: exact for the empty
-    support, and a support with more columns than rows is forced."""
+    unless the support is forced.  Without q, res is the row `norms` of every ||b_j||,
+    which broadcasts against margin: exact for the empty support, and a support with
+    more columns than rows is forced."""
     if q is None:
-        res = np.broadcast_to(norms, (len(kappa), len(norms)))
+        res = norms
     else:
-        diff = obs - q @ (np.swapaxes(q, 1, 2) @ obs)
+        diff = obs - q @ (q.transpose(0, 2, 1) @ obs)
         res = np.sqrt(np.add.reduce(diff * diff, axis=1))
-    margin = (_SCREEN_MARGIN * obs.shape[0] * np.finfo(float).eps) * kappa[:, None] * norms
+    margin = (_SCREEN_MARGIN * obs.shape[0] * _EPS) * kappa[:, None] * norms
     return res, margin
 
 

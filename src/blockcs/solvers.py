@@ -30,12 +30,13 @@ numpy alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _checks
-from .blocks import BlockSignal, SensingMatrix, _check_signal, mixed_norm_2_1
+from .blocks import BlockSignal, SensingMatrix, _check_signal
 
 __all__ = [
     "SolverConfig",
@@ -234,23 +235,27 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
 
 def _build_results(phi, B, rhos, outputs, truths):
     est, iters, prim, dual, done = outputs
+    structure, entries = phi.structure, phi.entries
     results = []
-    for j in range(B.shape[1]):
-        sig = BlockSignal(est[:, j], phi.structure)
-        resid = float(np.linalg.norm(phi.entries @ est[:, j] - B[:, j]))
-        gap = resid if rhos[j] == 0.0 else max(0.0, resid - float(rhos[j]))
+    for j, (rho, it, rp, rd, ok) in enumerate(zip(rhos.tolist(), iters.tolist(), prim.tolist(),
+                                                   dual.tolist(), done.tolist())):
+        sig = BlockSignal(est[:, j], structure)
+        diff = entries @ est[:, j] - B[:, j]
+        resid = math.sqrt(diff.dot(diff))  # np.linalg.norm(diff), bit for bit
+        gap = resid if rho == 0.0 else max(0.0, resid - rho)
         err = None
         if truths is not None and truths[j] is not None:
-            err = float(np.linalg.norm(est[:, j] - truths[j].coeffs))
+            diff = est[:, j] - truths[j].coeffs
+            err = math.sqrt(diff.dot(diff))
         results.append(
             RecoveryResult(
                 estimate=sig,
-                objective=mixed_norm_2_1(sig),
+                objective=float(sig.block_norms().sum()),  # mixed_norm_2_1(sig)
                 feasibility_gap=gap,
-                iterations=int(iters[j]),
-                primal_residual=float(prim[j]),
-                dual_residual=float(dual[j]),
-                converged=bool(done[j]),
+                iterations=it,
+                primal_residual=rp,
+                dual_residual=rd,
+                converged=ok,
                 error_vector_norm=err,
             )
         )
@@ -276,14 +281,15 @@ def _truths(phi, truths, batch: int):
     return [_truth(phi, f"truths[{j}]", truth) for j, truth in enumerate(truths)]
 
 
-def _solve_batch(phi, B, rhos, config, truths):
-    """Solve column j of the checked (m, n) `B` with the checked radius rhos[j] >= 0
-    and the checked truths[j] (truths may be None)."""
+def _solve_batch(phi, name, B, rhos, config, truths):
+    """Solve column j of the checked (m, n) `B`, the argument `name`, with the checked
+    radius rhos[j] >= 0 and the checked truths[j] (truths may be None), once every
+    column of B has a finite squared norm."""
     cfg = SolverConfig() if config is None else _checks.instance("config", config, SolverConfig)
     if B.shape[1] == 0:
         return []
 
-    scale = np.maximum(1.0, np.linalg.norm(B, axis=0))
+    scale = np.maximum(1.0, np.sqrt(_checks.squares(name, B, axis=0)))  # np.linalg.norm(B, axis=0)
     sol, *_ = np.linalg.lstsq(phi.entries, B, rcond=None)
     dist = np.linalg.norm(phi.entries @ sol - B, axis=0)  # to the range of Phi
     bad = dist > rhos + cfg.feasibility_tol * scale
@@ -315,7 +321,8 @@ def solve_noiseless(
     """
     phi = _checks.instance("phi", phi, SensingMatrix)
     b = _checks.array("observation", b, (phi.num_rows,))
-    return _solve_batch(phi, b[:, None], np.zeros(1), config, [_truth(phi, "truth", truth)])[0]
+    return _solve_batch(phi, "observation", b[:, None], np.zeros(1), config,
+                        [_truth(phi, "truth", truth)])[0]
 
 
 def solve_noisy(
@@ -333,7 +340,8 @@ def solve_noisy(
     phi = _checks.instance("phi", phi, SensingMatrix)
     b = _checks.array("observation", b, (phi.num_rows,))
     rho = _checks.real("rho", rho, 0.0)
-    return _solve_batch(phi, b[:, None], np.full(1, rho), config, [_truth(phi, "truth", truth)])[0]
+    return _solve_batch(phi, "observation", b[:, None], np.full(1, rho), config,
+                        [_truth(phi, "truth", truth)])[0]
 
 
 def solve_noiseless_batch(
@@ -351,7 +359,8 @@ def solve_noiseless_batch(
     """
     phi = _checks.instance("phi", phi, SensingMatrix)
     B = _checks.array("observations", bs, (phi.num_rows, None))
-    return _solve_batch(phi, B, np.zeros(B.shape[1]), config, _truths(phi, truths, B.shape[1]))
+    return _solve_batch(phi, "observations", B, np.zeros(B.shape[1]), config,
+                        _truths(phi, truths, B.shape[1]))
 
 
 def solve_noisy_batch(
@@ -378,4 +387,4 @@ def solve_noisy_batch(
     rhos = _checks.array("rhos", rhos, (B.shape[1],))
     if (rhos < 0).any():
         raise ValueError(f"rhos must hold reals >= 0.0, got {rhos.min():g}")
-    return _solve_batch(phi, B, rhos, config, _truths(phi, truths, B.shape[1]))
+    return _solve_batch(phi, "observations", B, rhos, config, _truths(phi, truths, B.shape[1]))

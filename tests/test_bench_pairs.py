@@ -1,0 +1,74 @@
+"""The parse and compare half of tools/bench_pairs.py, on canned benchmark output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+# the end-to-end part of a BENCHMARK.json
+SPEC = {"end_to_end": [
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s_norm", "unit": "ops/s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]}
+
+
+def _output(ops_per_s_norm, setup_s=0.2, peak_rss_mb=60.0, failed=0, attempted=100):
+    """What bench/run.py --trace 0 prints: the context line, the metric lines, the result line."""
+    metrics = {"setup_s": (setup_s, "s"), "ops_per_s_norm": (ops_per_s_norm, "ops/s"),
+               "peak_rss_mb": (peak_rss_mb, "MB")}
+    lines = [json.dumps({"context": {"seed": 1, "workload": "recover_exact"}})]
+    lines += [f"{name:32s} {value:>16.6g} {unit}" for name, (value, unit) in metrics.items()]
+    lines.append(json.dumps({
+        "correct": failed == 0, "attempted": attempted, "failed": failed,
+        "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()},
+    }))
+    return "\n".join(lines) + "\n"
+
+
+def _runs(values, **fixed):
+    return [bench_pairs.parse_run(_output(v, **fixed)) for v in values]
+
+
+def test_parse_run_reads_the_context_and_the_last_result_line():
+    run = bench_pairs.parse_run(_output(2000.0, failed=3))
+    assert run["context"] == {"seed": 1, "workload": "recover_exact"}
+    values = bench_pairs.run_values(run)
+    assert values == {"setup_s": 0.2, "ops_per_s_norm": 2000.0, "peak_rss_mb": 60.0,
+                      "fail_frac": 0.03}
+    with pytest.raises(ValueError, match="no result line"):
+        bench_pairs.parse_run("setup_s 0.2 s\n")
+
+
+def test_compare_counts_wins_medians_and_a_shown_gain():
+    parent = _runs([2000, 2010, 1990, 2005, 1995, 2002, 1998, 2001, 1999, 2003])
+    change = _runs([2300, 2310, 2290, 2305, 2295, 2302, 1990, 2301, 2299, 2303])
+    summary = bench_pairs.compare(parent, change, SPEC)
+    ops = summary["metrics"]["ops_per_s_norm"]
+    assert ops["wins"] == 9 and ops["pairs"] == 10
+    assert ops["parent"]["median"] == 2000.5 and ops["change"]["median"] == 2300.5
+    assert ops["parent"]["q1"] < ops["parent"]["median"] < ops["parent"]["q3"]
+    assert ops["gain_shown"] and ops["within_bound"] and summary["ok"]
+    # equal setup times and memory: ties count for neither side, and no gain is shown
+    assert summary["metrics"]["setup_s"]["wins"] == 0
+    assert not summary["metrics"]["peak_rss_mb"]["gain_shown"]
+
+
+def test_compare_fails_a_median_beyond_its_bound_or_a_larger_failed_share():
+    parent = _runs([2000] * 5)
+    assert bench_pairs.compare(parent, _runs([1510] * 5), SPEC)["ok"]  # -24.5%: within 25%
+    slow = bench_pairs.compare(parent, _runs([1490] * 5), SPEC)
+    assert not slow["ok"] and not slow["metrics"]["ops_per_s_norm"]["within_bound"]
+    # lower is better for memory: 10% more is within its bound, 11% more is not
+    assert bench_pairs.compare(parent, _runs([2000] * 5, peak_rss_mb=66.0), SPEC)["ok"]
+    assert not bench_pairs.compare(parent, _runs([2000] * 5, peak_rss_mb=66.6), SPEC)["ok"]
+    failing = bench_pairs.compare(parent, _runs([2000] * 5, failed=1), SPEC)
+    assert not failing["ok"] and not failing["metrics"]["fail_frac"]["within_bound"]
+    with pytest.raises(ValueError, match="same number"):
+        bench_pairs.compare(parent, parent[:4], SPEC)

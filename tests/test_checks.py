@@ -68,6 +68,18 @@ def test_array_returns_a_new_float64_array():
     assert _checks.array("x", np.float32([1.5]), (1,)).tolist() == [1.5]
 
 
+def test_squares_give_the_bits_of_numpy_norms_and_refuse_an_overflow():
+    a = np.random.default_rng(3).standard_normal((5, 7)) * 10.0 ** np.arange(-3, 4)
+    for axis in (0, 1):
+        norms = np.sqrt(_checks.squares("a", a, axis=axis))
+        assert norms.tobytes() == np.linalg.norm(a, axis=axis).tobytes()
+    a[2, 3] = 2e154  # one square beyond the float range; its column's and row's sums overflow
+    for axis in (None, 0, 1):
+        with pytest.raises(ValueError, match=r"^a must have a finite squared norm, got entries "
+                                             r"as large as 2e\+154$"):
+            _checks.squares("a", a, axis=axis)
+
+
 @pytest.mark.parametrize("value", ["0.1", "abc", True, None, 0.1 + 0j, 10**400],
                          ids=["str", "text", "bool", "None", "complex", "10**400"])
 def test_number_rejects_what_is_no_real_a_float_holds(value):

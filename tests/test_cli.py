@@ -320,6 +320,28 @@ def test_bad_observation_exit_one(instance_files, capsys, command, obs):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["recover"], ["oracle", "--smax", "2"]], ids=["recover", "oracle"])
+def test_observation_whose_squares_overflow_exit_one(instance_files, capsys, command):
+    _, matrix_path, _, tmp_path = instance_files
+    (tmp_path / "huge.json").write_text(json.dumps([1e308] * 12))
+    assert main([*command, "--matrix", matrix_path, "--obs", str(tmp_path / "huge.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: observation must have a finite squared norm, got entries as ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["recover"], ["ric", "--order", "1"]], ids=["recover", "ric"])
+def test_matrix_whose_squares_overflow_exit_one(instance_files, capsys, command):
+    inst, _, obs_path, tmp_path = instance_files
+    big = tmp_path / "big.json"
+    save_json({**matrix_to_json(inst.phi), "data": (inst.phi.entries * 1e200).ravel().tolist()}, big)
+    obs = ["--obs", obs_path] if command == ["recover"] else []
+    assert main([*command, "--matrix", str(big), *obs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: entries must have a finite squared norm, got entries as ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("rows, message", [
     ("1,2,3,4\n5,x,7,8\n", "phi.csv, row 2: a cell is not a number"),
     ("1,2,3,4\n5,6\n", "entries must be a finite real array of shape (*, 4), got a ragged sequence"),

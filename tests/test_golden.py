@@ -35,6 +35,7 @@ from blockcs import (
     exact_block_ric,
     gaussian_matrix,
     generator,
+    mixed_norm_2_1,
     run_experiment,
     sharpness_instance,
     solve_noisy_batch,
@@ -158,10 +159,9 @@ ADMM_CASES = {
 }
 
 
-def _admm_digest(name: str) -> str:
-    """sha256 over (estimates, iterations, primal, dual, converged) of one
-    batch solve: 2-block-sparse signals, each observation moved by a
-    random vector of norm rho/2 off its exact value."""
+def _admm_case(name: str):
+    """(phi, observations, radii, config, truths) of one batch solve: 2-block-sparse
+    signals, each observation moved by a random vector of norm rho/2 off its exact value."""
     ensemble, lengths, m, seed, rhos, max_iters = ADMM_CASES[name]
     structure = BlockStructure(lengths)
     make = gaussian_matrix if ensemble == "gaussian" else spread_kernel_matrix
@@ -174,7 +174,14 @@ def _admm_digest(name: str) -> str:
             X[sl, j] = rng.standard_normal(sl.stop - sl.start)
     E = rng.standard_normal((m, len(rhos)))
     E *= 0.5 * np.asarray(rhos) / np.linalg.norm(E, axis=0)
-    results = solve_noisy_batch(phi, phi.entries @ X + E, rhos, SolverConfig(max_iters=max_iters))
+    truths = [BlockSignal(X[:, j], structure) for j in range(len(rhos))]
+    return phi, phi.entries @ X + E, rhos, SolverConfig(max_iters=max_iters), truths
+
+
+def _admm_digest(name: str) -> str:
+    """sha256 over (estimates, iterations, primal, dual, converged) of one batch solve."""
+    phi, B, rhos, config, _ = _admm_case(name)
+    results = solve_noisy_batch(phi, B, rhos, config)
     digest = hashlib.sha256()
     for part in (
         np.stack([r.estimate.coeffs for r in results], axis=1),
@@ -294,6 +301,18 @@ def test_golden_ric_certificates():
 
 def test_golden_admm_outputs():
     assert _admm_outputs() == (GOLDEN / "admm_outputs.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(ADMM_CASES))
+def test_admm_result_fields_are_numpy_norms_bit_for_bit(name):
+    phi, B, rhos, config, truths = _admm_case(name)
+    results = solve_noisy_batch(phi, B, rhos, config, truths=truths)
+    for j, (r, rho, truth) in enumerate(zip(results, rhos, truths)):
+        est = r.estimate.coeffs
+        resid = float(np.linalg.norm(phi.entries @ est - B[:, j]))
+        assert r.objective == mixed_norm_2_1(r.estimate)
+        assert r.feasibility_gap == (resid if rho == 0.0 else max(0.0, resid - rho))
+        assert r.error_vector_norm == float(np.linalg.norm(est - truth.coeffs))
 
 
 def test_golden_oracle_outputs():

@@ -162,6 +162,15 @@ def test_oracle_rejects_non_finite_observation():
         brute_force_l20(phi, np.array([0.0, np.nan, 0.0, 0.0]), s_max=1)
 
 
+def test_oracle_rejects_observations_whose_squares_overflow():
+    phi = gaussian_matrix(4, BlockStructure.uniform(2, 4), seed=1)
+    with pytest.raises(ValueError, match=r"^observation must have a finite squared norm"):
+        brute_force_l20(phi, np.full(4, 1e308), s_max=1)
+    B = np.column_stack([np.ones(4), np.full(4, 1e155)])
+    with pytest.raises(ValueError, match=r"^observations must have a finite squared norm"):
+        brute_force_l20_batch(phi, B, s_max=1)
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
 def test_oracle_rejects_bad_residual_tol(tol):
     inst = sharpness_instance(1.0, 2, 2, 6)
@@ -257,7 +266,9 @@ def test_batch_matches_reference_loop(lengths, m, seed, kind, chunk, data):
             sl = structure.block_slice(int(i))
             width = sl.stop - sl.start
             x[sl] = rng.integers(-3, 4, width) if kind == "integer" else rng.standard_normal(width)
-        noise = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 1.0]), label="noise")
+        # 5e-9 and 1e-8 reach the residual tolerance: the empty support's level and the fit/defer
+        # boundary
+        noise = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 5e-9, 1e-8, 1e-3, 1.0]), label="noise")
         columns.append(phi.entries @ x + noise * rng.standard_normal(m))
     B = np.column_stack(columns)
     with mock.patch.object(ric, "_CHUNK", chunk):

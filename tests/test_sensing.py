@@ -196,6 +196,13 @@ def test_matrix_rejects_non_finite_entries(bad):
         SensingMatrix([[1.0, bad]], BlockStructure.uniform(1, 2))
 
 
+@pytest.mark.parametrize("entries", [[[2e154, 0.0]], [[1e154, 1e154]]], ids=["one", "sum"])
+def test_matrix_rejects_entries_whose_squares_overflow(entries):
+    with pytest.raises(ValueError, match=r"^entries must have a finite squared norm, got entries as"):
+        SensingMatrix(entries, BlockStructure.uniform(1, 2))
+    SensingMatrix(np.array(entries) / 2.0, BlockStructure.uniform(1, 2))
+
+
 _BAD_SEEDS = (*BAD_COUNTS, "a", None)
 
 

@@ -200,6 +200,18 @@ def test_solvers_reject_non_finite_observation_and_radius():
         solve_noiseless_batch(phi, np.array([[1.0, 0.0], [np.inf, 1.0]]))
 
 
+def test_solvers_reject_observations_whose_squares_overflow():
+    phi = SensingMatrix(np.eye(2), BlockStructure.uniform(1, 2))
+    huge = np.array([1e308, 1.0])
+    for call in (lambda: solve_noiseless(phi, huge), lambda: solve_noisy(phi, huge, 0.5)):
+        with pytest.raises(ValueError, match=r"^observation must have a finite squared norm"):
+            call()
+    B = np.column_stack([[1.0, 0.0], huge])
+    for call in (lambda: solve_noiseless_batch(phi, B), lambda: solve_noisy_batch(phi, B, 0.5)):
+        with pytest.raises(ValueError, match=r"^observations must have a finite squared norm"):
+            call()
+
+
 def test_noiseless_scaling_equivariance(rng):
     phi, _ = _certified_instance(seed=13)
     st_ = phi.structure
