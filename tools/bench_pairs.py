@@ -6,8 +6,8 @@ Each pair runs `bench/run.py --trace 0` once in the parent tree and once in the
 change tree (the repository this script sits in, unless `--change` names
 another), one after the other, never at once; even pairs run the parent first
 and odd pairs the change.  Every run is a fresh process of the same command
-and settings, so both sides time the same benchmark code only when the
-parent's `bench/` equals the change's.
+and settings, for `BENCHMARK.json`'s `run_seconds`, so both sides time the
+same benchmark code only when the parent's `bench/` equals the change's.
 
 For each workload and each metric of the result line, plus `fail_frac`
 (failed over attempted ops), the JSON file holds each side's runs, median and
@@ -134,7 +134,6 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--workload", action="append", choices=names,
                    help="repeat to pick several (default: every workload)")
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
     p.add_argument("--seed", type=int, default=None, help="default: each workload's own")
     p.add_argument("--out-dir", type=Path, default=ROOT)
     args = p.parse_args(argv)
@@ -142,14 +141,14 @@ def main(argv=None) -> int:
         p.error("--pairs must be at least 1")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    summary = {"label": args.label, "pairs": args.pairs, "seconds": args.seconds,
+    summary = {"label": args.label, "pairs": args.pairs, "seconds": spec["run_seconds"],
                "seed": args.seed, "workloads": {}}
     ok = True
     for workload in args.workload or names:
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                runs[side].append(_run(trees[side], workload, args.seconds, args.seed))
+                runs[side].append(_run(trees[side], workload, spec["run_seconds"], args.seed))
         result = compare(runs["parent"], runs["change"], spec)
         result["context"] = runs["change"][0]["context"]
         summary["workloads"][workload] = result
