@@ -18,10 +18,24 @@ iteration count, and an estimate that differs only by BLAS rounding, which
 can depend on the batch width.  A batch of one runs the one-at-a-time
 iteration itself.
 
-The dual residual is evaluated on every iteration.  A column converges only
-when it also passes the dual test, so the primal residual is evaluated only
-when some running column passes it, on every rebalancing iteration (each
-50th) and on the last iteration; skipping it elsewhere changes no output.
+The dual residual is evaluated on every iteration, with one exception.  A
+lone noiseless column (a batch of one with rho = 0, from the start or once
+the other columns have left) first takes one probe coordinate p, the largest
+|dw| entry at its last full dual test; on an iteration that neither
+rebalances nor is the last, it skips the full residual when
+beta * sqrt(dw_p * dw_p) already exceeds the tolerance.  That changes no
+output: the computed residual fl(beta * sqrt(sum fl(dw_i^2))) is at least the
+one-coordinate value, since each rounded partial sum of non-negative terms
+is at least every term it holds and sqrt and the product round
+monotonically, so the skipped test would have failed.  A column converges
+only when it also passes the dual test, so the primal residual is evaluated
+only when some running column passes it, on every rebalancing iteration
+(each 50th) and on the last iteration; skipping it elsewhere changes no
+output.
+
+A matrix whose scale the unit penalty cannot take (I + Phi^T Phi not
+positive definite in floating point, or iterates that turn non-finite) is
+refused with a ValueError that names the matrix's largest entry.
 
 scipy is imported by the first solve in a process, where the Cholesky
 factor is built, not when the package loads: the rest of the package needs
@@ -53,6 +67,7 @@ __all__ = [
 _BALANCE_EVERY = 50
 _BALANCE_FACTOR = 2.0
 _BALANCE_RATIO = 10.0
+_ONE = np.array(1.0)
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -117,17 +132,24 @@ def block_soft_threshold(x: BlockSignal, tau: float) -> BlockSignal:
 
 def _block_shrink(V: np.ndarray, starts, lengths, tau) -> np.ndarray:
     """Columnwise block soft threshold of an (N, batch) array, for tau > 0, one
-    float or one per column (a block whose norm is at most tau gets scale
-    1 - tau/tau = 0)."""
-    norms = np.sqrt(np.add.reduceat(V * V, starts, axis=0))
-    return (1.0 - tau / np.maximum(norms, tau)).repeat(lengths, axis=0) * V
+    float (or 0-d array) or one per column (a block whose norm is at most tau
+    gets scale 1 - tau/tau = 0)."""
+    scale = np.add.reduceat(V * V, starts, 0)
+    np.sqrt(scale, scale)  # the block norms
+    np.maximum(scale, tau, out=scale)
+    np.divide(tau, scale, scale)
+    np.subtract(_ONE, scale, scale)
+    scale = scale.repeat(lengths, 0)
+    scale *= V
+    return scale
 
 
 def _thresholds(beta: np.ndarray):
-    """The shrink threshold 1/beta of each column: for a lone column a float,
-    which numpy broadcasts faster than a 1-entry array and to the same bits."""
+    """The shrink threshold 1/beta of each column: for a lone column a 0-d
+    array, which numpy broadcasts faster than a 1-entry array and to the same
+    bits."""
     tau = 1.0 / beta
-    return float(tau[0]) if tau.size == 1 else tau
+    return tau.reshape(()) if tau.size == 1 else tau
 
 
 def _column_norms(A: np.ndarray) -> np.ndarray:
@@ -153,52 +175,81 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     import scipy.linalg  # here and nowhere else: a process that never solves never loads scipy
 
     # the caller checked B and rhos finite, so LAPACK's solve runs unchecked
-    chol, lower = scipy.linalg.cho_factor(np.eye(n) + entries_t @ entries)
+    try:
+        chol, lower = scipy.linalg.cho_factor(np.eye(n) + entries_t @ entries)
+    except np.linalg.LinAlgError:
+        raise _scale_error(entries, "I + Phi^T Phi is not positive definite in floating point") from None
     (potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (chol,))
 
     w, u = np.zeros((n, batch)), np.zeros((n, batch))
     z, v = np.zeros((m, batch)), np.zeros((m, batch))
     zb = z + B
-    alpha = cfg.over_relaxation
-    alpha_c = 1.0 - alpha
+    # 0-d arrays: numpy converts a Python float operand again on every call
+    alpha = np.array(cfg.over_relaxation)
+    alpha_c = np.array(1.0 - cfg.over_relaxation)
+    max_iters, dual_tol = cfg.max_iters, cfg.dual_tol
     beta = np.full(batch, cfg.penalty)
     tau = _thresholds(beta)  # recomputed only when beta changes or columns leave
-    czb = alpha_c * zb  # constant when every rho is 0, as z then stays 0
-    noiseless = np.all(rhos == 0.0)
+    czb = zb * alpha_c  # constant when every rho is 0, as z then stays 0
+    noiseless = bool(np.all(rhos == 0.0))
+    # a lone noiseless column first tests its dual residual on one coordinate, `probe`
+    lone, probe = noiseless and batch == 1, 0
 
     est = np.zeros((n, batch))
-    iters = np.full(batch, cfg.max_iters, dtype=int)
+    iters = np.full(batch, max_iters, dtype=int)
     prim, dual = np.full(batch, np.inf), np.full(batch, np.inf)
     done = np.zeros(batch, dtype=bool)
     cols = np.arange(batch)  # the original index of each column still running
 
     # z-update: rhos / nz is 0/0, rho/0 or an overflow where nz is 0 or tiny; fmin takes 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in range(1, cfg.max_iters + 1):
-            x, _ = potrs(chol, (w - u) + entries_t @ (zb - v), lower=lower, overwrite_b=True)
+        for it in range(1, max_iters + 1):
+            rhs = w - u
+            rhs += entries_t @ (zb - v)
+            x, _ = potrs(chol, rhs, lower, 1)  # overwrites rhs
             px = entries @ x
-            xr = alpha * x + alpha_c * w
-            pxr = alpha * px + (czb if noiseless else alpha_c * zb)
+            xu = x * alpha
+            xu += w * alpha_c
+            pxr = px * alpha
+            pxr += czb if noiseless else zb * alpha_c
             w_old = w
-            xu = xr + u
+            xu += u
             w = _block_shrink(xu, starts, lengths, tau)
-            u = xu - w
-            dw = w - w_old
-            v_next = v + pxr - B
+            xu -= w
+            u = xu
+            balance = it % _BALANCE_EVERY == 0
+            last = balance or it == max_iters
             # every rho 0 keeps z at 0: dropping z's terms can flip only a zero's sign in dw
-            if not noiseless:
+            if noiseless:
+                pxr += v
+                pxr -= B
+                v = pxr  # (v + pxr) - B
+                if lone and not last:
+                    # one coordinate's share is a lower bound on the computed rd
+                    d = w.item(probe) - w_old.item(probe)
+                    if beta.item() * math.sqrt(d * d) > dual_tol:
+                        continue
+                dw = w - w_old
+            else:
                 zin = pxr - B + v
-                z_old, z = z, zin * np.fmin(1.0, rhos / _column_norms(zin))
-                v_next, zb = v_next - z, z + B
-                dw = dw + entries_t @ (z - z_old)
-            v = v_next
-            rd = beta * _column_norms(dw)
+                z_old, z = z, zin * np.fmin(_ONE, rhos / _column_norms(zin))
+                v, zb = v + pxr - B - z, z + B
+                dw = (w - w_old) + entries_t @ (z - z_old)
+            sq = dw * dw
+            rd = np.add.reduce(sq, 0)
+            np.sqrt(rd, rd)
+            rd *= beta  # beta * _column_norms(dw)
 
             # only a column that passes the dual test can be hit: rp waits for one
-            hit = rd <= cfg.dual_tol
-            balance = it % _BALANCE_EVERY == 0
-            if not (balance or it == cfg.max_iters or np.logical_or.reduce(hit)):
-                continue
+            if lone:
+                probe = int(sq.argmax())
+                hit = rd.item() <= dual_tol
+                if not (last or hit):
+                    continue
+            else:
+                hit = rd <= dual_tol
+                if not (last or np.logical_or.reduce(hit)):
+                    continue
             rz = px - B if noiseless else px - B - z
             rp = np.sqrt(_column_norms(x - w) ** 2 + _column_norms(rz) ** 2)
             hit &= rp <= cfg.primal_tol
@@ -216,6 +267,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                 if not cols.size:
                     break
                 tau = _thresholds(beta)
+                lone = noiseless and cols.size == 1
 
             if balance:
                 # each column balances its own residuals and rescales its own duals
@@ -229,8 +281,17 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                     v /= scale
 
     est[:, cols] = w  # the last iterate of every column still running
+    if not np.isfinite(est).all():
+        raise _scale_error(entries, "the iterates are not finite")
     prim[cols], dual[cols] = rp, rd
     return est, iters, prim, dual, done
+
+
+def _scale_error(entries: np.ndarray, what: str) -> ValueError:
+    """The error for a matrix whose scale the unit-penalty iteration cannot take."""
+    return ValueError(f"the sensing matrix's scale (largest |entry| {np.abs(entries).max():.3g}) "
+                      f"is out of the solver's range: {what}; rescale the matrix and the "
+                      f"observations toward unit entries")
 
 
 def _build_results(phi, B, rhos, outputs, truths):

@@ -91,6 +91,27 @@ def test_recover_infeasible_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix, scale, shown", [
+    (lambda: blockcs.spread_kernel_matrix(21, BlockStructure.uniform(2, 12), seed=1), 1e8,
+     "the iterates are not finite"),
+    (lambda: gaussian_matrix(4, BlockStructure.uniform(2, 3), seed=1), 1e100,
+     "I + Phi^T Phi is not positive definite in floating point"),
+], ids=["nan_iterates", "cholesky"])
+def test_recover_matrix_scale_out_of_range_exit_one(tmp_path, capsys, matrix, scale, shown):
+    phi = matrix()
+    phi = SensingMatrix(phi.entries * scale, phi.structure)
+    x = np.zeros(phi.num_cols)
+    x[:2], x[-2:] = [1.0, 2.0], [-1.0, 0.5]
+    save_json(matrix_to_json(phi), tmp_path / "phi.json")
+    (tmp_path / "b.json").write_text(json.dumps((phi.entries @ x).tolist()))
+    code = main(["recover", "--matrix", str(tmp_path / "phi.json"), "--obs", str(tmp_path / "b.json"),
+                 "--max-iters", "1000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the sensing matrix's scale (largest |entry| ")
+    assert f"is out of the solver's range: {shown}; rescale" in err and err.count("\n") == 1
+
+
 def test_malformed_json_exit_one(tmp_path, capsys):
     (tmp_path / "phi.json").write_text("{not json")
     assert main(["ric", "--matrix", str(tmp_path / "phi.json"), "--order", "1"]) == 1

@@ -212,6 +212,37 @@ def test_solvers_reject_observations_whose_squares_overflow():
             call()
 
 
+def _scaled_problem(case):
+    """(phi, b): a 2-block-sparse observation through a matrix far from unit scale."""
+    if case == "nan_iterates":
+        phi, scale = spread_kernel_matrix(21, BlockStructure.uniform(2, 12), seed=1), 1e8
+    else:
+        phi, scale = gaussian_matrix(4, BlockStructure.uniform(2, 3), seed=1), 1e100
+    phi = SensingMatrix(phi.entries * scale, phi.structure)
+    x = np.zeros(phi.num_cols)
+    x[:2], x[-2:] = [1.0, 2.0], [-1.0, 0.5]
+    return phi, phi.entries @ x
+
+
+SCALE_ERRORS = [
+    ("nan_iterates", r"^the sensing matrix's scale \(largest \|entry\| 9\.95e\+07\) is out of the "
+                     r"solver's range: the iterates are not finite; rescale the matrix and the "
+                     r"observations toward unit entries$"),
+    ("cholesky", r"^the sensing matrix's scale \(largest \|entry\| 1\.38e\+100\) is out of the "
+                 r"solver's range: I \+ Phi\^T Phi is not positive definite in floating point; "),
+]
+
+
+@pytest.mark.parametrize("case, message", SCALE_ERRORS, ids=[case for case, _ in SCALE_ERRORS])
+def test_solves_name_a_matrix_scale_out_of_the_solvers_range(case, message):
+    phi, b = _scaled_problem(case)
+    cfg = SolverConfig(max_iters=1000)
+    for call in (lambda: solve_noiseless(phi, b, cfg), lambda: solve_noisy(phi, b, 0.0, cfg),
+                 lambda: solve_noisy_batch(phi, np.column_stack([b, b]), [0.0, 1e-3], cfg)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_noiseless_scaling_equivariance(rng):
     phi, _ = _certified_instance(seed=13)
     st_ = phi.structure
@@ -468,10 +499,12 @@ def _block_shrink(V, starts, lengths, tau):
     return np.repeat(1.0 - tau / np.maximum(norms, tau), lengths, axis=0) * V
 
 
-def _reference_admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig):
+def _reference_admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig,
+                    rebalances: list | None = None):
     """The splitting iteration with every residual evaluated on every
     iteration and one penalty shared by the batch: the reference that
-    `solvers._admm` must match bit for bit on a batch of one."""
+    `solvers._admm` must match bit for bit on a batch of one.  Each
+    rebalance appends "up" or "down" to `rebalances`, when given."""
     entries = phi.entries
     entries_t = entries.T
     starts = phi.structure._edges[:-1]
@@ -543,10 +576,14 @@ def _reference_admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: So
                 beta *= _BALANCE_FACTOR
                 u /= _BALANCE_FACTOR
                 v /= _BALANCE_FACTOR
+                if rebalances is not None:
+                    rebalances.append("up")
             elif rd_max > _BALANCE_RATIO * rp_max:
                 beta /= _BALANCE_FACTOR
                 u *= _BALANCE_FACTOR
                 v *= _BALANCE_FACTOR
+                if rebalances is not None:
+                    rebalances.append("down")
 
     return np.where(done, est, w), iters, np.where(done, prim, rp), np.where(done, dual, rd), done
 
@@ -600,6 +637,75 @@ def test_admm_batch_columns_match_their_standalone_solves(problem):
         assert (iters[j], done[j]) == (one_iters[0], one_done[0])
         scale = max(1.0, np.linalg.norm(one_est[:, 0]))
         assert np.linalg.norm(est[:, j] - one_est[:, 0]) <= 1e-12 * scale
+
+
+def _failing_noiseless_problem(seed, d, k, s, m, penalty, max_iters, tol):
+    """(phi, B, rhos, cfg): one noiseless observation of an s-block-sparse signal, s >= 2,
+    through m < s*d rows, so the truth is not recovered and the iteration runs long."""
+    structure = BlockStructure.uniform(d, k)
+    rng = np.random.default_rng(seed)
+    phi = SensingMatrix(rng.standard_normal((m, d * k)), structure)
+    B = apply(phi, random_block_sparse(rng, structure, s))[:, None]
+    return phi, B, np.zeros(1), SolverConfig(max_iters=max_iters, penalty=penalty,
+                                             primal_tol=tol, dual_tol=tol)
+
+
+@st.composite
+def _failing_noiseless_problems(draw):
+    d, k = draw(st.integers(1, 3), label="d"), draw(st.integers(4, 8), label="k")
+    s = draw(st.integers(2, k // 2 + 1), label="s")
+    return _failing_noiseless_problem(
+        draw(st.integers(0, 2**32), label="seed"), d, k, s, draw(st.integers(1, s * d - 1), label="m"),
+        # a small penalty rebalances up, a large one down
+        draw(st.sampled_from([1e-2, 1.0, 1e2]), label="penalty"),
+        draw(st.sampled_from([137, 1001]), label="max_iters"),
+        draw(st.sampled_from([1e-9, 1e-13]), label="tol"),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=_failing_noiseless_problems())
+def test_admm_lone_noiseless_column_that_fails_recovery_matches_reference_bit_for_bit(problem):
+    # the lone noiseless column skips its dual residual where one coordinate fails the test
+    outputs = solvers._admm(*problem)
+    for got, want in zip(outputs, _reference_admm(*problem)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("max_iters", [137, 1001])
+def test_failing_noiseless_problems_run_long_and_rebalance(max_iters):
+    # what the bit-for-bit test above draws: hundreds of iterations, rebalancing either way
+    runs = []
+    for penalty, direction in [(1e-2, "up"), (1e2, "down")]:
+        for seed in range(3):
+            problem = _failing_noiseless_problem(seed, 2, 6, 3, 4, penalty, max_iters, 1e-13)
+            rebalances = []
+            _, iters, _, _, done = _reference_admm(*problem, rebalances)
+            assert rebalances and set(rebalances) == {direction}
+            runs.append((int(iters[0]), bool(done[0])))
+    assert min(it for it, _ in runs) >= 137 and (max_iters, False) in runs
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=_failing_noiseless_problems(), zero_first=st.booleans())
+def test_admm_noiseless_batch_compacted_to_one_column_skips_no_outcome(problem, zero_first):
+    # a zero observation converges on the first iteration and leaves the other column alone;
+    # the same batch, with the one-coordinate probe never deciding, gives the same bits
+    phi, b, _, cfg = problem
+    B = np.column_stack([np.zeros_like(b[:, 0]), b[:, 0]][:: 1 if zero_first else -1])
+    probes = []
+
+    def sqrt(value):
+        probes.append(value)
+        return math.sqrt(value)
+
+    with mock.patch.object(solvers, "math", mock.Mock(sqrt=sqrt)):
+        outputs = solvers._admm(phi, B, np.zeros(2), cfg)
+    with mock.patch.object(solvers, "math", mock.Mock(sqrt=lambda value: 0.0)):
+        full = solvers._admm(phi, B, np.zeros(2), cfg)
+    assert outputs[1][1 - zero_first] == 1 and probes
+    for got, want in zip(outputs, full):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_batch_returns_an_unconverged_column_in_its_place():

@@ -18,9 +18,14 @@ change won at least nine pairs in ten and its median beats the parent's by more
 than the parent's interquartile range.  Every run of one call uses one seed,
 `--seed` or each workload's default; call it again to show a claim at another.
 
-The exit code is 0 when every end-to-end median is within its bound and no
+After a workload's pairs, one `bench/run.py --trace 1` pass per side records
+the deterministic counters (`COUNTERS`: solver iterations and loop steps, RIC
+and oracle supports enumerated, experiment trials) under "counters", with the
+names of those that differ.
+
+The exit code is 0 when every end-to-end median is within its bound, no
 workload fails a larger share of ops, over all its runs, than at the parent,
-and 1 otherwise.
+and every counter equals the parent's, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# per-pass counts of a traced run: equal on both sides when the work is the same
+COUNTERS = ("solvers.iters", "solvers.steps", "ric.supports", "oracle.supports",
+            "experiments.trials")
 
 
 def parse_run(stdout: str) -> dict:
@@ -113,9 +121,18 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
     return {"metrics": metrics, "ok": ok}
 
 
-def _run(tree: Path, workload: str, seconds: float, seed: int | None) -> dict:
+def compare_counters(parent: dict, change: dict) -> dict:
+    """`COUNTERS` of one parsed traced run per side, and the names of those that
+    differ (a counter missing from a run reads None)."""
+    sides = {side: {name: run["result"]["metrics"].get(name, {}).get("value") for name in COUNTERS}
+             for side, run in (("parent", parent), ("change", change))}
+    differ = [name for name in COUNTERS if sides["parent"][name] != sides["change"][name]]
+    return {**sides, "differ": differ, "equal": not differ}
+
+
+def _run(tree: Path, workload: str, seconds: float, seed: int | None, trace: int = 0) -> dict:
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(seconds),
-            "--trace", "0"]
+            "--trace", str(trace)]
     if seed is not None:
         argv += ["--seed", str(seed)]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
@@ -151,12 +168,20 @@ def main(argv=None) -> int:
                 runs[side].append(_run(trees[side], workload, spec["run_seconds"], args.seed))
         result = compare(runs["parent"], runs["change"], spec)
         result["context"] = runs["change"][0]["context"]
+        # one traced pass per side: --seconds 0 stops after the first whole pass
+        traced = {side: _run(trees[side], workload, 0, args.seed, trace=1) for side in trees}
+        counters = result["counters"] = compare_counters(traced["parent"], traced["change"])
+        result["ok"] &= counters["equal"]
         summary["workloads"][workload] = result
         ok &= result["ok"]
         for name, m in result["metrics"].items():
             print(f"{workload:14s} {name:16s} parent {m['parent']['median']:12.6g} "
                   f"change {m['change']['median']:12.6g} wins {m['wins']}/{m['pairs']}"
                   f"{'' if m.get('within_bound', True) else '  WORSE THAN BOUND'}", flush=True)
+        for name in COUNTERS:
+            print(f"{workload:14s} {name:18s} parent {counters['parent'][name]} "
+                  f"change {counters['change'][name]}"
+                  f"{'  DIFFERS' if name in counters['differ'] else ''}", flush=True)
     summary["ok"] = ok
     out = args.out_dir / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(summary, indent=2) + "\n")
