@@ -33,18 +33,27 @@ only when some running column passes it, on every rebalancing iteration
 (each 50th) and on the last iteration; skipping it elsewhere changes no
 output.
 
-A matrix whose scale the unit penalty cannot take (I + Phi^T Phi not
-positive definite in floating point, or iterates that turn non-finite) is
-refused with a ValueError that names the matrix's largest entry.
+A matrix whose scale the unit penalty cannot take (I + Phi^T Phi not finite
+or not positive definite in floating point, or iterates that turn
+non-finite) is refused with a ValueError that names the matrix's largest
+entry.
 
-scipy is imported by the first solve in a process, where the Cholesky
-factor is built, not when the package loads: the rest of the package needs
-numpy alone.
+The Cholesky factor and its solves are LAPACK's dpotrf and dpotrs from
+scipy's LAPACK wrapper, the extension module scipy.linalg._flapack, which the
+first solve in a process loads on its own: scipy.linalg itself is never
+imported, and the rest of the package needs numpy alone.  These are the very
+functions that scipy.linalg.cho_factor and get_lapack_funcs call, with the
+same arguments, so the results are the same bits.  scipy >= 1.10 ships the
+module with both functions; only scipy 1.17.1 has been checked.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +77,7 @@ _BALANCE_EVERY = 50
 _BALANCE_FACTOR = 2.0
 _BALANCE_RATIO = 10.0
 _ONE = np.array(1.0)
+_FLAPACK = "scipy.linalg._flapack"
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -172,14 +182,18 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     m, n = entries.shape
     batch = B.shape[1]
 
-    import scipy.linalg  # here and nowhere else: a process that never solves never loads scipy
-
-    # the caller checked B and rhos finite, so LAPACK's solve runs unchecked
-    try:
-        chol, lower = scipy.linalg.cho_factor(np.eye(n) + entries_t @ entries)
-    except np.linalg.LinAlgError:
-        raise _scale_error(entries, "I + Phi^T Phi is not positive definite in floating point") from None
-    (potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (chol,))
+    # scipy.linalg.cho_factor, with its checks, and the potrs get_lapack_funcs returns for it
+    lapack = _lapack()
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        gram = np.eye(n) + entries_t @ entries
+    if not np.isfinite(gram).all():
+        raise _scale_error(entries, "I + Phi^T Phi is not finite")
+    chol, info = lapack.dpotrf(gram, lower=0, clean=0)
+    if info > 0:
+        raise _scale_error(entries, "I + Phi^T Phi is not positive definite in floating point")
+    if info < 0:
+        raise RuntimeError(f"LAPACK's dpotrf reported an illegal value in its argument {-info}")
+    potrs = lapack.dpotrs  # the caller checked B and rhos finite, so it runs unchecked
 
     w, u = np.zeros((n, batch)), np.zeros((n, batch))
     z, v = np.zeros((m, batch)), np.zeros((m, batch))
@@ -206,7 +220,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
         for it in range(1, max_iters + 1):
             rhs = w - u
             rhs += entries_t @ (zb - v)
-            x, _ = potrs(chol, rhs, lower, 1)  # overwrites rhs
+            x, _ = potrs(chol, rhs, 0, 1)  # the upper factor; overwrites rhs
             px = entries @ x
             xu = x * alpha
             xu += w * alpha_c
@@ -285,6 +299,31 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
         raise _scale_error(entries, "the iterates are not finite")
     prim[cols], dual[cols] = rp, rd
     return est, iters, prim, dual, done
+
+
+def _lapack():
+    """scipy's LAPACK wrapper, the module `scipy.linalg._flapack`, loaded on the
+    first call without running `scipy/linalg/__init__.py`: the package would
+    load all of scipy.linalg, and the solver needs only dpotrf and dpotrs.
+
+    The module is loaded under its full name and kept in `sys.modules`, so a
+    later `import scipy.linalg` finds and uses this very module.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+
+        # PathFinder searches the one directory given; importlib.util.find_spec
+        # would import the parent package scipy.linalg first
+        found = importlib.machinery.PathFinder.find_spec(
+            "_flapack", [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+        if found is None:
+            raise ImportError(f"scipy {scipy.__version__} has no LAPACK wrapper {_FLAPACK}")
+        spec = importlib.util.spec_from_file_location(_FLAPACK, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    return module
 
 
 def _scale_error(entries: np.ndarray, what: str) -> ValueError:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from blockcs import BlockSignal, BlockStructure
+from blockcs import BlockSignal, BlockStructure, SensingMatrix
 
 
 @pytest.fixture
@@ -35,6 +35,31 @@ def strip_wall_time(csv_text: str) -> str:
     """Trial CSV text without its last column, wall_time, the only nondeterministic field."""
     lines = (ln if ln.startswith("#") else ln.rsplit(",", 1)[0] for ln in csv_text.splitlines())
     return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def gram_overflow_phi():
+    """A 65 x 1 sensing matrix whose Gram matrix Phi^T Phi rounds past the
+    largest double although its squared norm is finite; the test is skipped
+    where the BLAS sums it without overflow.
+
+    The first entry's square is one ulp below the largest double, and eight
+    entries, every eighth, square to 0.45 ulp each.  numpy's pairwise sum adds
+    them to the first square one at a time in one accumulator, where each is
+    below half an ulp and rounds away; a BLAS dot kernel with wider
+    accumulators sums the small squares apart, and their 3.6 ulp tip the
+    total to inf.
+    """
+    big = math.sqrt(np.finfo(float).max)
+    while big * big == math.inf:
+        big = math.nextafter(big, 0.0)
+    col = np.zeros(65)
+    col[0], col[8::8] = big, math.sqrt(0.45 * (np.finfo(float).max - big * big))
+    phi = SensingMatrix(col[:, None], BlockStructure((1,)))
+    with np.errstate(over="ignore"):
+        if np.isfinite(phi.entries.T @ phi.entries).all():
+            pytest.skip("this BLAS sums the Gram matrix in numpy's order, without overflow")
+    return phi
 
 
 BAD_COUNTS = (math.nan, math.inf, True, 2.9)

@@ -112,6 +112,17 @@ def test_recover_matrix_scale_out_of_range_exit_one(tmp_path, capsys, matrix, sc
     assert f"is out of the solver's range: {shown}; rescale" in err and err.count("\n") == 1
 
 
+def test_recover_gram_matrix_that_overflows_exit_one(tmp_path, capsys, gram_overflow_phi):
+    save_json(matrix_to_json(gram_overflow_phi), tmp_path / "phi.json")
+    (tmp_path / "b.json").write_text(json.dumps((gram_overflow_phi.entries[:, 0] * 1e-154).tolist()))
+    code = main(["recover", "--matrix", str(tmp_path / "phi.json"), "--obs", str(tmp_path / "b.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the sensing matrix's scale (largest |entry| 1.34e+154) is out of "
+                          "the solver's range: I + Phi^T Phi is not finite; rescale ")
+    assert err.count("\n") == 1
+
+
 def test_malformed_json_exit_one(tmp_path, capsys):
     (tmp_path / "phi.json").write_text("{not json")
     assert main(["ric", "--matrix", str(tmp_path / "phi.json"), "--order", "1"]) == 1

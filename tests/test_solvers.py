@@ -243,6 +243,18 @@ def test_solves_name_a_matrix_scale_out_of_the_solvers_range(case, message):
             call()
 
 
+def test_solves_name_a_gram_matrix_that_overflows(gram_overflow_phi):
+    # cho_factor's finiteness check, as a named error
+    phi = gram_overflow_phi
+    b = phi.entries[:, 0] * 1e-154
+    message = (r"^the sensing matrix's scale \(largest \|entry\| 1\.34e\+154\) is out of the "
+               r"solver's range: I \+ Phi\^T Phi is not finite; rescale ")
+    for call in (lambda: solve_noiseless(phi, b), lambda: solve_noisy(phi, b, 1e-3),
+                 lambda: solve_noiseless_batch(phi, np.column_stack([b, 2 * b]))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_noiseless_scaling_equivariance(rng):
     phi, _ = _certified_instance(seed=13)
     st_ = phi.structure
