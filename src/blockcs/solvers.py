@@ -18,20 +18,30 @@ iteration count, and an estimate that differs only by BLAS rounding, which
 can depend on the batch width.  A batch of one runs the one-at-a-time
 iteration itself.
 
-The dual residual is evaluated on every iteration, with one exception.  A
-lone noiseless column (a batch of one with rho = 0, from the start or once
-the other columns have left) first takes one probe coordinate p, the largest
-|dw| entry at its last full dual test; on an iteration that neither
-rebalances nor is the last, it skips the full residual when
-beta * sqrt(dw_p * dw_p) already exceeds the tolerance.  That changes no
-output: the computed residual fl(beta * sqrt(sum fl(dw_i^2))) is at least the
-one-coordinate value, since each rounded partial sum of non-negative terms
-is at least every term it holds and sqrt and the product round
-monotonically, so the skipped test would have failed.  A column converges
-only when it also passes the dual test, so the primal residual is evaluated
-only when some running column passes it, on every rebalancing iteration
-(each 50th) and on the last iteration; skipping it elsewhere changes no
-output.
+The residuals are evaluated only where a column can converge, on every
+rebalancing iteration (each 50th), which needs them, and on the last one,
+which reports them.  The two skips below happen only on the other
+iterations, and change no output.
+
+- A lone noiseless column (a batch of one with rho = 0, from the start or
+  once the other columns have left) first takes one probe coordinate p, the
+  largest |dw| entry at its last full dual test, and skips both residuals
+  when beta * sqrt(dw_p * dw_p) already exceeds the dual tolerance.  The
+  computed residual fl(beta * sqrt(sum fl(dw_i^2))) is at least that
+  one-coordinate value, since each rounded partial sum of non-negative terms
+  is at least every term it holds and sqrt and the product round
+  monotonically, so the skipped test would have failed.
+- A noisy batch (some rho > 0) first computes xw2 = ||x - w||^2 of each
+  running column, and skips both residuals when fl(sqrt(xw2)) exceeds the
+  primal tolerance for every one of them.  The primal residual is
+  rp = fl(sqrt(fl(xw2 + fl(nz^2)))), with nz = ||Phi x - b - z||, computed
+  from that very xw2; as fl(nz^2) >= 0 and the sum and sqrt round
+  monotonically, rp >= fl(sqrt(xw2)), so no column could converge there (a
+  NaN rp fails the test as well).  A NaN xw2 never skips.
+
+Otherwise the dual residual is evaluated, and since a column converges only
+when it passes both tests, the primal residual waits for a running column to
+pass the dual one.
 
 A matrix whose scale the unit penalty cannot take (I + Phi^T Phi not finite
 or not positive definite in floating point, or iterates that turn
@@ -167,6 +177,14 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(A * A, axis=0))
 
 
+def _rules_out(xw2: np.ndarray, tol: float) -> bool:
+    """Whether sqrt(xw2) > tol for every running column, xw2 being each column's
+    squared ||x - w||, so that no primal residual can pass tol.  It takes the
+    sqrt of the smallest entry alone, which sqrt's monotone rounding allows; a
+    NaN entry makes the minimum NaN and the answer False."""
+    return math.sqrt(np.minimum.reduce(xw2)) > tol
+
+
 def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig):
     """Run the splitting iteration on a batch of right-hand sides.
 
@@ -201,7 +219,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     # 0-d arrays: numpy converts a Python float operand again on every call
     alpha = np.array(cfg.over_relaxation)
     alpha_c = np.array(1.0 - cfg.over_relaxation)
-    max_iters, dual_tol = cfg.max_iters, cfg.dual_tol
+    max_iters, primal_tol, dual_tol = cfg.max_iters, cfg.primal_tol, cfg.dual_tol
     beta = np.full(batch, cfg.penalty)
     tau = _thresholds(beta)  # recomputed only when beta changes or columns leave
     czb = zb * alpha_c  # constant when every rho is 0, as z then stays 0
@@ -248,6 +266,10 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                 zin = pxr - B + v
                 z_old, z = z, zin * np.fmin(_ONE, rhos / _column_norms(zin))
                 v, zb = v + pxr - B - z, z + B
+                # rp is at least sqrt(xw2): where that fails every column, none can converge
+                xw2 = _column_norms(x - w) ** 2
+                if not last and _rules_out(xw2, primal_tol):
+                    continue
                 dw = (w - w_old) + entries_t @ (z - z_old)
             sq = dw * dw
             rd = np.add.reduce(sq, 0)
@@ -264,9 +286,12 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                 hit = rd <= dual_tol
                 if not (last or np.logical_or.reduce(hit)):
                     continue
-            rz = px - B if noiseless else px - B - z
-            rp = np.sqrt(_column_norms(x - w) ** 2 + _column_norms(rz) ** 2)
-            hit &= rp <= cfg.primal_tol
+            if noiseless:
+                rz, xw2 = px - B, _column_norms(x - w) ** 2
+            else:
+                rz = px - B - z
+            rp = np.sqrt(xw2 + _column_norms(rz) ** 2)
+            hit &= rp <= primal_tol
             if np.logical_or.reduce(hit):
                 # snapshot the converged columns, then drop them from the loop's arrays
                 hit_cols = cols[hit]

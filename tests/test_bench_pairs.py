@@ -74,17 +74,19 @@ def test_compare_fails_a_median_beyond_its_bound_or_a_larger_failed_share():
         bench_pairs.compare(parent, parent[:4], SPEC)
 
 
-COUNTS = {"solvers.iters": 310155, "solvers.steps": 310155, "ric.supports": 190320,
-          "oracle.supports": 0, "experiments.trials": 960}
+COUNTS = {"solvers.iters": 442957, "solvers.steps": 93820, "solvers.unconverged": 0,
+          "solvers.iters_mean.rho_1e-3": 3904.25, "solvers.iters_mean.rho_1e-2": 1192.5,
+          "solvers.iters_mean.rho_1e-1": 441.0625, "ric.supports": 0, "oracle.supports": 0,
+          "experiments.trials": 0}
 
 
 def _traced_output(**changed):
     """What bench/run.py --trace 1 prints: the context line, the per-layer lines, the result line."""
     metrics = {**COUNTS, "solvers.self_s": 5.4, **changed}
-    lines = [json.dumps({"context": {"seed": 42, "workload": "phase_sweep", "trace": 1}})]
+    lines = [json.dumps({"context": {"seed": 20250810, "workload": "recover_noisy", "trace": 1}})]
     lines += [f"{name:32s} {value:>16.6g} count" for name, value in metrics.items()]
     lines.append(json.dumps({
-        "correct": True, "attempted": 1920, "failed": 0,
+        "correct": True, "attempted": 240, "failed": 0,
         "metrics": {name: {"value": float(value), "unit": "count"} for name, value in metrics.items()},
     }))
     return "\n".join(lines) + "\n"
@@ -98,13 +100,25 @@ def test_compare_counters_names_each_counter_that_differs():
     # the per-layer times differ between any two runs and are not counters
     slower = bench_pairs.parse_run(_traced_output(**{"solvers.self_s": 7.0}))
     assert bench_pairs.compare_counters(parent, slower)["equal"]
-    more = bench_pairs.parse_run(_traced_output(**{"solvers.iters": 310156, "ric.supports": 1}))
+    more = bench_pairs.parse_run(_traced_output(**{"solvers.iters": 442958, "ric.supports": 1}))
     differs = bench_pairs.compare_counters(parent, more)
     assert not differs["equal"] and differs["differ"] == ["solvers.iters", "ric.supports"]
-    assert differs["change"]["solvers.iters"] == 310156.0
+    assert differs["change"]["solvers.iters"] == 442958.0
 
 
-@pytest.mark.parametrize("change_iters, code", [(310155, 0), (310156, 1)])
+@pytest.mark.parametrize("name, value", [
+    ("solvers.unconverged", 1), ("solvers.iters_mean.rho_1e-3", 3904.5),
+    ("solvers.iters_mean.rho_1e-2", 1192.25), ("solvers.iters_mean.rho_1e-1", 441.0),
+])
+def test_compare_counters_gates_unconverged_columns_and_iterations_per_radius(name, value):
+    # a column that no longer converges, or iterations moved between radii at the same total
+    parent = bench_pairs.parse_run(_traced_output())
+    differs = bench_pairs.compare_counters(parent, bench_pairs.parse_run(_traced_output(**{name: value})))
+    assert not differs["equal"] and differs["differ"] == [name]
+    assert (differs["parent"][name], differs["change"][name]) == (float(COUNTS[name]), value)
+
+
+@pytest.mark.parametrize("change_iters, code", [(442957, 0), (442958, 1)])
 def test_main_exits_one_when_a_traced_counter_differs(tmp_path, monkeypatch, change_iters, code):
     # canned runs stand in for bench/run.py: equal timings, and the change's traced iterations
     def fake_run(tree, workload, seconds, seed, trace=0):
@@ -115,9 +129,9 @@ def test_main_exits_one_when_a_traced_counter_differs(tmp_path, monkeypatch, cha
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-            "--label", "t", "--pairs", "2", "--workload", "phase_sweep", "--out-dir", str(tmp_path)]
+            "--label", "t", "--pairs", "2", "--workload", "recover_noisy", "--out-dir", str(tmp_path)]
     assert bench_pairs.main(argv) == code
     summary = json.loads((tmp_path / "BENCH_t.json").read_text())
-    counters = summary["workloads"]["phase_sweep"]["counters"]
+    counters = summary["workloads"]["recover_noisy"]["counters"]
     assert counters["differ"] == ([] if code == 0 else ["solvers.iters"])
     assert summary["ok"] is (code == 0)

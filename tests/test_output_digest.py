@@ -17,9 +17,11 @@ def _digest_lines():
 
 def test_output_digest_is_the_same_in_two_processes():
     first = _digest_lines()
-    assert [line.split()[0] for line in first] == ["recover_exact", "recover_noisy", "phase_sweep"]
+    assert [line.split()[0] for line in first] == ["recover_exact", "recover_noisy", "phase_sweep",
+                                                    "ric_certify"]
     for line in first:
         assert re.fullmatch(r"\w+ [0-9a-f]{64} [1-9]\d*", line), line
-    # one solver result and one oracle outcome per column; 12 noisy columns per instance
-    assert [int(line.split()[2]) for line in first] == [240, 36, 8]
+    # one solver result and one oracle outcome per column; 12 noisy columns per instance;
+    # one matrix and its certificate per small RIC config
+    assert [int(line.split()[2]) for line in first] == [240, 36, 8, 3]
     assert _digest_lines() == first

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 from blockcs import (
@@ -601,16 +601,18 @@ def _reference_admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: So
 
 
 @st.composite
-def _batch_problems(draw, max_columns):
-    """(phi, B, rhos, cfg): up to `max_columns` observations of 1-block-sparse
-    signals, each moved off its exact value by noise of its radius, some zeroed."""
+def _batch_problems(draw, max_columns, min_columns=1,
+                    max_iters=(1, 49, 50, 51, 99, 100, 101, 400, None)):
+    """(phi, B, rhos, cfg): `min_columns` to `max_columns` observations of
+    1-block-sparse signals, each moved off its exact value by noise of its
+    radius, some zeroed; cfg has one of `max_iters` (None: the default)."""
     lengths = draw(st.one_of(
         st.tuples(st.integers(1, 3), st.integers(2, 8)).map(lambda dl: (dl[0],) * dl[1]),
         st.lists(st.integers(1, 3), min_size=2, max_size=8).map(tuple),
     ), label="lengths")
-    rhos = draw(st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 1e-1]), min_size=1,
+    rhos = draw(st.lists(st.sampled_from([0.0, 1e-3, 1e-2, 1e-1]), min_size=min_columns,
                          max_size=max_columns), label="rhos")
-    max_iters = draw(st.sampled_from([1, 49, 50, 51, 400, None]), label="max_iters")
+    max_iters = draw(st.sampled_from(max_iters), label="max_iters")
     structure = BlockStructure(lengths)
     rng = np.random.default_rng(draw(st.integers(0, 2**32), label="seed"))
     n = structure.total_dim
@@ -718,6 +720,62 @@ def test_admm_noiseless_batch_compacted_to_one_column_skips_no_outcome(problem, 
     assert outputs[1][1 - zero_first] == 1 and probes
     for got, want in zip(outputs, full):
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _noisy_batch_problems(draw):
+    """(phi, B, rhos, cfg): 2 to 12 columns, column j noisy, the others of any radius;
+    when `compact` is drawn, every other column is zero, converges on the first
+    iteration and leaves column j to run alone."""
+    phi, B, rhos, cfg = draw(_batch_problems(max_columns=12, min_columns=2,
+                                             max_iters=(49, 50, 51, 400, None)))
+    j = draw(st.integers(0, len(rhos) - 1), label="j")
+    rhos[j] = draw(st.sampled_from([1e-3, 1e-2, 1e-1]), label="rho_j")
+    if draw(st.booleans(), label="compact"):
+        assume(B[:, j].any())
+        B[:, np.arange(len(rhos)) != j] = 0.0
+    return phi, B, rhos, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_noisy_batch_problems())
+def test_admm_noisy_batch_skips_no_outcome(problem):
+    # a step on which ||x - w|| alone fails every running column's primal test skips the
+    # residuals; the same loop, with that bound never deciding, gives the same bits
+    outputs = solvers._admm(*problem)
+    with mock.patch.object(solvers, "_rules_out", lambda xw2, tol: False):
+        full = solvers._admm(*problem)
+    for got, want in zip(outputs, full):
+        assert got.tobytes() == want.tobytes()
+
+
+def _skip_widths(problem):
+    """The number of running columns at each step on which `_admm` skips the residuals."""
+    widths, rules_out = [], solvers._rules_out
+
+    def recording(xw2, tol):
+        skip = rules_out(xw2, tol)
+        if skip:
+            widths.append(xw2.size)
+        return skip
+
+    with mock.patch.object(solvers, "_rules_out", recording):
+        solvers._admm(*problem)
+    return widths
+
+
+@pytest.mark.parametrize("alone", [False, True], ids=["batch", "compacted"])
+def test_noisy_batch_problems_skip_steps(alone):
+    # what the bit-for-bit test above draws: steps skipped with several columns running, and
+    # by a noisy column left alone once the zero columns leave after the first iteration
+    def skips(problem):
+        widths = _skip_widths(problem)
+        if alone:
+            return np.count_nonzero(problem[1].any(axis=0)) == 1 and 1 in widths
+        return max(widths, default=0) >= 2
+
+    find(_noisy_batch_problems(), skips,
+         settings=settings(database=None, max_examples=200, phases=[Phase.generate]))
 
 
 def test_batch_returns_an_unconverged_column_in_its_place():

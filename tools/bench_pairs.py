@@ -19,9 +19,10 @@ than the parent's interquartile range.  Every run of one call uses one seed,
 `--seed` or each workload's default; call it again to show a claim at another.
 
 After a workload's pairs, one `bench/run.py --trace 1` pass per side records
-the deterministic counters (`COUNTERS`: solver iterations and loop steps, RIC
-and oracle supports enumerated, experiment trials) under "counters", with the
-names of those that differ.
+the deterministic counters (`COUNTERS`: solver iterations and loop steps,
+unconverged columns, mean iterations per noise radius, RIC and oracle supports
+enumerated, experiment trials) under "counters", with the names of those that
+differ.
 
 The exit code is 0 when every end-to-end median is within its bound, no
 workload fails a larger share of ops, over all its runs, than at the parent,
@@ -39,7 +40,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # per-pass counts of a traced run: equal on both sides when the work is the same
-COUNTERS = ("solvers.iters", "solvers.steps", "ric.supports", "oracle.supports",
+COUNTERS = ("solvers.iters", "solvers.steps", "solvers.unconverged",
+            "solvers.iters_mean.rho_1e-3", "solvers.iters_mean.rho_1e-2",
+            "solvers.iters_mean.rho_1e-1", "ric.supports", "oracle.supports",
             "experiments.trials")
 
 
@@ -179,7 +182,7 @@ def main(argv=None) -> int:
                   f"change {m['change']['median']:12.6g} wins {m['wins']}/{m['pairs']}"
                   f"{'' if m.get('within_bound', True) else '  WORSE THAN BOUND'}", flush=True)
         for name in COUNTERS:
-            print(f"{workload:14s} {name:18s} parent {counters['parent'][name]} "
+            print(f"{workload:14s} {name:28s} parent {counters['parent'][name]} "
                   f"change {counters['change'][name]}"
                   f"{'  DIFFERS' if name in counters['differ'] else ''}", flush=True)
     summary["ok"] = ok

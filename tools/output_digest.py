@@ -5,7 +5,7 @@
 
 It imports `blockcs` from `<tree>/src` and builds the instances with
 `<tree>/bench/workloads.py` (the tree is the repository this script sits in,
-unless `--tree` names another), runs one pass of three workloads and prints
+unless `--tree` names another), runs one pass of four workloads and prints
 one line per digest, `<name> <sha256> <records>`:
 
 - `recover_exact`, at `--seed`: for each unit in pass order and each column,
@@ -19,6 +19,9 @@ one line per digest, `<name> <sha256> <records>`:
   it): the CLI sweep of the workload's first unit, its CSV with the last
   field (`wall_time`) cut from the header and from every row, then its
   summary JSON as written.
+- `ric_certify`, at `--seed`: for each unit in pass order, the matrix's
+  entries, then its certificate (delta, worst support, smallest and largest
+  eigenvalue, supports enumerated).
 
 Coefficients enter as little-endian float64 bytes, every other field as its
 `repr` and a newline, texts as UTF-8.  `--small` takes the workloads' small
@@ -104,13 +107,22 @@ def digests(tree: Path, seed: int, small: bool) -> dict[str, tuple[str, int]]:
     h = hashlib.sha256()
     _feed(h, lines[0] + "\n", *(line.rsplit(",", 1)[0] + "\n" for line in lines[1:]), json_text)
     out["phase_sweep"] = (h.hexdigest(), len(lines) - 2)
+
+    h = hashlib.sha256()
+    wl = workloads.RicCertify(seed, small)
+    wl.setup(api)
+    for unit in wl.units:
+        phi, cert = wl.run(api, unit)
+        _feed(h, phi.entries, cert.delta, cert.worst_support, cert.min_eig, cert.max_eig,
+              cert.supports_enumerated)
+    out["ric_certify"] = (h.hexdigest(), len(wl.units))
     return out
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, default=20250810,
-                   help="seed of recover_exact and recover_noisy (default: 20250810)")
+                   help="seed of recover_exact, recover_noisy and ric_certify (default: 20250810)")
     p.add_argument("--small", action="store_true", help="the workloads' small families and grid")
     p.add_argument("--tree", type=Path, default=ROOT,
                    help="repository to take src/ and bench/ from (default: this one)")
