@@ -416,6 +416,7 @@ def _recovery_trial(spec: ExperimentSpec, g: dict, trial_id: int, m: int, s: int
         delta = exact_block_ric(phi, order).delta
     condition_ok = delta is not None and check_condition(delta, t, s).ok
 
+    # the same bits at rho = 0; the benchmark's sweep spans wrap this module's solve_noiseless
     if rho > 0:
         result = solve_noisy(phi, b, rho, spec.solver, truth=truth)
     else:

@@ -90,10 +90,16 @@ def _block_images(phi: SensingMatrix, x: BlockSignal) -> list[np.ndarray]:
     return [phi.column_block(i) @ x.block(i) for i in range(phi.structure.num_blocks)]
 
 
-def _restricted_energy(images, subset) -> float:
+def _restricted_image(images, subset) -> np.ndarray:
+    """Phi x restricted to the blocks in `subset`: their images summed in order from zero."""
     acc = np.zeros_like(images[0])
     for i in subset:
         acc = acc + images[i]
+    return acc
+
+
+def _restricted_energy(images, subset) -> float:
+    acc = _restricted_image(images, subset)
     return float(acc @ acc)
 
 
@@ -144,13 +150,9 @@ def disjoint_pair_energy_residual(phi: SensingMatrix, x: BlockSignal, m: int, n:
     terms = []
     for pi in itertools.combinations(range(l), m):
         rest = [i for i in range(l) if i not in pi]
-        im_pi = np.zeros_like(images[0])
-        for i in pi:
-            im_pi = im_pi + images[i]
+        im_pi = _restricted_image(images, pi)
         for lam in itertools.combinations(rest, n):
-            im_lam = np.zeros_like(images[0])
-            for i in lam:
-                im_lam = im_lam + images[i]
+            im_lam = _restricted_image(images, lam)
             joint = im_pi + im_lam
             mix = n * im_pi - m * im_lam
             terms.append(

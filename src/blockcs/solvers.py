@@ -120,8 +120,8 @@ class SolverConfig:
 class RecoveryResult:
     """Solver output.
 
-    `feasibility_gap` is ||Phi x* - b||_2 for the noiseless program and the
-    distance to the rho-ball for the noisy one.  `error_vector_norm` is
+    `feasibility_gap` is the distance of Phi x* to the rho-ball around b, which
+    is ||Phi x* - b||_2 at rho = 0 (the noiseless program).  `error_vector_norm` is
     ||x* - x_true||_2 when the caller supplied the truth.
     """
 
@@ -367,7 +367,7 @@ def _build_results(phi, B, rhos, outputs, truths):
         sig = BlockSignal(est[:, j], structure)
         diff = entries @ est[:, j] - B[:, j]
         resid = math.sqrt(diff.dot(diff))  # np.linalg.norm(diff), bit for bit
-        gap = resid if rho == 0.0 else max(0.0, resid - rho)
+        gap = max(0.0, resid - rho)  # resid at rho = 0, as resid >= +0.0
         err = None
         if truths is not None and truths[j] is not None:
             diff = est[:, j] - truths[j].coeffs
@@ -439,15 +439,13 @@ def solve_noiseless(
     """Minimize the mixed l2/l1 norm subject to Phi x = b, for one observation
     `b` of shape (m,).
 
+    This is `solve_noisy` at rho = 0, the same computation bit for bit.
     Deterministic given (phi, b, config).  Non-convergence within
     `max_iters` returns a result with converged=False; an observation
     outside the range of Phi raises InfeasibleProblemError, and one that is
     not a finite real array of shape (m,) raises ValueError.
     """
-    phi = _checks.instance("phi", phi, SensingMatrix)
-    b = _checks.array("observation", b, (phi.num_rows,))
-    return _solve_batch(phi, "observation", b[:, None], np.zeros(1), config,
-                        [_truth(phi, "truth", truth)])[0]
+    return solve_noisy(phi, b, 0.0, config, truth)
 
 
 def solve_noisy(
@@ -460,7 +458,7 @@ def solve_noisy(
     """Minimize the mixed l2/l1 norm subject to ||Phi x - b||_2 <= rho, for one
     observation `b` of shape (m,) and a finite real rho >= 0.
 
-    With rho = 0 this coincides with `solve_noiseless` up to tolerances.
+    `solve_noiseless` is this at rho = 0, the same computation bit for bit.
     """
     phi = _checks.instance("phi", phi, SensingMatrix)
     b = _checks.array("observation", b, (phi.num_rows,))
@@ -476,16 +474,14 @@ def solve_noiseless_batch(
     truths=None,
 ) -> list[RecoveryResult]:
     """Solve the noiseless program for every column of the (m, n) observations
-    `bs` against one matrix.
+    `bs` against one matrix: `solve_noisy_batch` at rho = 0, the same
+    computation bit for bit.
 
     Each column runs with its own penalty and leaves the iteration when it
     converges, so its result is that of `solve_noiseless` on the column: the
     same iterations, and an estimate equal up to BLAS rounding.
     """
-    phi = _checks.instance("phi", phi, SensingMatrix)
-    B = _checks.array("observations", bs, (phi.num_rows, None))
-    return _solve_batch(phi, "observations", B, np.zeros(B.shape[1]), config,
-                        _truths(phi, truths, B.shape[1]))
+    return solve_noisy_batch(phi, bs, 0.0, config, truths)
 
 
 def solve_noisy_batch(

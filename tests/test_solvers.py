@@ -281,13 +281,44 @@ def test_noisy_origin_optimal_when_ball_covers_b(rng):
     assert res.objective <= 1e-7
 
 
+def _result_bytes(res):
+    """Every field of a RecoveryResult, floats as their bytes, so that -0.0 and NaN compare too."""
+    floats = [res.objective, res.feasibility_gap, res.primal_residual, res.dual_residual,
+              res.error_vector_norm]
+    return (res.estimate.coeffs.tobytes(), res.estimate.structure, np.array(floats).tobytes(),
+            res.iterations, res.converged)
+
+
 def test_noisy_rho_zero_matches_noiseless(rng):
     phi, _ = _certified_instance(seed=17)
     x = random_block_sparse(rng, phi.structure, 2)
     b = apply(phi, x)
-    res0 = solve_noiseless(phi, b)
-    res1 = solve_noisy(phi, b, rho=0.0)
-    np.testing.assert_allclose(res1.estimate.coeffs, res0.estimate.coeffs, atol=1e-7)
+    res0 = solve_noiseless(phi, b, truth=x)
+    res1 = solve_noisy(phi, b, rho=0.0, truth=x)
+    assert _result_bytes(res1) == _result_bytes(res0)
+
+
+def test_noisy_batch_rho_zero_matches_noiseless_batch(rng):
+    phi, _ = _certified_instance(seed=17)
+    truths = [random_block_sparse(rng, phi.structure, 2) for _ in range(12)]
+    B = np.column_stack([apply(phi, x) for x in truths])
+    res0 = solve_noiseless_batch(phi, B, truths=truths)
+    res1 = solve_noisy_batch(phi, B, 0.0, truths=truths)
+    assert [_result_bytes(r) for r in res1] == [_result_bytes(r) for r in res0]
+
+
+def test_noisy_rho_zero_refuses_an_infeasible_observation_as_noiseless_does():
+    phi = SensingMatrix(np.outer([1.0, 1.0], [1.0, 0.5, 0.25, 0.125]), BlockStructure.uniform(2, 2))
+    b = np.array([1.0, -1.0])  # off the range of the rank-1 matrix
+    for noiseless, noisy in ((lambda: solve_noiseless(phi, b), lambda: solve_noisy(phi, b, 0.0)),
+                             (lambda: solve_noiseless_batch(phi, b[:, None]),
+                              lambda: solve_noisy_batch(phi, b[:, None], 0.0))):
+        with pytest.raises(InfeasibleProblemError) as e0:
+            noiseless()
+        with pytest.raises(InfeasibleProblemError) as e1:
+            noisy()
+        assert str(e1.value) == str(e0.value)
+        assert "Phi x = b" in str(e0.value)
 
 
 def test_noisy_identity_rho_zero(rng):
