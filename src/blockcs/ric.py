@@ -157,7 +157,9 @@ class ConditionReport:
 
     `threshold` is t/(4-t) when t is admissible, else None.
     `effective_order` is the integer order floor(t*s) at which the constant
-    is measured when t*s is not an integer.  `reason` is None when the
+    is measured when t*s is not an integer; a t*s within 1e-12 of an integer
+    counts as that integer, the tolerance of the t*s >= 2 test, so the order
+    is 2 or more exactly when that test passes.  `reason` is None when the
     condition holds, else one of "t_out_of_range", "invalid_delta" (delta
     negative or not finite), "ts_below_two", "delta_not_below_threshold".
     """
@@ -177,12 +179,18 @@ def condition_threshold(t: float) -> float:
     return t / (4.0 - t)
 
 
+_TS_TOL = 1e-12  # t*s this close to an integer counts as that integer
+
+
 def _effective_order(t: float, s: int) -> int:
+    """floor(t*s), or the integer within _TS_TOL of t*s.  At nearest = 2 the
+    lower comparison is check_condition's t*s >= 2 test itself, so the order
+    is 2 or more exactly when that test passes."""
     ts = t * s
     if not math.isfinite(ts):  # |t| * s beyond the float range: t is a whole number
         return int(t) * s
     nearest = round(ts)
-    if abs(ts - nearest) < 1e-9:
+    if nearest - _TS_TOL <= ts <= nearest + _TS_TOL:
         return int(nearest)
     return int(math.floor(ts))
 
@@ -204,7 +212,7 @@ def check_condition(delta: float, t: float, s: int) -> ConditionReport:
         reason = "t_out_of_range"
     elif not 0.0 <= delta < math.inf:
         reason = "invalid_delta"
-    elif t * s < 2.0 - 1e-12:
+    elif t * s < 2.0 - _TS_TOL:
         reason = "ts_below_two"
     elif not delta < threshold:
         reason = "delta_not_below_threshold"

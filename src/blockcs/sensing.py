@@ -2,17 +2,30 @@
 and the explicit square operator that sits exactly at the recovery threshold.
 The `SensingMatrix` type is defined in `blocks`, so that `ric`, which this
 module imports, can check its matrix arguments too.
+
+Each row-energy flattening pass of `spread_kernel_matrix` takes its Q factor
+from numpy's own QR gufuncs, `numpy.linalg._umath_linalg.qr_r_raw` and
+`qr_reduced`: the two calls `np.linalg.qr(mode="reduced")` makes on a float64
+array, so the factor is the same bits, without qr's checks, its copy of the
+input (each pass's array is fresh and is overwritten), its discarded
+`triu(R)` and its `errstate`.  That errstate only turns LAPACK's failure flag
+into `LinAlgError`, and Householder QR cannot raise the flag for a finite
+(n, k) input with k < n; a non-finite result would still be refused by
+`SensingMatrix`'s finite check.  Only numpy 2.4.6 has been checked.  Where
+the installed numpy has no gufuncs under these two names (numpy 1.x names
+them otherwise), each pass calls `np.linalg.qr` itself, with the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _checks
 from .blocks import BlockSignal, BlockStructure, SensingMatrix, _check_signal
-from .ric import condition_threshold, exact_block_ric
+from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, condition_threshold, exact_block_ric
 from .seeding import generator
 
 __all__ = [
@@ -24,6 +37,20 @@ __all__ = [
 ]
 
 _FLATTEN_ITERS = 100  # row-energy flattening passes of the spread-kernel construction
+
+try:  # the gufuncs np.linalg.qr(mode="reduced") calls on a float64 array
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
+except ImportError:
+    _qr_r_raw = _qr_reduced = None
+
+
+def _orthonormal(V: np.ndarray) -> np.ndarray:
+    """np.linalg.qr(V)[0] of a fresh float64 (n, k) array, k < n, bit for bit,
+    without qr's checks, copy, errstate and discarded triu(R); V is overwritten."""
+    if _qr_r_raw is None:
+        return np.linalg.qr(V)[0]
+    tau = _qr_r_raw(V, signature="d->d")
+    return _qr_reduced(V, tau, signature="dd->d")
 
 
 def apply(phi: SensingMatrix, x: BlockSignal) -> np.ndarray:
@@ -74,19 +101,23 @@ def spread_kernel_matrix(
     ValueError
         If `m` is outside [1, N) or `balance_order` is outside [1, l].
     EnumerationCapError
-        If C(l, balance_order) exceeds the default enumeration cap.
+        If C(l, balance_order) exceeds the default enumeration cap.  Both are
+        checked before any construction work.
     """
     n = _checks.instance("structure", structure, BlockStructure).total_dim
     m = _checks.count("m", m, 1, n - 1)
+    l = structure.num_blocks
+    balance_order = _checks.count("balance_order", balance_order, 1, l)
+    _check_cap(math.comb(l, balance_order), DEFAULT_ENUMERATION_CAP, f"C({l}, {balance_order})")
     rng = generator(seed)
     k = n - m
     V = rng.standard_normal((n, k))
     target = np.sqrt(k / n)
     for _ in range(_FLATTEN_ITERS):
-        V, _ = np.linalg.qr(V)
-        row_norms = np.linalg.norm(V, axis=1, keepdims=True)
+        V = _orthonormal(V)
+        row_norms = np.sqrt(np.add.reduce(V * V, axis=1, keepdims=True))  # np.linalg.norm's formula
         V = V * (target / np.maximum(row_norms, 1e-300)) ** 0.9
-    V, _ = np.linalg.qr(V)
+    V = _orthonormal(V)
     proj = np.eye(n) - V @ V.T
     w, U = np.linalg.eigh(proj)
     basis = U[:, w > 0.5]  # orthonormal basis of the complement, n x m

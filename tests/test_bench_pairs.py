@@ -76,8 +76,8 @@ def test_compare_fails_a_median_beyond_its_bound_or_a_larger_failed_share():
 
 COUNTS = {"solvers.iters": 442957, "solvers.steps": 93820, "solvers.unconverged": 0,
           "solvers.iters_mean.rho_1e-3": 3904.25, "solvers.iters_mean.rho_1e-2": 1192.5,
-          "solvers.iters_mean.rho_1e-1": 441.0625, "ric.supports": 0, "oracle.supports": 0,
-          "experiments.trials": 0}
+          "solvers.iters_mean.rho_1e-1": 441.0625, "ric.supports": 1162, "oracle.supports": 0,
+          "sensing.calls": 23, "experiments.trials": 0}
 
 
 def _traced_output(**changed):
@@ -118,20 +118,37 @@ def test_compare_counters_gates_unconverged_columns_and_iterations_per_radius(na
     assert (differs["parent"][name], differs["change"][name]) == (float(COUNTS[name]), value)
 
 
-@pytest.mark.parametrize("change_iters, code", [(442957, 0), (442958, 1)])
-def test_main_exits_one_when_a_traced_counter_differs(tmp_path, monkeypatch, change_iters, code):
-    # canned runs stand in for bench/run.py: equal timings, and the change's traced iterations
+def _main_with_change_counter(tmp_path, monkeypatch, name, value):
+    """main's exit code and summary when canned runs stand in for bench/run.py: equal
+    timings and counters, but the change's traced `name` reads `value`."""
     def fake_run(tree, workload, seconds, seed, trace=0):
         if not trace:
             return bench_pairs.parse_run(_output(2000.0))
-        iters = change_iters if tree == tmp_path / "change" else COUNTS["solvers.iters"]
-        return bench_pairs.parse_run(_traced_output(**{"solvers.iters": iters}))
+        return bench_pairs.parse_run(_traced_output(**{name: value if tree == tmp_path / "change"
+                                                       else COUNTS[name]}))
 
     monkeypatch.setattr(bench_pairs, "_run", fake_run)
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
             "--label", "t", "--pairs", "2", "--workload", "recover_noisy", "--out-dir", str(tmp_path)]
-    assert bench_pairs.main(argv) == code
-    summary = json.loads((tmp_path / "BENCH_t.json").read_text())
+    code = bench_pairs.main(argv)
+    return code, json.loads((tmp_path / "BENCH_t.json").read_text())
+
+
+@pytest.mark.parametrize("change_iters, code", [(442957, 0), (442958, 1)])
+def test_main_exits_one_when_a_traced_counter_differs(tmp_path, monkeypatch, change_iters, code):
+    got, summary = _main_with_change_counter(tmp_path, monkeypatch, "solvers.iters", change_iters)
+    assert got == code
     counters = summary["workloads"]["recover_noisy"]["counters"]
     assert counters["differ"] == ([] if code == 0 else ["solvers.iters"])
     assert summary["ok"] is (code == 0)
+
+
+@pytest.mark.parametrize("change_builds, code", [(23, 0), (24, 1)])
+def test_main_exits_one_when_only_the_matrix_build_count_differs(tmp_path, monkeypatch,
+                                                                 change_builds, code):
+    # one more matrix build, with every other counter and every timing equal
+    got, summary = _main_with_change_counter(tmp_path, monkeypatch, "sensing.calls", change_builds)
+    assert got == code
+    counters = summary["workloads"]["recover_noisy"]["counters"]
+    assert counters["differ"] == ([] if code == 0 else ["sensing.calls"])
+    assert (counters["parent"]["sensing.calls"], counters["change"]["sensing.calls"]) == (23.0, change_builds)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -290,6 +291,59 @@ def test_check_condition_effective_order():
     report = check_condition(0.1, 2.0 / 3.0, 3)  # t*s = 2 up to rounding
     assert report.effective_order == 2
     assert report.ok
+
+
+def test_check_condition_order_and_ts_test_share_one_tolerance():
+    # t*s = 2 - 5e-10 is below two by the 1e-12 tolerance, so its order is 1, not 2
+    report = check_condition(0.1, 0.99999999975, 2)
+    assert (report.ok, report.reason, report.effective_order) == (False, "ts_below_two", 1)
+    assert check_condition(0.1, 1.0 - 4e-13, 2).effective_order == 2  # t*s = 2 - 8e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(1.0, 2), (2.0 / 3.0, 3), (0.4, 5)]), st.integers(-6000, 6000))
+def test_check_condition_order_is_two_exactly_where_the_ts_test_passes(base, ulps):
+    # t*s within a few thousand ulps of 2, across the float nearest 2 - 1e-12
+    t0, s = base
+    t = t0 + ulps * math.ulp(t0)
+    report = check_condition(0.1, t, s)
+    assert (report.reason == "ts_below_two") is (t * s < 2.0 - 1e-12)
+    assert (report.effective_order >= 2) is (report.reason != "ts_below_two")
+
+
+def test_condition_and_bound_outcomes_are_pinned():
+    # 36,321 outcomes of check_condition and both error bounds: each report's repr or
+    # the exception's type and text, over valid and invalid delta, t, s, rho and tail
+    deltas = [math.nan, math.inf, -math.inf, -0.5, -1e-300, 0.0, 1e-12, 0.01, 0.05, 0.1, 0.2,
+              1 / 3, 0.3333333333, 0.5, 0.9, 1.0, 2.0, 1e300, 5e-324]
+    ts = [0.0, 4 / 3, 1e308, -1e308, math.inf, -math.inf, math.nan, -1.0, 1e-300, 0.1, 0.25,
+          0.5, 2 / 3, 0.7, 0.9, 1.0, 1.1, 1.2, 1.3, 4 / 3 - 1e-16, 1.5]
+    pairs = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (1e-3, 2.5), (1.0, 1.0), (1e3, 1e-6)]
+    bad = [(math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.0), (0.0, math.nan), (0.0, math.inf),
+           (0.0, -1.0), (-math.inf, 0.0), (0.0, -math.inf), (-1e-300, 0.0), (0.0, -1e-300),
+           (math.nan, math.nan), (math.inf, -1.0)]
+    digest, outcomes = hashlib.sha256(), 0
+
+    def record(f, *args):
+        nonlocal outcomes
+        try:
+            text = repr(f(*args))
+        except Exception as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        digest.update(text.encode() + b"\n")
+        outcomes += 1
+
+    for delta in deltas:
+        for t in ts:
+            for s in (0, 1, 2, 3, 5, 10, 20):
+                record(check_condition, delta, t, s)
+                for rho, tail in pairs:
+                    record(error_bound_tight, t, s, delta, rho, tail)
+                    record(error_bound_loose, t, s, delta, rho, tail)
+    for i, (rho, tail) in enumerate(bad):
+        record(error_bound_tight if i % 2 else error_bound_loose, 1.0, 2, 0.1, rho, tail)
+    assert outcomes == 36321
+    assert digest.hexdigest() == "ad770e2bef7c0e0ab8802c684d2e9caa370eb7d348893eae31a8dc0a6ae2d8e9"
 
 
 # --- error bounds ---

@@ -1,14 +1,22 @@
+import hashlib
+import importlib.util
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import blockcs.sensing as sensing
 from blockcs import (
     BlockSignal,
     BlockStructure,
+    EnumerationCapError,
     apply,
     block_support,
+    check_condition,
     exact_block_ric,
     gaussian_matrix,
     generator,
@@ -183,11 +191,105 @@ def test_spread_kernel_rejects_overdetermined():
         spread_kernel_matrix(8, st_, seed=1)
 
 
-def test_spread_kernel_rejects_balance_order_out_of_range():
+def _no_flattening(monkeypatch):
+    def flatten(V):
+        raise AssertionError("a flattening pass ran before the argument checks")
+    monkeypatch.setattr(sensing, "_orthonormal", flatten)
+
+
+def test_spread_kernel_rejects_balance_order_out_of_range(monkeypatch):
+    # under its own name, before any flattening pass
+    _no_flattening(monkeypatch)
     st_ = BlockStructure.uniform(2, 3)
-    for order in (0, 5):
-        with pytest.raises(ValueError):
+    for order in (0, 5, 2.0, True, None):
+        with pytest.raises(ValueError, match=rf"^balance_order must be an integer in \[1, 3\], got {order!r}$"):
             spread_kernel_matrix(4, st_, 1, balance_order=order)
+
+
+def test_spread_kernel_checks_the_enumeration_cap_before_building(monkeypatch):
+    _no_flattening(monkeypatch)
+    with pytest.raises(EnumerationCapError,
+                       match=r"^C\(40, 20\) = 137846528820 block supports exceeds the enumeration cap 1000000$"):
+        spread_kernel_matrix(39, BlockStructure.uniform(1, 40), 1, balance_order=20)
+
+
+def _reference_spread_kernel(m, structure, seed, balance_order=2):
+    """spread_kernel_matrix as built through np.linalg.qr and np.linalg.norm."""
+    n = structure.total_dim
+    rng = generator(seed)
+    k = n - m
+    V = rng.standard_normal((n, k))
+    target = np.sqrt(k / n)
+    for _ in range(100):
+        V, _ = np.linalg.qr(V)
+        row_norms = np.linalg.norm(V, axis=1, keepdims=True)
+        V = V * (target / np.maximum(row_norms, 1e-300)) ** 0.9
+    V, _ = np.linalg.qr(V)
+    proj = np.eye(n) - V @ V.T
+    w, U = np.linalg.eigh(proj)
+    basis = U[:, w > 0.5]
+    cert = exact_block_ric(SensingMatrix(basis.T, structure), balance_order)
+    c = 2.0 / (cert.max_eig + cert.min_eig)
+    return SensingMatrix(np.sqrt(c) * basis.T, structure)
+
+
+@st.composite
+def _spread_cases(draw):
+    """(m, structure, seed, balance_order): uniform or ragged blocks, n - m in [1, n - 1]."""
+    if draw(st.booleans()):
+        lengths = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=8)))
+    else:
+        lengths = (draw(st.integers(1, 3)),) * draw(st.integers(2, 10))
+    structure = BlockStructure(lengths)
+    n = structure.total_dim
+    m = n - draw(st.integers(1, n - 1))
+    order = draw(st.integers(1, min(3, structure.num_blocks)))
+    return m, structure, draw(st.integers(0, 2**64 - 1)), order
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spread_cases())
+def test_spread_kernel_matches_the_np_linalg_qr_build_bit_for_bit(case):
+    m, structure, seed, order = case
+    phi = spread_kernel_matrix(m, structure, seed, balance_order=order)
+    assert phi.entries.tobytes() == _reference_spread_kernel(*case).entries.tobytes()
+
+
+def test_spread_kernel_uses_numpys_qr_gufuncs_where_numpy_has_them():
+    if hasattr(np.linalg._umath_linalg, "qr_r_raw"):
+        assert sensing._qr_r_raw is np.linalg._umath_linalg.qr_r_raw
+
+
+@pytest.mark.parametrize("hidden", ["qr_r_raw", "qr_reduced"])
+def test_spread_kernel_falls_back_to_np_linalg_qr_without_the_gufuncs(monkeypatch, hidden):
+    # a second copy of the module, imported while numpy lacks one of the two names;
+    # np.linalg.qr, which the copy then calls, needs both back
+    spec = importlib.util.spec_from_file_location("blockcs._sensing_without_gufuncs", sensing.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fallback)  # its dataclass looks itself up there
+    with monkeypatch.context() as hiding:
+        hiding.delattr(np.linalg._umath_linalg, hidden)
+        spec.loader.exec_module(fallback)
+    assert fallback._qr_r_raw is None and fallback._qr_reduced is None
+    for case in [(21, BlockStructure.uniform(2, 12), 5, 2), (5, BlockStructure((1, 3, 2, 1)), 9, 3),
+                 (1, BlockStructure.uniform(1, 3), 0, 1)]:
+        phi = fallback.spread_kernel_matrix(*case[:3], balance_order=case[3])
+        assert phi.entries.tobytes() == _reference_spread_kernel(*case).entries.tobytes()
+
+
+def test_spread_kernel_acceptance_instances_are_pinned():
+    # the 20 certified instances of tests/test_acceptance.py at seed 20250810, as
+    # np.linalg.qr built them: entries as float64 bytes, in the fixture's order
+    digest, found = hashlib.sha256(), 0
+    for l, d, m, count in [(12, 2, 21, 8), (12, 2, 20, 4), (8, 2, 14, 4), (6, 2, 11, 4)]:
+        phis = (spread_kernel_matrix(m, BlockStructure.uniform(d, l), 20250810 + seed)
+                for seed in range(20 * count))
+        certified = (phi for phi in phis if check_condition(exact_block_ric(phi, 2).delta, 1.0, 2).ok)
+        for phi in itertools.islice(certified, count):
+            digest.update(phi.entries.tobytes())
+            found += 1
+    assert found == 20
+    assert digest.hexdigest() == "fdba8c72a57cbb284e25f1e7fcebe24a4ab0b8b5de7eae78350267ab1f53282e"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

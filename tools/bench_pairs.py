@@ -21,8 +21,8 @@ than the parent's interquartile range.  Every run of one call uses one seed,
 After a workload's pairs, one `bench/run.py --trace 1` pass per side records
 the deterministic counters (`COUNTERS`: solver iterations and loop steps,
 unconverged columns, mean iterations per noise radius, RIC and oracle supports
-enumerated, experiment trials) under "counters", with the names of those that
-differ.
+enumerated, sensing-matrix builds, experiment trials) under "counters", with
+the names of those that differ.
 
 The exit code is 0 when every end-to-end median is within its bound, no
 workload fails a larger share of ops, over all its runs, than at the parent,
@@ -43,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COUNTERS = ("solvers.iters", "solvers.steps", "solvers.unconverged",
             "solvers.iters_mean.rho_1e-3", "solvers.iters_mean.rho_1e-2",
             "solvers.iters_mean.rho_1e-1", "ric.supports", "oracle.supports",
-            "experiments.trials")
+            "sensing.calls", "experiments.trials")
 
 
 def parse_run(stdout: str) -> dict:
