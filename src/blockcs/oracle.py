@@ -217,8 +217,7 @@ def _factored_level(phi: SensingMatrix, k: int):
     room = _FACTOR_BUDGET - len(key) - sum(size for size, _ in levels.values())
     chunks, size = [], 0
     for sups, groups in _support_chunks(phi.structure, k):
-        # a copy: `cols` views an index array twice its size
-        factored = [(rows, cols.copy(), _factor(phi.entries, cols)) for rows, cols in groups]
+        factored = [(rows, cols, _factor(phi.entries, cols)) for rows, cols in groups]
         if chunks is not None:
             arrays = [sups, *(a for rows, cols, factors in factored for a in (rows, cols, *factors))]
             size += sum(a.nbytes + _ARRAY_OVERHEAD for a in arrays if a is not None)

@@ -8,6 +8,19 @@ oracle and the spread-kernel rescaling included.  The condition checker and
 the two error-bound evaluators implement the recovery guarantee
 delta < t/(4-t) for 0 < t < 4/3, t*s >= 2, together with its noisy-recovery
 error estimates.
+
+The enumeration kernel spends most of its time in LAPACK's symmetric
+eigenvalue solver, so the rest of it is kept thin.  Each chunk's column
+indices are one gather from a per-call table of each block's columns, and
+the eigenvalues come from numpy's own gufunc,
+`numpy.linalg._umath_linalg.eigvalsh_lo`, with the signature
+`np.linalg.eigvalsh` passes for float64: the same call, hence the same bits,
+without the wrapper's checks and its errstate on every chunk.  That errstate
+is entered once per certificate instead, with the same contract: an
+eigenvalue problem that does not converge raises `numpy.linalg.LinAlgError`,
+and overflow, division and underflow are ignored.  A NaN eigenvalue that no
+flag reported (a Gram matrix that rounds past the largest double can give
+one) raises the same error, so no NaN reaches a certificate.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 from . import _checks
 from .blocks import BlockStructure, SensingMatrix
@@ -81,22 +95,36 @@ def _support_chunks(structure: BlockStructure, k: int):
     `sups` is the chunk's (c, k) array of block indices.  `groups` splits the
     chunk by column count: one (rows, cols) pair per count, where `rows` are
     the chunk rows with that many columns and `cols` their (len(rows), count)
-    column indices in ascending order.  The empty support has no columns.
+    intp column indices in ascending order, an array that owns exactly its
+    bytes.  The empty support has no columns.
+
+    One (l, widest block) table maps each block to its columns, shorter
+    blocks padded with -1, so a chunk's padded columns are one gather,
+    `table[sups]`, and a group's are those rows without the padding; uniform
+    and ragged structures take the same path.
     """
-    widths = np.diff(structure._edges)
+    edges = structure._edges
+    widths = np.diff(edges)
+    offsets = np.arange(widths.max())
+    table = np.where(offsets < widths[:, None], edges[:-1, None] + offsets, -1)
     combos = itertools.combinations(range(structure.num_blocks), k)
     while chunk := list(itertools.islice(combos, _CHUNK)):
         c = len(chunk)
         sups = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, c * k).reshape(c, k)
-        onehot = np.zeros((c, structure.num_blocks), dtype=bool)
-        onehot[np.arange(c)[:, None], sups] = True
-        mask = np.repeat(onehot, widths, axis=1)  # (c, N) column mask of each support
+        cols = table[sups].reshape(c, k * len(offsets))
         counts = widths[sups].sum(axis=1)
         groups = []
         for count in sorted(set(counts.tolist())):
             rows = np.flatnonzero(counts == count)
-            groups.append((rows, np.nonzero(mask[rows])[1].reshape(len(rows), count)))
+            sel = cols[rows]
+            groups.append((rows, sel[sel >= 0].reshape(len(rows), count)))
         yield sups, groups
+
+
+def _nonconvergence(*_):
+    """Raise np.linalg.eigvalsh's error for an eigenvalue problem that did not
+    converge; also the errstate call that the gufunc's invalid flag triggers."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def exact_block_ric(
@@ -116,6 +144,8 @@ def exact_block_ric(
         If `phi` is not a SensingMatrix or `s` is outside [1, l].
     EnumerationCapError
         If C(l, s) exceeds `cap`.
+    numpy.linalg.LinAlgError
+        If an eigenvalue problem does not converge, as `np.linalg.eigvalsh`.
     """
     phi = _checks.instance("phi", phi, SensingMatrix)
     structure = phi.structure
@@ -126,21 +156,28 @@ def exact_block_ric(
     delta = -np.inf
     worst: tuple[int, ...] = ()
     min_eig, max_eig = np.inf, -np.inf
-    for sups, groups in _support_chunks(structure, s):
-        lo, hi = np.empty(len(sups)), np.empty(len(sups))
-        for rows, cols in groups:
-            # (c, m, k): each (m, k) slice is laid out as one support's own phi.entries[:, cols],
-            # so the stacked product rounds exactly as that support's 2-D sub.T @ sub
-            sub = phi.entries[:, cols].transpose(1, 0, 2)
-            w = np.linalg.eigvalsh(np.swapaxes(sub, 1, 2) @ sub)
-            lo[rows], hi[rows] = w[:, 0], w[:, -1]
-        min_eig = min(min_eig, lo.min())
-        max_eig = max(max_eig, hi.max())
-        deviation = np.maximum(hi - 1.0, 1.0 - lo)
-        i = int(np.argmax(deviation))  # the first of equal deviations in lexicographic order
-        if deviation[i] > delta:
-            delta = deviation[i]
-            worst = tuple(sups[i].tolist())
+    # np.linalg.eigvalsh's errstate, once per call: the gufunc returns NaN where an
+    # eigenvalue problem does not converge and flags it as invalid, which raises here
+    with np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        for sups, groups in _support_chunks(structure, s):
+            lo, hi = np.empty(len(sups)), np.empty(len(sups))
+            for rows, cols in groups:
+                # (c, m, k): each (m, k) slice is laid out as one support's own phi.entries[:, cols],
+                # so the stacked product rounds exactly as that support's 2-D sub.T @ sub
+                sub = phi.entries[:, cols].transpose(1, 0, 2)
+                w = _eigvalsh_lo(np.swapaxes(sub, 1, 2) @ sub, signature="d->d")
+                lo[rows], hi[rows] = w[:, 0], w[:, -1]
+            min_eig = min(min_eig, lo.min())
+            max_eig = max(max_eig, hi.max())
+            deviation = np.maximum(hi - 1.0, 1.0 - lo)
+            # the first of equal deviations in lexicographic order, or the first NaN
+            i = int(np.argmax(deviation))
+            if not deviation[i] <= delta:
+                if np.isnan(deviation[i]):  # a NaN eigenvalue the gufunc did not flag
+                    _nonconvergence()
+                delta = deviation[i]
+                worst = tuple(sups[i].tolist())
     return RicCertificate(
         order_s=s,
         delta=float(delta),

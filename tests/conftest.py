@@ -37,6 +37,16 @@ def strip_wall_time(csv_text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def owns_its_bytes(a):
+    """Whether `a` views no array larger than itself."""
+    base = a.base
+    while base is not None:
+        if base.nbytes != a.nbytes:
+            return False
+        base = base.base
+    return True
+
+
 @pytest.fixture
 def gram_overflow_phi():
     """A 65 x 1 sensing matrix whose Gram matrix Phi^T Phi rounds past the

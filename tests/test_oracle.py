@@ -34,6 +34,7 @@ from conftest import (
     BAD_REALS,
     bad_arguments,
     bad_arrays,
+    owns_its_bytes,
     random_block_sparse,
     rejects_argument,
     rejects_array,
@@ -434,6 +435,16 @@ def test_kept_factors_follow_the_chunk_size(monkeypatch):
         assert _outcome_key(_standalone(phi, b, 2)) == expected
         assert oracle._kept[2] == 2
         assert max(len(sups) for sups, _ in oracle._kept[3][2][1]) == 2
+
+
+def test_kept_columns_own_their_bytes(monkeypatch):
+    # the slot's budget counts each kept array's nbytes, so no `cols` may view a larger array
+    phi = gaussian_matrix(6, BlockStructure((1, 3, 2, 1)), seed=3)
+    _forget_factors(monkeypatch)
+    for k in range(5):
+        for _, factored in oracle._factored_level(phi, k):
+            assert all(owns_its_bytes(cols) for _, cols, _ in factored)
+    assert sorted(oracle._kept[3]) == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("l, d, m, kept_levels", [(48, 1, 8, [0, 1]), (12, 2, 21, [0, 1, 2])])

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,14 @@ from blockcs import (
     sharpness_instance,
 )
 from blockcs import ric
-from conftest import BAD_COUNTS, BAD_REALS, bad_arguments, random_block_sparse, rejects_argument
+from conftest import (
+    BAD_COUNTS,
+    BAD_REALS,
+    bad_arguments,
+    owns_its_bytes,
+    random_block_sparse,
+    rejects_argument,
+)
 
 
 def test_exact_ric_identity_is_isometry():
@@ -176,6 +184,91 @@ def test_kernel_tie_across_width_groups():
     cert = exact_block_ric(SensingMatrix(np.diag(scale), structure), 2)
     assert cert.delta == 3.0
     assert cert.worst_support == (0, 1)
+
+
+# --- the support-chunk contract ---
+
+@pytest.mark.parametrize("lengths", [(2,) * 6, (1, 3, 2, 1, 3, 1)])
+def test_support_chunks_match_combinations_and_block_indices(lengths):
+    # the widest block of the ragged structure is not the first
+    structure = BlockStructure(lengths)
+    l = structure.num_blocks
+    for k in range(l + 1):
+        count = math.comb(l, k)
+        for chunk in sorted({1, 7, max(count - 1, 1), count, count + 1}):
+            with mock.patch.object(ric, "_CHUNK", chunk):
+                chunks = list(ric._support_chunks(structure, k))
+            assert [len(sups) for sups, _ in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+            assert 1 <= len(chunks[-1][0]) <= chunk
+            seen = []
+            for sups, groups in chunks:
+                assert sups.dtype == np.intp and sups.shape == (len(sups), k)
+                seen += [tuple(sup) for sup in sups.tolist()]
+                counts = [cols.shape[1] for _, cols in groups]
+                assert counts == sorted(set(counts))  # one group per count, ascending
+                rows_seen = []
+                for rows, cols in groups:
+                    assert list(rows) == sorted(rows)
+                    assert cols.dtype == np.intp and cols.shape[0] == len(rows)
+                    assert owns_its_bytes(cols)
+                    for row, col in zip(rows.tolist(), cols):
+                        np.testing.assert_array_equal(col, structure.block_indices(sups[row].tolist()))
+                    rows_seen += rows.tolist()
+                assert sorted(rows_seen) == list(range(len(sups)))
+            assert seen == list(itertools.combinations(range(l), k))
+
+
+# --- the eigenvalue gufunc's error contract ---
+
+def _flagging_nan(G, signature):
+    """What the gufunc returns for problems that do not converge: NaN, with the
+    floating-point invalid flag raised."""
+    return np.full(G.shape[:-1], np.inf) - np.inf
+
+
+def test_exact_ric_raises_when_the_gufunc_flags_nonconvergence():
+    phi = gaussian_matrix(8, BlockStructure((1, 3, 2, 2)), seed=5)
+    with mock.patch.object(ric, "_eigvalsh_lo", _flagging_nan):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            exact_block_ric(phi, 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, ric._CHUNK])
+def test_exact_ric_raises_on_an_unflagged_nan(chunk):
+    # one support's eigenvalues come back NaN with no flag raised, in the last chunk at chunk 1
+    phi = gaussian_matrix(8, BlockStructure((1, 3, 2, 2)), seed=5)
+    real = ric._eigvalsh_lo
+    calls = []
+
+    def nan_in_last(G, signature):
+        w = real(G, signature=signature)
+        calls.append(len(G))
+        if sum(calls) == math.comb(4, 2):
+            w[-1] = np.nan
+        return w
+
+    with mock.patch.object(ric, "_CHUNK", chunk), mock.patch.object(ric, "_eigvalsh_lo", nan_in_last):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            exact_block_ric(phi, 2)
+
+
+def test_exact_ric_lets_no_floating_point_warning_escape():
+    # the gufunc may overflow, divide by zero or underflow inside LAPACK's scaling;
+    # np.linalg.eigvalsh ignores those flags, and so does the kernel
+    phi = gaussian_matrix(8, BlockStructure((1, 3, 2, 2)), seed=5)
+    real = ric._eigvalsh_lo
+
+    def flagging(G, signature):
+        np.float64(1e308) * 10.0, np.float64(1.0) / 0.0, np.float64(1e-308) * 1e-308
+        return real(G, signature=signature)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(ric, "_eigvalsh_lo", flagging):
+            assert exact_block_ric(phi, 2) == _reference_ric(phi, 2)
+        for scale in (1e-160, 1e150):  # Grams near the subnormal range and the largest double
+            scaled = SensingMatrix(scale * phi.entries, phi.structure)
+            assert exact_block_ric(scaled, 2) == _reference_ric(scaled, 2)
 
 
 def _peak_bytes(phi, s):
