@@ -35,6 +35,8 @@ def _shown(value) -> str:
 
 def count(name: str, value, low, high=math.inf) -> int:
     """`value` as an int, when it is an integer (not a bool) in [low, high]."""
+    if type(value) is int and low <= value <= high:  # the common case, before the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
         raise ValueError(f"{name} must be an integer{_span(low, high, False)}, got {_shown(value)}")
     return int(value)
@@ -44,7 +46,7 @@ def real(name: str, value, low=-math.inf, high=math.inf, strict: bool = False) -
     """`value` as a float, when it is a finite real (not a bool) in [low, high],
     or in (low, high) when `strict`."""
     try:
-        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+        ok = ((type(value) is float or not isinstance(value, bool) and isinstance(value, numbers.Real))
               and math.isfinite(value) and (low < value < high if strict else low <= value <= high))
     except OverflowError:  # an integer beyond the float range
         ok = False
@@ -62,6 +64,14 @@ def number(name: str, value) -> float:
     except OverflowError:  # an integer beyond the float range
         pass
     raise ValueError(f"{name} must be a real number, got {_shown(value)}")
+
+
+def scale_error(entries: np.ndarray, what: str, whose: str = "the solver's",
+                rescale: str = "the matrix and the observations") -> ValueError:
+    """The error for a sensing matrix whose scale a computation cannot take: it names
+    the matrix's largest entry, what went out of range and what to rescale."""
+    return ValueError(f"the sensing matrix's scale (largest |entry| {np.abs(entries).max():.3g}) "
+                      f"is out of {whose} range: {what}; rescale {rescale} toward unit entries")
 
 
 def instance(name: str, value, cls: type):

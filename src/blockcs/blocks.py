@@ -62,7 +62,7 @@ class BlockStructure:
     def num_blocks(self) -> int:
         return len(self.block_lengths)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return sum(self.block_lengths)
 

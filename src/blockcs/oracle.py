@@ -1,6 +1,19 @@
 """Ground-truth references: brute-force block-sparse recovery by support
 enumeration, the sorted tail power-sum inequality, and the cone-constraint
 diagnostic used to audit solver runs.
+
+Every exact least-squares solve of the package, the oracle's and the solvers'
+feasibility check, goes through `_lstsq`, which calls numpy's own gufunc
+`numpy.linalg._umath_linalg.lstsq` with the signature `np.linalg.lstsq` passes
+for float64: the same call, hence the same bits, without the wrapper's checks,
+its copies and its errstate on every solve.  Each caller enters that errstate
+once instead, through `_lstsq_errstate`, with the same contract: an SVD that
+does not converge raises `numpy.linalg.LinAlgError`, and overflow, division
+and underflow are ignored.  An oracle call enters it once, around its screens
+too, so a matrix whose QR pivots square past the largest double prints no
+warning.  Only numpy 2.4.6 has been checked.  Where the installed numpy has no
+gufunc under that name (numpy 1.x splits it in two), `_lstsq` calls
+`np.linalg.lstsq` itself, with the same bits.
 """
 
 from __future__ import annotations
@@ -37,6 +50,11 @@ _EPS = float(np.finfo(float).eps)
 _FACTOR_BUDGET = 64 * 1024  # bytes kept between calls: one matrix's entries and screen factors
 _ARRAY_OVERHEAD = 256  # bytes a kept array costs beyond its data: its object and containers
 _kept: tuple = (b"", None, 0, {})  # the one matrix whose factors are kept: see _factored_level
+
+try:  # the gufunc np.linalg.lstsq calls on float64 arrays
+    from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
+except ImportError:
+    _lstsq_gufunc = None
 
 
 class NoSparseFitError(RuntimeError):
@@ -83,10 +101,12 @@ def brute_force_l20(
         If the total number of supports up to s_max exceeds `cap`.
     NoSparseFitError
         If no support within s_max fits; carries the best residual seen.
+    numpy.linalg.LinAlgError
+        If an exact solve does not converge, as `np.linalg.lstsq`.
     """
     phi = _checks.instance("phi", phi, SensingMatrix)
     b = _checks.array("observation", b, (phi.num_rows,))
-    outcome = _l20(phi, "observation", b[:, None], *_limits(phi, s_max, residual_tol, cap))[0]
+    outcome = _l20(phi, "observation", b[None], *_limits(phi, s_max, residual_tol, cap))[0]
     if isinstance(outcome, NoSparseFitError):
         raise outcome
     return outcome
@@ -113,7 +133,7 @@ def brute_force_l20_batch(
     phi = _checks.instance("phi", phi, SensingMatrix)
     s_max, residual_tol = _limits(phi, s_max, residual_tol, cap)
     B = _checks.array("observations", B, (phi.num_rows, None))
-    return _l20(phi, "observations", B, s_max, residual_tol)
+    return _l20(phi, "observations", np.ascontiguousarray(B.T), s_max, residual_tol)
 
 
 def _limits(phi: SensingMatrix, s_max, residual_tol, cap) -> tuple[int, float]:
@@ -126,97 +146,142 @@ def _limits(phi: SensingMatrix, s_max, residual_tol, cap) -> tuple[int, float]:
     return s_max, residual_tol
 
 
-def _l20(phi: SensingMatrix, name: str, B: np.ndarray, s_max: int, residual_tol: float) -> list:
-    """`brute_force_l20_batch` on checked arguments, once the columns of `B`, the
-    argument `name`, have finite squared norms."""
+def _l20(phi: SensingMatrix, name: str, columns: np.ndarray, s_max: int, residual_tol: float) -> list:
+    """`brute_force_l20_batch` on checked arguments, the observations given as the rows
+    of the contiguous (n, m) `columns`, once they have finite squared norms (they are
+    the argument `name`)."""
     structure = phi.structure
-    columns = np.ascontiguousarray(B.T)  # observation j as its own contiguous vector
-    column_norms = np.sqrt(_checks.squares(name, columns, axis=1))
     outcomes: list = [None] * len(columns)
     best_overall = [math.inf] * len(columns)
-    deferred = [[] for _ in columns]  # per column: the support columns of candidates that cannot fit
+    deferred = [[] for _ in outcomes]  # per column: the support columns of candidates that cannot fit
     unresolved = list(range(len(columns)))
     searched = 0
-    for k in range(s_max + 1):
-        if len(unresolved) == len(columns):
-            obs, norms = columns.T, column_norms
-        else:
-            obs, norms = columns[unresolved].T, column_norms[unresolved]
-        bound = None  # running upper bound on each best exact residual
-        best = [(math.inf, 0, None)] * len(unresolved)
-        for sups, groups in _factored_level(phi, k):
-            for rows, cols, (q, kappa, forced) in groups:
-                res, margin = _screen(q, kappa, obs, norms)
-                upper = res + margin
-                if forced is not None:
-                    upper = np.where(forced[:, None], np.inf, upper)  # forced: bounds nothing
-                least = upper.min(axis=0)
-                bound = least if bound is None else np.minimum(bound, least)
-                lower = res - margin
-                hits = lower <= bound
-                if forced is not None:
-                    hits |= forced[:, None]
-                at_i, at_j = hits.nonzero()
-                for i, j, low in zip(at_i.tolist(), at_j.tolist(), lower[at_i, at_j].tolist()):
-                    if low > residual_tol and (forced is None or not forced[i]):
-                        # only a no-fit report needs it
-                        deferred[unresolved[j]].append(cols[i])
-                        continue
-                    res_ij, coef = _solve(phi.entries[:, cols[i]], columns[unresolved[j]])
-                    # groups split a chunk out of order: ties keep the lexicographically first
-                    position = searched + int(rows[i])
-                    if (res_ij, position) < best[j][:2]:
-                        best[j] = (res_ij, position, (sups[rows[i]], cols[i], coef))
-            searched += len(sups)
-        for j, (best_res, _, found) in zip(unresolved, best):
-            best_overall[j] = min(best_overall[j], best_res)
-            if best_res <= residual_tol:
-                sup, cols, coef = found
-                x = np.zeros(structure.total_dim)
-                x[cols] = coef
-                outcomes[j] = OracleSolution(BlockSignal(x, structure), tuple(sup.tolist()), k,
-                                             best_res, searched)
-        unresolved = [j for j in unresolved if outcomes[j] is None]
-        if not unresolved:
-            break
-    for j in unresolved:
-        for cols in deferred[j]:
-            best_overall[j] = min(best_overall[j], _solve(phi.entries[:, cols], columns[j])[0])
-        message = (f"no block support of size <= {s_max} fits within residual_tol={residual_tol:g} "
-                   f"(best residual {best_overall[j]:.3e})")
-        outcomes[j] = NoSparseFitError(message, best_overall[j])
+    column_norms = np.sqrt(_checks.squares(name, columns, axis=1))
+    # one errstate per call: lstsq's contract, which also keeps the screen's overflows quiet
+    with _lstsq_errstate():
+        slot, obs, norms = _slot(phi), columns.T, column_norms
+        for k in range(s_max + 1):
+            bound = None  # running upper bound on each best exact residual
+            best = [(math.inf, 0, None)] * len(unresolved)
+            level = slot[3].get(k)
+            for sups, groups in (_factored_level(phi, slot, k) if level is None else level[1]):
+                for rows, cols, (qt, kappa, forced) in groups:
+                    if qt is None:
+                        # the empty support, alone in level 0 and screened exactly by ||b_j||, or
+                        # supports with more columns than rows, all forced: every pair is a candidate
+                        lows = norms.tolist()
+                        hits = [(i, j, low) for i in range(len(rows)) for j, low in enumerate(lows)]
+                    else:
+                        # res[i, j] = ||b_j - Q_i Q_i^T b_j|| is within margin[i, j] of the exact
+                        # residual unless support i is forced, whatever order BLAS sums in
+                        g, c = cols.shape  # qt is Q_0^T over Q_1^T over ...: one product for all
+                        qtb = (qt @ obs).reshape(g, c, len(norms))
+                        diff = obs - qt.reshape(g, c, -1).transpose(0, 2, 1) @ qtb
+                        res = np.sqrt(np.add.reduce(diff * diff, axis=1))
+                        margin = kappa * norms
+                        upper = res + margin
+                        if forced is not None:
+                            upper = np.where(forced, np.inf, upper)  # forced: bounds nothing
+                        least = np.minimum.reduce(upper, axis=0)
+                        bound = least if bound is None else np.minimum(bound, least)
+                        lower = res - margin
+                        at = lower <= bound
+                        if forced is not None:
+                            at |= forced
+                        at_i, at_j = at.nonzero()
+                        hits = [(i, j, lower.item(i, j)) for i, j in zip(at_i.tolist(), at_j.tolist())]
+                    for i, j, low in hits:
+                        if low > residual_tol and (forced is None or not forced[i, 0]):
+                            # only a no-fit report needs it
+                            deferred[unresolved[j]].append(cols[i])
+                            continue
+                        res_ij, coef = _solve(phi.entries[:, cols[i]], columns[unresolved[j]])
+                        # groups split a chunk out of order: ties keep the lexicographically first
+                        position = searched + int(rows[i])
+                        if (res_ij, position) < best[j][:2]:
+                            best[j] = (res_ij, position, (sups[rows[i]], cols[i], coef))
+                searched += len(sups)
+            latest = _kept  # read once: another thread may replace it with another matrix's
+            if latest[0] is slot[0]:  # a level just factored may be kept: carry it into the next
+                slot = latest
+            for j, (best_res, _, found) in zip(unresolved, best):
+                best_overall[j] = min(best_overall[j], best_res)
+                if best_res <= residual_tol:
+                    sup, cols, coef = found
+                    x = np.zeros(structure.total_dim)
+                    x[cols] = coef
+                    outcomes[j] = OracleSolution(BlockSignal(x, structure), tuple(sup.tolist()), k,
+                                                 best_res, searched)
+            unresolved, before = [j for j in unresolved if outcomes[j] is None], len(unresolved)
+            if not unresolved:
+                break
+            if len(unresolved) < before:
+                obs, norms = columns[unresolved].T, column_norms[unresolved]
+        for j in unresolved:
+            for cols in deferred[j]:
+                best_overall[j] = min(best_overall[j], _solve(phi.entries[:, cols], columns[j])[0])
+            message = (f"no block support of size <= {s_max} fits within residual_tol={residual_tol:g} "
+                       f"(best residual {best_overall[j]:.3e})")
+            outcomes[j] = NoSparseFitError(message, best_overall[j])
     return outcomes
+
+
+def _lstsq_failed(*_):
+    """Raise np.linalg.lstsq's error for an SVD that did not converge; also the
+    errstate call that the gufunc's invalid flag triggers."""
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_errstate() -> np.errstate:
+    """np.linalg.lstsq's errstate, entered once by each caller of `_lstsq`: the gufunc
+    flags an SVD that does not converge as invalid, which raises LinAlgError, and
+    overflow, division and underflow are ignored."""
+    return np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
+    """np.linalg.lstsq(a, b, rcond)[0] of the float64 (m, n) `a` and (m, k) `b`, m and k
+    at least 1, bit for bit, without the wrapper's checks, copies and errstate: the
+    package's one least-squares solve, called under `_lstsq_errstate()`."""
+    if _lstsq_gufunc is None:
+        return np.linalg.lstsq(a, b, rcond=rcond)[0]
+    return _lstsq_gufunc(a, b, rcond, signature="ddd->ddid")[0]
 
 
 def _solve(sub: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     """(residual, coefficients) of the exact least-squares fit of `b` on the columns `sub`."""
-    coef, *_ = np.linalg.lstsq(sub, b, rcond=_SVD_CUTOFF)
+    coef = _lstsq(sub, b[:, None], _SVD_CUTOFF)[:, 0]
     diff = sub @ coef - b
     return math.sqrt(diff.dot(diff)), coef  # np.linalg.norm(diff), bit for bit
 
 
-def _factored_level(phi: SensingMatrix, k: int):
+def _slot(phi: SensingMatrix) -> tuple:
+    """The kept slot when it holds `phi`'s matrix, else a new empty slot for it: see
+    `_factored_level`."""
+    key = phi.entries.tobytes()
+    slot = _kept
+    if slot[0] == key and slot[1] == phi.structure and slot[2] == _ric._CHUNK:
+        return slot
+    return key, phi.structure, _ric._CHUNK, {}
+
+
+def _factored_level(phi: SensingMatrix, slot: tuple, k: int):
     """The chunks of `_support_chunks(phi.structure, k)` with each group's screen factors,
-    as (sups, [(rows, cols, (q, kappa, forced)), ...]).
+    as (sups, [(rows, cols, (qt, kappa, forced)), ...]), for a level that `slot` lacks.
 
     The factors depend on the matrix alone, so the last matrix's levels are kept between
     calls in one slot, (entries bytes, structure, chunk size, {k: (bytes, chunks)}),
-    matched bit for bit (-0.0 is not 0.0).  A level is kept once consumed to the end if
-    the slot's array bytes stay within _FACTOR_BUDGET; a level that does not fit is
-    factored chunk by chunk on every call.  The slot is only ever replaced whole, so a
-    reader never pairs one matrix's entries with another's factors."""
+    matched bit for bit (-0.0 is not 0.0) by `_slot`, once per call.  A level is kept once
+    consumed to the end if the slot's array bytes stay within _FACTOR_BUDGET; a level that
+    does not fit is factored chunk by chunk on every call.  The slot is only ever replaced
+    whole, by `slot` with the new level, so a reader never pairs one matrix's entries
+    with another's factors."""
     global _kept
-    key = phi.entries.tobytes()
-    slot = _kept
-    if slot[:3] != (key, phi.structure, _ric._CHUNK):
-        slot = (key, phi.structure, _ric._CHUNK, {})
-    levels = slot[3]
-    if k in levels:
-        yield from levels[k][1]
-        return
+    key, structure, _, levels = slot
     room = _FACTOR_BUDGET - len(key) - sum(size for size, _ in levels.values())
     chunks, size = [], 0
-    for sups, groups in _support_chunks(phi.structure, k):
+    for sups, groups in _support_chunks(structure, k):
         factored = [(rows, cols, _factor(phi.entries, cols)) for rows, cols in groups]
         if chunks is not None:
             arrays = [sups, *(a for rows, cols, factors in factored for a in (rows, cols, *factors))]
@@ -231,43 +296,32 @@ def _factored_level(phi: SensingMatrix, k: int):
 
 
 def _factor(entries: np.ndarray, cols: np.ndarray):
-    """(q, kappa, forced) of the supports with columns `cols` (g, c), which need no
-    observation: q stacks their Q factors, kappa[i] bounds the condition number of
-    support i unless forced[i], a support that may be rank-deficient under the cutoff.
-    q is None for the empty support and for supports with more columns than rows;
-    forced is None when no support is forced."""
+    """(qt, kappa, forced) of the supports with columns `cols` (g, c), which need no
+    observation: qt stacks their transposed Q factors as one (g c, m) array, Q_0^T over
+    Q_1^T over ..., and kappa[i, 0] is the screen's margin factor _SCREEN_MARGIN * m * eps
+    times a bound on the condition number of support i unless forced[i, 0], a support
+    that may be rank-deficient under the cutoff.  qt and kappa are None for the empty
+    support and for supports with more columns than rows, which are all forced; forced
+    is None when no support is forced."""
     g, c = cols.shape
+    m = entries.shape[0]
     if c == 0:  # the empty support: its residual is ||b||
-        return None, np.zeros(g), None
-    if c > entries.shape[0]:  # more columns than rows
-        return None, np.zeros(g), np.ones(g, dtype=bool)
+        return None, None, None
+    if c > m:  # more columns than rows
+        return None, None, np.ones((g, 1), dtype=bool)
     q, r = np.linalg.qr(entries[:, cols].transpose(1, 0, 2))
     rows2 = np.add.reduce(r * r, axis=2)
-    pivots2 = np.diagonal(r, axis1=1, axis2=2) ** 2
+    pivots2 = np.diagonal(r, axis1=1, axis2=2) ** 2  # r * r and these may overflow: forced
+    # the 0/0 of a zero pivot is ignored here, where the call's errstate would raise it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # R = D (I + N), D its diagonal: cond(R)^2 <= scale2 / min R_ii^2 even where the
         # unpivoted diagonal hides a near-rank deficiency; a zero pivot makes scale2 NaN or inf
-        growth = 1.0 + np.sqrt(np.add.reduce(rows2 / pivots2, axis=1) - c)  # 1 + ||N||_F
-        scale2 = rows2.sum(axis=1) * growth ** (2 * c - 2)
-        smallest2 = pivots2.min(axis=1)
+        growth = 1.0 + np.sqrt(np.add.reduce(rows2 / pivots2, axis=1, keepdims=True) - c)
+        scale2 = rows2.sum(axis=1, keepdims=True) * growth ** (2 * c - 2)
+        smallest2 = pivots2.min(axis=1, keepdims=True)
         forced = ~(smallest2 > (_RANK_GUARD * _SVD_CUTOFF) ** 2 * scale2)
-        kappa = np.sqrt(np.where(forced, 0.0, scale2 / smallest2))
-    return q, kappa, (forced if forced.any() else None)
-
-
-def _screen(q, kappa: np.ndarray, obs: np.ndarray, norms: np.ndarray):
-    """(res, margin) of the supports factored as (q, kappa) against `obs` (m, n):
-    res[i, j] = ||b_j - Q_i Q_i^T b_j|| is within margin[i, j] of the exact residual
-    unless the support is forced.  Without q, res is the row `norms` of every ||b_j||,
-    which broadcasts against margin: exact for the empty support, and a support with
-    more columns than rows is forced."""
-    if q is None:
-        res = norms
-    else:
-        diff = obs - q @ (q.transpose(0, 2, 1) @ obs)
-        res = np.sqrt(np.add.reduce(diff * diff, axis=1))
-    margin = (_SCREEN_MARGIN * obs.shape[0] * _EPS) * kappa[:, None] * norms
-    return res, margin
+        kappa = (_SCREEN_MARGIN * m * _EPS) * np.sqrt(np.where(forced, 0.0, scale2 / smallest2))
+    return q.transpose(0, 2, 1).reshape(g * c, m), kappa, (forced if forced.any() else None)
 
 
 class HypothesisNotMetError(ValueError):

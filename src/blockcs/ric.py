@@ -141,7 +141,9 @@ def exact_block_ric(
     Raises
     ------
     ValueError
-        If `phi` is not a SensingMatrix or `s` is outside [1, l].
+        If `phi` is not a SensingMatrix or `s` is outside [1, l], or if a
+        restricted Gram eigenvalue is not finite: the matrix's scale is out
+        of range, and the error names its largest entry.
     EnumerationCapError
         If C(l, s) exceeds `cap`.
     numpy.linalg.LinAlgError
@@ -178,6 +180,9 @@ def exact_block_ric(
                     _nonconvergence()
                 delta = deviation[i]
                 worst = tuple(sups[i].tolist())
+    if not (math.isfinite(min_eig) and math.isfinite(max_eig)):  # so is every deviation
+        raise _checks.scale_error(phi.entries, "a restricted Gram eigenvalue is not finite",
+                                  "the RIC enumeration's", "the matrix")
     return RicCertificate(
         order_s=s,
         delta=float(delta),

@@ -55,6 +55,11 @@ imported, and the rest of the package needs numpy alone.  These are the very
 functions that scipy.linalg.cho_factor and get_lapack_funcs call, with the
 same arguments, so the results are the same bits.  scipy >= 1.10 ships the
 module with both functions; only scipy 1.17.1 has been checked.
+
+The feasibility check before the iteration solves its least-squares problem
+through the oracle's `_lstsq`, the package's one least-squares solve: numpy's
+own `lstsq` gufunc at `np.linalg.lstsq`'s default cutoff, under that
+wrapper's errstate, so the same bits.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ import numpy as np
 
 from . import _checks
 from .blocks import BlockSignal, SensingMatrix, _check_signal
+from .oracle import _lstsq, _lstsq_errstate
 
 __all__ = [
     "SolverConfig",
@@ -205,10 +211,10 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     with np.errstate(over="ignore"):  # an overflow is refused just below
         gram = np.eye(n) + entries_t @ entries
     if not np.isfinite(gram).all():
-        raise _scale_error(entries, "I + Phi^T Phi is not finite")
+        raise _checks.scale_error(entries, "I + Phi^T Phi is not finite")
     chol, info = lapack.dpotrf(gram, lower=0, clean=0)
     if info > 0:
-        raise _scale_error(entries, "I + Phi^T Phi is not positive definite in floating point")
+        raise _checks.scale_error(entries, "I + Phi^T Phi is not positive definite in floating point")
     if info < 0:
         raise RuntimeError(f"LAPACK's dpotrf reported an illegal value in its argument {-info}")
     potrs = lapack.dpotrs  # the caller checked B and rhos finite, so it runs unchecked
@@ -321,7 +327,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
 
     est[:, cols] = w  # the last iterate of every column still running
     if not np.isfinite(est).all():
-        raise _scale_error(entries, "the iterates are not finite")
+        raise _checks.scale_error(entries, "the iterates are not finite")
     prim[cols], dual[cols] = rp, rd
     return est, iters, prim, dual, done
 
@@ -349,13 +355,6 @@ def _lapack():
         sys.modules[_FLAPACK] = module
         spec.loader.exec_module(module)
     return module
-
-
-def _scale_error(entries: np.ndarray, what: str) -> ValueError:
-    """The error for a matrix whose scale the unit-penalty iteration cannot take."""
-    return ValueError(f"the sensing matrix's scale (largest |entry| {np.abs(entries).max():.3g}) "
-                      f"is out of the solver's range: {what}; rescale the matrix and the "
-                      f"observations toward unit entries")
 
 
 def _build_results(phi, B, rhos, outputs, truths):
@@ -415,7 +414,8 @@ def _solve_batch(phi, name, B, rhos, config, truths):
         return []
 
     scale = np.maximum(1.0, np.sqrt(_checks.squares(name, B, axis=0)))  # np.linalg.norm(B, axis=0)
-    sol, *_ = np.linalg.lstsq(phi.entries, B, rcond=None)
+    with _lstsq_errstate():  # np.linalg.lstsq(phi.entries, B)[0], at its default cutoff eps * max(m, n)
+        sol = _lstsq(phi.entries, B, np.finfo(np.float64).eps * max(phi.entries.shape))
     dist = np.linalg.norm(phi.entries @ sol - B, axis=0)  # to the range of Phi
     bad = dist > rhos + cfg.feasibility_tol * scale
     if np.any(bad):

@@ -76,8 +76,8 @@ def test_compare_fails_a_median_beyond_its_bound_or_a_larger_failed_share():
 
 COUNTS = {"solvers.iters": 442957, "solvers.steps": 93820, "solvers.unconverged": 0,
           "solvers.iters_mean.rho_1e-3": 3904.25, "solvers.iters_mean.rho_1e-2": 1192.5,
-          "solvers.iters_mean.rho_1e-1": 441.0625, "ric.supports": 1162, "oracle.supports": 0,
-          "sensing.calls": 23, "experiments.trials": 0}
+          "solvers.iters_mean.rho_1e-1": 441.0625, "ric.supports": 1162, "oracle.calls": 2892,
+          "oracle.supports": 0, "sensing.calls": 23, "experiments.trials": 0}
 
 
 def _traced_output(**changed):
@@ -152,3 +152,14 @@ def test_main_exits_one_when_only_the_matrix_build_count_differs(tmp_path, monke
     counters = summary["workloads"]["recover_noisy"]["counters"]
     assert counters["differ"] == ([] if code == 0 else ["sensing.calls"])
     assert (counters["parent"]["sensing.calls"], counters["change"]["sensing.calls"]) == (23.0, change_builds)
+
+
+@pytest.mark.parametrize("change_calls, code", [(2892, 0), (2893, 1)])
+def test_main_exits_one_when_only_the_oracle_call_count_differs(tmp_path, monkeypatch,
+                                                                change_calls, code):
+    # one more oracle call, with every other counter and every timing equal
+    got, summary = _main_with_change_counter(tmp_path, monkeypatch, "oracle.calls", change_calls)
+    assert got == code
+    counters = summary["workloads"]["recover_noisy"]["counters"]
+    assert counters["differ"] == ([] if code == 0 else ["oracle.calls"])
+    assert (counters["parent"]["oracle.calls"], counters["change"]["oracle.calls"]) == (2892.0, change_calls)

@@ -82,6 +82,32 @@ def test_ric_over_enumeration_cap_exit_one(instance_files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_ric_gram_matrix_that_overflows_exit_one(tmp_path, capsys, gram_overflow_phi):
+    # the certificate would be delta = min_eig = max_eig = inf, which JSON cannot hold
+    save_json(matrix_to_json(gram_overflow_phi), tmp_path / "phi.json")
+    out = tmp_path / "ric.json"
+    code = main(["ric", "--matrix", str(tmp_path / "phi.json"), "--order", "1", "--out", str(out)])
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == ("error: the sensing matrix's scale (largest |entry| 1.34e+154) is out of the RIC "
+                   "enumeration's range: a restricted Gram eigenvalue is not finite; rescale the "
+                   "matrix toward unit entries\n")
+
+
+def test_oracle_gram_matrix_that_overflows_prints_no_warning(tmp_path, capfd, gram_overflow_phi):
+    # the QR pivots and, with b the matrix's own column, the empty support's residual
+    # square past the largest double; numpy's overflow warnings stay inside the call
+    save_json(matrix_to_json(gram_overflow_phi), tmp_path / "phi.json")
+    column = gram_overflow_phi.entries[:, 0]
+    for b, found in ((column * 1e-154, True), (column, False)):
+        (tmp_path / "b.json").write_text(json.dumps(b.tolist()))
+        out = tmp_path / "oracle.json"
+        code = main(["oracle", "--matrix", str(tmp_path / "phi.json"), "--obs", str(tmp_path / "b.json"),
+                     "--smax", "1", "--out", str(out)])
+        assert code == 0 and json.loads(out.read_text())["found"] is found
+        assert capfd.readouterr().err == ""
+
+
 def test_recover_infeasible_exit_one(tmp_path, capsys):
     phi = SensingMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), BlockStructure.uniform(1, 2))
     save_json(matrix_to_json(phi), tmp_path / "phi.json")

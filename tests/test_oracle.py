@@ -1,8 +1,11 @@
 import gc
+import importlib.util
 import itertools
 import json
 import math
+import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -25,10 +28,11 @@ from blockcs import (
     cone_constraint_check,
     gaussian_matrix,
     sharpness_instance,
+    solve_noiseless,
     spread_kernel_matrix,
     tail_power_check,
 )
-from blockcs import oracle, ric
+from blockcs import oracle, ric, solvers
 from conftest import (
     BAD_COUNTS,
     BAD_REALS,
@@ -306,7 +310,8 @@ def test_batch_returns_no_fit_errors_that_the_single_call_raises():
 
 
 def _lstsq_calls():
-    return mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq)
+    # every exact solve goes through the package's one least-squares helper
+    return mock.patch.object(oracle, "_lstsq", wraps=oracle._lstsq)
 
 
 def test_a_column_that_fits_costs_one_exact_solve():
@@ -442,7 +447,7 @@ def test_kept_columns_own_their_bytes(monkeypatch):
     phi = gaussian_matrix(6, BlockStructure((1, 3, 2, 1)), seed=3)
     _forget_factors(monkeypatch)
     for k in range(5):
-        for _, factored in oracle._factored_level(phi, k):
+        for _, factored in oracle._factored_level(phi, oracle._slot(phi), k):
             assert all(owns_its_bytes(cols) for _, cols, _ in factored)
     assert sorted(oracle._kept[3]) == [0, 1, 2, 3, 4]
 
@@ -463,6 +468,121 @@ def test_kept_memory_stays_within_the_budget(l, d, m, kept_levels):
         tracemalloc.stop()
     assert sorted(oracle._kept[3]) == kept_levels
     assert kept <= oracle._FACTOR_BUDGET
+
+
+# --- single calls, cold and warm ---
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.one_of(
+        st.tuples(st.integers(1, 3), st.integers(1, 7)).map(lambda dl: (dl[0],) * dl[1]),
+        st.lists(st.integers(1, 3), min_size=1, max_size=7).map(tuple),
+    ),
+    m=st.integers(1, 10),
+    seed=st.integers(0, 2**32),
+    chunk=st.sampled_from([1, 2, ric._CHUNK]),
+    data=st.data(),
+)
+def test_single_calls_cold_and_warm_match_reference_loop(lengths, m, seed, chunk, data):
+    # a cold call factors every level it reaches and keeps them; a warm call reuses them
+    structure = BlockStructure(lengths)
+    l = structure.num_blocks
+    rng = np.random.default_rng(seed)
+    phi = SensingMatrix(rng.standard_normal((m, structure.total_dim)) / math.sqrt(m), structure)
+    s_max = data.draw(st.integers(0, min(3, l)), label="s_max")
+    x = np.zeros(structure.total_dim)
+    for i in rng.choice(l, size=int(rng.integers(0, s_max + 1)), replace=False):
+        sl = structure.block_slice(int(i))
+        x[sl] = rng.standard_normal(sl.stop - sl.start)
+    fit = phi.entries @ x
+    no_fit = fit + rng.standard_normal(m)  # fits only where a support of size <= s_max spans R^m
+    with mock.patch.object(ric, "_CHUNK", chunk):
+        for b in (fit, no_fit):
+            expected = _outcome_key(_reference_l20(phi, b.copy(), s_max))
+            with mock.patch.object(oracle, "_kept", (b"", None, 0, {})):
+                cold = _outcome_key(_standalone(phi, b, s_max))
+                assert oracle._kept[0] == phi.entries.tobytes() and oracle._kept[2] == chunk
+                warm = _outcome_key(_standalone(phi, b, s_max))
+            assert cold == warm == expected
+
+
+# --- the least-squares gufunc and floating-point warnings ---
+
+def test_oracle_lets_no_floating_point_warning_escape(gram_overflow_phi, monkeypatch):
+    # the QR pivots square past the largest double, and with b the matrix's own column so
+    # does the empty support's residual; the support whose pivots overflow is forced and
+    # solved exactly, so the outcomes are the reference loop's
+    column = gram_overflow_phi.entries[:, 0]
+    for b in (column * 1e-154, column):
+        _forget_factors(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome_key(_standalone(gram_overflow_phi, b, 1))
+        with np.errstate(over="ignore"):
+            assert got == _outcome_key(_reference_l20(gram_overflow_phi, b, 1))
+
+
+def test_oracle_and_solvers_use_numpys_lstsq_gufunc_where_numpy_has_it():
+    if hasattr(np.linalg._umath_linalg, "lstsq"):
+        assert oracle._lstsq_gufunc is np.linalg._umath_linalg.lstsq
+    assert solvers._lstsq is oracle._lstsq
+
+
+def test_oracle_falls_back_to_np_linalg_lstsq_without_the_gufunc(monkeypatch):
+    # a second copy of the module, imported while numpy lacks the name; np.linalg.lstsq,
+    # which the copy then calls, needs it back
+    spec = importlib.util.spec_from_file_location("blockcs._oracle_without_gufunc", oracle.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fallback)  # its dataclasses look themselves up there
+    with monkeypatch.context() as hiding:
+        hiding.delattr(np.linalg._umath_linalg, "lstsq")
+        spec.loader.exec_module(fallback)
+    assert fallback._lstsq_gufunc is None
+    for name in sorted(ORACLE_CASES):
+        phi, b, s_max = _oracle_case(name)
+        B = np.column_stack([b, -2.0 * b, b + 1e-3 * np.random.default_rng(1).standard_normal(len(b))])
+        for j, outcome in enumerate(fallback.brute_force_l20_batch(phi, B, s_max)):
+            if isinstance(outcome, fallback.NoSparseFitError):
+                outcome = NoSparseFitError(str(outcome), outcome.best_residual)
+            assert _outcome_key(outcome) == _outcome_key(_reference_l20(phi, B[:, j].copy(), s_max))
+        with fallback._lstsq_errstate():  # the solvers' feasibility solve, at numpy's default cutoff
+            rcond = np.finfo(np.float64).eps * max(phi.entries.shape)
+            assert (fallback._lstsq(phi.entries, B, rcond).tobytes()
+                    == np.linalg.lstsq(phi.entries, B, rcond=None)[0].tobytes())
+
+
+def _flagging_nan(a, b, rcond, signature):
+    """What the gufunc returns for an SVD that does not converge: NaN, with the
+    floating-point invalid flag raised."""
+    nan = np.full((a.shape[1], b.shape[1]), np.inf) - np.inf
+    return nan, np.full(b.shape[1], np.nan), 0, np.full(min(a.shape), np.nan)
+
+
+def test_a_gufunc_that_flags_nonconvergence_raises_linalg_error():
+    phi = gaussian_matrix(6, BlockStructure((1, 3, 2, 2)), seed=5)
+    b = phi.entries[:, :4] @ np.array([1.0, -1.0, 2.0, 0.5])
+    with mock.patch.object(oracle, "_lstsq_gufunc", _flagging_nan):
+        for call in (lambda: brute_force_l20(phi, b, 2), lambda: solve_noiseless(phi, b)):
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="^SVD did not converge in Linear Least Squares$"):
+                call()
+
+
+def test_a_gufunc_that_overflows_divides_or_underflows_warns_nothing():
+    # np.linalg.lstsq ignores those flags, and so does every exact solve
+    phi = gaussian_matrix(6, BlockStructure((1, 3, 2, 2)), seed=5)
+    b = phi.entries[:, :4] @ np.array([1.0, -1.0, 2.0, 0.5])
+    real = oracle._lstsq_gufunc
+
+    def flagging(a, b, rcond, signature):
+        np.float64(1e308) * 10.0, np.float64(1.0) / 0.0, np.float64(1e-308) * 1e-308
+        return real(a, b, rcond, signature=signature)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(oracle, "_lstsq_gufunc", flagging):
+            assert _outcome_key(brute_force_l20(phi, b, 2)) == _outcome_key(_reference_l20(phi, b, 2))
+            assert solve_noiseless(phi, b).converged
 
 
 # --- sorted tail power-sum inequality ---

@@ -271,6 +271,15 @@ def test_exact_ric_lets_no_floating_point_warning_escape():
             assert exact_block_ric(scaled, 2) == _reference_ric(scaled, 2)
 
 
+def test_exact_ric_refuses_a_certificate_that_is_not_finite(gram_overflow_phi):
+    # the Gram matrix rounds past the largest double, so its one eigenvalue is inf
+    with pytest.raises(ValueError, match=r"^the sensing matrix's scale \(largest \|entry\| 1\.34e\+154\) "
+                                         r"is out of the RIC enumeration's range: a restricted Gram "
+                                         r"eigenvalue is not finite; rescale the matrix toward unit "
+                                         r"entries$"):
+        exact_block_ric(gram_overflow_phi, 1)
+
+
 def _peak_bytes(phi, s):
     tracemalloc.start()
     try:

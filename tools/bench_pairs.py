@@ -20,8 +20,9 @@ than the parent's interquartile range.  Every run of one call uses one seed,
 
 After a workload's pairs, one `bench/run.py --trace 1` pass per side records
 the deterministic counters (`COUNTERS`: solver iterations and loop steps,
-unconverged columns, mean iterations per noise radius, RIC and oracle supports
-enumerated, sensing-matrix builds, experiment trials) under "counters", with
+unconverged columns, mean iterations per noise radius, RIC supports enumerated,
+oracle calls and supports enumerated, sensing-matrix builds, experiment trials)
+under "counters", with
 the names of those that differ.
 
 The exit code is 0 when every end-to-end median is within its bound, no
@@ -42,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # per-pass counts of a traced run: equal on both sides when the work is the same
 COUNTERS = ("solvers.iters", "solvers.steps", "solvers.unconverged",
             "solvers.iters_mean.rho_1e-3", "solvers.iters_mean.rho_1e-2",
-            "solvers.iters_mean.rho_1e-1", "ric.supports", "oracle.supports",
+            "solvers.iters_mean.rho_1e-1", "ric.supports", "oracle.calls", "oracle.supports",
             "sensing.calls", "experiments.trials")
 
 

@@ -5,8 +5,8 @@
 
 It imports `blockcs` from `<tree>/src` and builds the instances with
 `<tree>/bench/workloads.py` (the tree is the repository this script sits in,
-unless `--tree` names another), runs one pass of four workloads and prints
-one line per digest, `<name> <sha256> <records>`:
+unless `--tree` names another), runs one pass of four workloads, then the
+batch oracle, and prints one line per digest, `<name> <sha256> <records>`:
 
 - `recover_exact`, at `--seed`: for each unit in pass order and each column,
   the solver result (estimate coefficients, objective, feasibility gap,
@@ -22,6 +22,11 @@ one line per digest, `<name> <sha256> <records>`:
 - `ric_certify`, at `--seed`: for each unit in pass order, the matrix's
   entries, then its certificate (delta, worst support, smallest and largest
   eigenvalue, supports enumerated).
+- `oracle_batch`, at `--seed`: for each `recover_exact` unit in pass order,
+  one `brute_force_l20_batch` call on all its columns, which the benchmark
+  never makes, and each column's outcome in order, fields as in
+  `recover_exact` (a column that no support fits enters its best residual and
+  message).
 
 Coefficients enter as little-endian float64 bytes, every other field as its
 `repr` and a newline, texts as UTF-8.  `--small` takes the workloads' small
@@ -59,11 +64,14 @@ def _feed_result(h, res) -> None:
 
 
 def _feed_oracle(h, orc) -> None:
-    _feed(h, orc.estimate.coeffs, orc.residual, orc.support, orc.sparsity, orc.supports_searched)
+    if isinstance(orc, Exception):  # a NoSparseFitError the batch call returns
+        _feed(h, orc.best_residual, str(orc))
+    else:
+        _feed(h, orc.estimate.coeffs, orc.residual, orc.support, orc.sparsity, orc.supports_searched)
 
 
 def digests(tree: Path, seed: int, small: bool) -> dict[str, tuple[str, int]]:
-    """{name: (sha256 hex, records hashed)} of the three workloads in `tree`."""
+    """{name: (sha256 hex, records hashed)} of the four workloads and the batch oracle in `tree`."""
     for path in (tree / "bench", tree / "src"):
         sys.path.insert(0, str(path))
     blockcs = importlib.import_module("blockcs")
@@ -75,7 +83,7 @@ def digests(tree: Path, seed: int, small: bool) -> dict[str, tuple[str, int]]:
     out = {}
 
     h, records = hashlib.sha256(), 0
-    wl = workloads.RecoverExact(seed, small)
+    exact = wl = workloads.RecoverExact(seed, small)
     wl.setup(api)
     for unit in wl.units:
         results, oracles = wl.run(api, unit)
@@ -116,6 +124,14 @@ def digests(tree: Path, seed: int, small: bool) -> dict[str, tuple[str, int]]:
         _feed(h, phi.entries, cert.delta, cert.worst_support, cert.min_eig, cert.max_eig,
               cert.supports_enumerated)
     out["ric_certify"] = (h.hexdigest(), len(wl.units))
+
+    h, records = hashlib.sha256(), 0
+    for unit in exact.units:
+        inst, _, B = unit.data
+        for orc in api.brute_force_l20_batch(inst.phi, B, s_max=workloads.S):
+            _feed_oracle(h, orc)
+            records += 1
+    out["oracle_batch"] = (h.hexdigest(), records)
     return out
 
 
