@@ -2,18 +2,9 @@
 enumeration, the sorted tail power-sum inequality, and the cone-constraint
 diagnostic used to audit solver runs.
 
-Every exact least-squares solve of the package, the oracle's and the solvers'
-feasibility check, goes through `_lstsq`, which calls numpy's own gufunc
-`numpy.linalg._umath_linalg.lstsq` with the signature `np.linalg.lstsq` passes
-for float64: the same call, hence the same bits, without the wrapper's checks,
-its copies and its errstate on every solve.  Each caller enters that errstate
-once instead, through `_lstsq_errstate`, with the same contract: an SVD that
-does not converge raises `numpy.linalg.LinAlgError`, and overflow, division
-and underflow are ignored.  An oracle call enters it once, around its screens
-too, so a matrix whose QR pivots square past the largest double prints no
-warning.  Only numpy 2.4.6 has been checked.  Where the installed numpy has no
-gufunc under that name (numpy 1.x splits it in two), `_lstsq` calls
-`np.linalg.lstsq` itself, with the same bits.
+Each exact solve of the oracle is one `_linalg.lstsq`.  An oracle call enters
+its errstate once, around the screens too, so a matrix whose QR pivots square
+past the largest double prints no warning.
 """
 
 from __future__ import annotations
@@ -25,6 +16,7 @@ import numpy as np
 
 from . import _checks
 from . import ric as _ric
+from ._linalg import LSTSQ_FAILED, errstate, lstsq
 from .blocks import BlockSignal, SensingMatrix, _check_signal, best_block_approx, mixed_norm_2_1
 from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, _support_chunks
 
@@ -50,11 +42,6 @@ _EPS = float(np.finfo(float).eps)
 _FACTOR_BUDGET = 64 * 1024  # bytes kept between calls: one matrix's entries and screen factors
 _ARRAY_OVERHEAD = 256  # bytes a kept array costs beyond its data: its object and containers
 _kept: tuple = (b"", None, 0, {})  # the one matrix whose factors are kept: see _factored_level
-
-try:  # the gufunc np.linalg.lstsq calls on float64 arrays
-    from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
-except ImportError:
-    _lstsq_gufunc = None
 
 
 class NoSparseFitError(RuntimeError):
@@ -158,7 +145,7 @@ def _l20(phi: SensingMatrix, name: str, columns: np.ndarray, s_max: int, residua
     searched = 0
     column_norms = np.sqrt(_checks.squares(name, columns, axis=1))
     # one errstate per call: lstsq's contract, which also keeps the screen's overflows quiet
-    with _lstsq_errstate():
+    with errstate(LSTSQ_FAILED):
         slot, obs, norms = _slot(phi), columns.T, column_norms
         for k in range(s_max + 1):
             bound = None  # running upper bound on each best exact residual
@@ -226,32 +213,9 @@ def _l20(phi: SensingMatrix, name: str, columns: np.ndarray, s_max: int, residua
     return outcomes
 
 
-def _lstsq_failed(*_):
-    """Raise np.linalg.lstsq's error for an SVD that did not converge; also the
-    errstate call that the gufunc's invalid flag triggers."""
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _lstsq_errstate() -> np.errstate:
-    """np.linalg.lstsq's errstate, entered once by each caller of `_lstsq`: the gufunc
-    flags an SVD that does not converge as invalid, which raises LinAlgError, and
-    overflow, division and underflow are ignored."""
-    return np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
-    """np.linalg.lstsq(a, b, rcond)[0] of the float64 (m, n) `a` and (m, k) `b`, m and k
-    at least 1, bit for bit, without the wrapper's checks, copies and errstate: the
-    package's one least-squares solve, called under `_lstsq_errstate()`."""
-    if _lstsq_gufunc is None:
-        return np.linalg.lstsq(a, b, rcond=rcond)[0]
-    return _lstsq_gufunc(a, b, rcond, signature="ddd->ddid")[0]
-
-
 def _solve(sub: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     """(residual, coefficients) of the exact least-squares fit of `b` on the columns `sub`."""
-    coef = _lstsq(sub, b[:, None], _SVD_CUTOFF)[:, 0]
+    coef = lstsq(sub, b[:, None], _SVD_CUTOFF)[:, 0]
     diff = sub @ coef - b
     return math.sqrt(diff.dot(diff)), coef  # np.linalg.norm(diff), bit for bit
 

@@ -12,15 +12,10 @@ error estimates.
 The enumeration kernel spends most of its time in LAPACK's symmetric
 eigenvalue solver, so the rest of it is kept thin.  Each chunk's column
 indices are one gather from a per-call table of each block's columns, and
-the eigenvalues come from numpy's own gufunc,
-`numpy.linalg._umath_linalg.eigvalsh_lo`, with the signature
-`np.linalg.eigvalsh` passes for float64: the same call, hence the same bits,
-without the wrapper's checks and its errstate on every chunk.  That errstate
-is entered once per certificate instead, with the same contract: an
-eigenvalue problem that does not converge raises `numpy.linalg.LinAlgError`,
-and overflow, division and underflow are ignored.  A NaN eigenvalue that no
-flag reported (a Gram matrix that rounds past the largest double can give
-one) raises the same error, so no NaN reaches a certificate.
+the eigenvalues come from `_linalg.eigvalsh`, under its errstate once per
+certificate.  A NaN eigenvalue that no flag reported (a Gram matrix that
+rounds past the largest double can give one) raises the same
+`numpy.linalg.LinAlgError`, so no NaN reaches a certificate.
 """
 
 from __future__ import annotations
@@ -30,9 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
 
 from . import _checks
+from ._linalg import EIGVALSH_FAILED, eigvalsh, errstate
 from .blocks import BlockStructure, SensingMatrix
 
 __all__ = [
@@ -121,12 +116,6 @@ def _support_chunks(structure: BlockStructure, k: int):
         yield sups, groups
 
 
-def _nonconvergence(*_):
-    """Raise np.linalg.eigvalsh's error for an eigenvalue problem that did not
-    converge; also the errstate call that the gufunc's invalid flag triggers."""
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
 def exact_block_ric(
     phi: SensingMatrix, s: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> RicCertificate:
@@ -158,17 +147,14 @@ def exact_block_ric(
     delta = -np.inf
     worst: tuple[int, ...] = ()
     min_eig, max_eig = np.inf, -np.inf
-    # np.linalg.eigvalsh's errstate, once per call: the gufunc returns NaN where an
-    # eigenvalue problem does not converge and flags it as invalid, which raises here
-    with np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    with errstate(EIGVALSH_FAILED):
         for sups, groups in _support_chunks(structure, s):
             lo, hi = np.empty(len(sups)), np.empty(len(sups))
             for rows, cols in groups:
                 # (c, m, k): each (m, k) slice is laid out as one support's own phi.entries[:, cols],
                 # so the stacked product rounds exactly as that support's 2-D sub.T @ sub
                 sub = phi.entries[:, cols].transpose(1, 0, 2)
-                w = _eigvalsh_lo(np.swapaxes(sub, 1, 2) @ sub, signature="d->d")
+                w = eigvalsh(np.swapaxes(sub, 1, 2) @ sub)
                 lo[rows], hi[rows] = w[:, 0], w[:, -1]
             min_eig = min(min_eig, lo.min())
             max_eig = max(max_eig, hi.max())
@@ -177,7 +163,7 @@ def exact_block_ric(
             i = int(np.argmax(deviation))
             if not deviation[i] <= delta:
                 if np.isnan(deviation[i]):  # a NaN eigenvalue the gufunc did not flag
-                    _nonconvergence()
+                    raise np.linalg.LinAlgError(EIGVALSH_FAILED)
                 delta = deviation[i]
                 worst = tuple(sups[i].tolist())
     if not (math.isfinite(min_eig) and math.isfinite(max_eig)):  # so is every deviation

@@ -2,18 +2,6 @@
 and the explicit square operator that sits exactly at the recovery threshold.
 The `SensingMatrix` type is defined in `blocks`, so that `ric`, which this
 module imports, can check its matrix arguments too.
-
-Each row-energy flattening pass of `spread_kernel_matrix` takes its Q factor
-from numpy's own QR gufuncs, `numpy.linalg._umath_linalg.qr_r_raw` and
-`qr_reduced`: the two calls `np.linalg.qr(mode="reduced")` makes on a float64
-array, so the factor is the same bits, without qr's checks, its copy of the
-input (each pass's array is fresh and is overwritten), its discarded
-`triu(R)` and its `errstate`.  That errstate only turns LAPACK's failure flag
-into `LinAlgError`, and Householder QR cannot raise the flag for a finite
-(n, k) input with k < n; a non-finite result would still be refused by
-`SensingMatrix`'s finite check.  Only numpy 2.4.6 has been checked.  Where
-the installed numpy has no gufuncs under these two names (numpy 1.x names
-them otherwise), each pass calls `np.linalg.qr` itself, with the same bits.
 """
 
 from __future__ import annotations
@@ -24,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
+from ._linalg import QR_FAILED, errstate, orthonormal
 from .blocks import BlockSignal, BlockStructure, SensingMatrix, _check_signal
 from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, condition_threshold, exact_block_ric
 from .seeding import generator
@@ -37,20 +26,6 @@ __all__ = [
 ]
 
 _FLATTEN_ITERS = 100  # row-energy flattening passes of the spread-kernel construction
-
-try:  # the gufuncs np.linalg.qr(mode="reduced") calls on a float64 array
-    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
-except ImportError:
-    _qr_r_raw = _qr_reduced = None
-
-
-def _orthonormal(V: np.ndarray) -> np.ndarray:
-    """np.linalg.qr(V)[0] of a fresh float64 (n, k) array, k < n, bit for bit,
-    without qr's checks, copy, errstate and discarded triu(R); V is overwritten."""
-    if _qr_r_raw is None:
-        return np.linalg.qr(V)[0]
-    tau = _qr_r_raw(V, signature="d->d")
-    return _qr_reduced(V, tau, signature="dd->d")
 
 
 def apply(phi: SensingMatrix, x: BlockSignal) -> np.ndarray:
@@ -113,11 +88,12 @@ def spread_kernel_matrix(
     k = n - m
     V = rng.standard_normal((n, k))
     target = np.sqrt(k / n)
-    for _ in range(_FLATTEN_ITERS):
-        V = _orthonormal(V)
-        row_norms = np.sqrt(np.add.reduce(V * V, axis=1, keepdims=True))  # np.linalg.norm's formula
-        V = V * (target / np.maximum(row_norms, 1e-300)) ** 0.9
-    V = _orthonormal(V)
+    with errstate(QR_FAILED):
+        for _ in range(_FLATTEN_ITERS):
+            V = orthonormal(V)
+            row_norms = np.sqrt(np.add.reduce(V * V, axis=1, keepdims=True))  # np.linalg.norm's formula
+            V = V * (target / np.maximum(row_norms, 1e-300)) ** 0.9
+        V = orthonormal(V)
     proj = np.eye(n) - V @ V.T
     w, U = np.linalg.eigh(proj)
     basis = U[:, w > 0.5]  # orthonormal basis of the complement, n x m

@@ -49,33 +49,20 @@ non-finite) is refused with a ValueError that names the matrix's largest
 entry.
 
 The Cholesky factor and its solves are LAPACK's dpotrf and dpotrs from
-scipy's LAPACK wrapper, the extension module scipy.linalg._flapack, which the
-first solve in a process loads on its own: scipy.linalg itself is never
-imported, and the rest of the package needs numpy alone.  These are the very
-functions that scipy.linalg.cho_factor and get_lapack_funcs call, with the
-same arguments, so the results are the same bits.  scipy >= 1.10 ships the
-module with both functions; only scipy 1.17.1 has been checked.
-
-The feasibility check before the iteration solves its least-squares problem
-through the oracle's `_lstsq`, the package's one least-squares solve: numpy's
-own `lstsq` gufunc at `np.linalg.lstsq`'s default cutoff, under that
-wrapper's errstate, so the same bits.
+`_linalg.flapack()`, and the feasibility check before the iteration is one
+`_linalg.lstsq` at `np.linalg.lstsq`'s default cutoff.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _checks
+from ._linalg import LSTSQ_FAILED, errstate, flapack, lstsq
 from .blocks import BlockSignal, SensingMatrix, _check_signal
-from .oracle import _lstsq, _lstsq_errstate
 
 __all__ = [
     "SolverConfig",
@@ -93,7 +80,6 @@ _BALANCE_EVERY = 50
 _BALANCE_FACTOR = 2.0
 _BALANCE_RATIO = 10.0
 _ONE = np.array(1.0)
-_FLAPACK = "scipy.linalg._flapack"
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -207,7 +193,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     batch = B.shape[1]
 
     # scipy.linalg.cho_factor, with its checks, and the potrs get_lapack_funcs returns for it
-    lapack = _lapack()
+    lapack = flapack()
     with np.errstate(over="ignore"):  # an overflow is refused just below
         gram = np.eye(n) + entries_t @ entries
     if not np.isfinite(gram).all():
@@ -332,31 +318,6 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     return est, iters, prim, dual, done
 
 
-def _lapack():
-    """scipy's LAPACK wrapper, the module `scipy.linalg._flapack`, loaded on the
-    first call without running `scipy/linalg/__init__.py`: the package would
-    load all of scipy.linalg, and the solver needs only dpotrf and dpotrs.
-
-    The module is loaded under its full name and kept in `sys.modules`, so a
-    later `import scipy.linalg` finds and uses this very module.
-    """
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        import scipy
-
-        # PathFinder searches the one directory given; importlib.util.find_spec
-        # would import the parent package scipy.linalg first
-        found = importlib.machinery.PathFinder.find_spec(
-            "_flapack", [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
-        if found is None:
-            raise ImportError(f"scipy {scipy.__version__} has no LAPACK wrapper {_FLAPACK}")
-        spec = importlib.util.spec_from_file_location(_FLAPACK, found.origin)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_FLAPACK] = module
-        spec.loader.exec_module(module)
-    return module
-
-
 def _build_results(phi, B, rhos, outputs, truths):
     est, iters, prim, dual, done = outputs
     structure, entries = phi.structure, phi.entries
@@ -414,8 +375,8 @@ def _solve_batch(phi, name, B, rhos, config, truths):
         return []
 
     scale = np.maximum(1.0, np.sqrt(_checks.squares(name, B, axis=0)))  # np.linalg.norm(B, axis=0)
-    with _lstsq_errstate():  # np.linalg.lstsq(phi.entries, B)[0], at its default cutoff eps * max(m, n)
-        sol = _lstsq(phi.entries, B, np.finfo(np.float64).eps * max(phi.entries.shape))
+    with errstate(LSTSQ_FAILED):  # np.linalg.lstsq(phi.entries, B)[0], at its default cutoff eps * max(m, n)
+        sol = lstsq(phi.entries, B, np.finfo(np.float64).eps * max(phi.entries.shape))
     dist = np.linalg.norm(phi.entries @ sol - B, axis=0)  # to the range of Phi
     bad = dist > rhos + cfg.feasibility_tol * scale
     if np.any(bad):

@@ -1,9 +1,7 @@
 import gc
-import importlib.util
 import itertools
 import json
 import math
-import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -28,11 +26,10 @@ from blockcs import (
     cone_constraint_check,
     gaussian_matrix,
     sharpness_instance,
-    solve_noiseless,
     spread_kernel_matrix,
     tail_power_check,
 )
-from blockcs import oracle, ric, solvers
+from blockcs import oracle, ric
 from conftest import (
     BAD_COUNTS,
     BAD_REALS,
@@ -310,8 +307,8 @@ def test_batch_returns_no_fit_errors_that_the_single_call_raises():
 
 
 def _lstsq_calls():
-    # every exact solve goes through the package's one least-squares helper
-    return mock.patch.object(oracle, "_lstsq", wraps=oracle._lstsq)
+    # every exact solve goes through the package's one least-squares entry point
+    return mock.patch.object(oracle, "lstsq", wraps=oracle.lstsq)
 
 
 def test_a_column_that_fits_costs_one_exact_solve():
@@ -506,7 +503,7 @@ def test_single_calls_cold_and_warm_match_reference_loop(lengths, m, seed, chunk
             assert cold == warm == expected
 
 
-# --- the least-squares gufunc and floating-point warnings ---
+# --- floating-point warnings (tests/test_linalg.py covers the least-squares entry point) ---
 
 def test_oracle_lets_no_floating_point_warning_escape(gram_overflow_phi, monkeypatch):
     # the QR pivots square past the largest double, and with b the matrix's own column so
@@ -520,69 +517,6 @@ def test_oracle_lets_no_floating_point_warning_escape(gram_overflow_phi, monkeyp
             got = _outcome_key(_standalone(gram_overflow_phi, b, 1))
         with np.errstate(over="ignore"):
             assert got == _outcome_key(_reference_l20(gram_overflow_phi, b, 1))
-
-
-def test_oracle_and_solvers_use_numpys_lstsq_gufunc_where_numpy_has_it():
-    if hasattr(np.linalg._umath_linalg, "lstsq"):
-        assert oracle._lstsq_gufunc is np.linalg._umath_linalg.lstsq
-    assert solvers._lstsq is oracle._lstsq
-
-
-def test_oracle_falls_back_to_np_linalg_lstsq_without_the_gufunc(monkeypatch):
-    # a second copy of the module, imported while numpy lacks the name; np.linalg.lstsq,
-    # which the copy then calls, needs it back
-    spec = importlib.util.spec_from_file_location("blockcs._oracle_without_gufunc", oracle.__file__)
-    fallback = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, fallback)  # its dataclasses look themselves up there
-    with monkeypatch.context() as hiding:
-        hiding.delattr(np.linalg._umath_linalg, "lstsq")
-        spec.loader.exec_module(fallback)
-    assert fallback._lstsq_gufunc is None
-    for name in sorted(ORACLE_CASES):
-        phi, b, s_max = _oracle_case(name)
-        B = np.column_stack([b, -2.0 * b, b + 1e-3 * np.random.default_rng(1).standard_normal(len(b))])
-        for j, outcome in enumerate(fallback.brute_force_l20_batch(phi, B, s_max)):
-            if isinstance(outcome, fallback.NoSparseFitError):
-                outcome = NoSparseFitError(str(outcome), outcome.best_residual)
-            assert _outcome_key(outcome) == _outcome_key(_reference_l20(phi, B[:, j].copy(), s_max))
-        with fallback._lstsq_errstate():  # the solvers' feasibility solve, at numpy's default cutoff
-            rcond = np.finfo(np.float64).eps * max(phi.entries.shape)
-            assert (fallback._lstsq(phi.entries, B, rcond).tobytes()
-                    == np.linalg.lstsq(phi.entries, B, rcond=None)[0].tobytes())
-
-
-def _flagging_nan(a, b, rcond, signature):
-    """What the gufunc returns for an SVD that does not converge: NaN, with the
-    floating-point invalid flag raised."""
-    nan = np.full((a.shape[1], b.shape[1]), np.inf) - np.inf
-    return nan, np.full(b.shape[1], np.nan), 0, np.full(min(a.shape), np.nan)
-
-
-def test_a_gufunc_that_flags_nonconvergence_raises_linalg_error():
-    phi = gaussian_matrix(6, BlockStructure((1, 3, 2, 2)), seed=5)
-    b = phi.entries[:, :4] @ np.array([1.0, -1.0, 2.0, 0.5])
-    with mock.patch.object(oracle, "_lstsq_gufunc", _flagging_nan):
-        for call in (lambda: brute_force_l20(phi, b, 2), lambda: solve_noiseless(phi, b)):
-            with pytest.raises(np.linalg.LinAlgError,
-                               match="^SVD did not converge in Linear Least Squares$"):
-                call()
-
-
-def test_a_gufunc_that_overflows_divides_or_underflows_warns_nothing():
-    # np.linalg.lstsq ignores those flags, and so does every exact solve
-    phi = gaussian_matrix(6, BlockStructure((1, 3, 2, 2)), seed=5)
-    b = phi.entries[:, :4] @ np.array([1.0, -1.0, 2.0, 0.5])
-    real = oracle._lstsq_gufunc
-
-    def flagging(a, b, rcond, signature):
-        np.float64(1e308) * 10.0, np.float64(1.0) / 0.0, np.float64(1e-308) * 1e-308
-        return real(a, b, rcond, signature=signature)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with mock.patch.object(oracle, "_lstsq_gufunc", flagging):
-            assert _outcome_key(brute_force_l20(phi, b, 2)) == _outcome_key(_reference_l20(phi, b, 2))
-            assert solve_noiseless(phi, b).converged
 
 
 # --- sorted tail power-sum inequality ---

@@ -218,54 +218,32 @@ def test_support_chunks_match_combinations_and_block_indices(lengths):
             assert seen == list(itertools.combinations(range(l), k))
 
 
-# --- the eigenvalue gufunc's error contract ---
-
-def _flagging_nan(G, signature):
-    """What the gufunc returns for problems that do not converge: NaN, with the
-    floating-point invalid flag raised."""
-    return np.full(G.shape[:-1], np.inf) - np.inf
-
-
-def test_exact_ric_raises_when_the_gufunc_flags_nonconvergence():
-    phi = gaussian_matrix(8, BlockStructure((1, 3, 2, 2)), seed=5)
-    with mock.patch.object(ric, "_eigvalsh_lo", _flagging_nan):
-        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            exact_block_ric(phi, 2)
-
+# --- the eigenvalue error contract (tests/test_linalg.py covers the flagged errors) ---
 
 @pytest.mark.parametrize("chunk", [1, 2, ric._CHUNK])
 def test_exact_ric_raises_on_an_unflagged_nan(chunk):
     # one support's eigenvalues come back NaN with no flag raised, in the last chunk at chunk 1
     phi = gaussian_matrix(8, BlockStructure((1, 3, 2, 2)), seed=5)
-    real = ric._eigvalsh_lo
+    real = ric.eigvalsh
     calls = []
 
-    def nan_in_last(G, signature):
-        w = real(G, signature=signature)
+    def nan_in_last(G):
+        w = real(G)
         calls.append(len(G))
         if sum(calls) == math.comb(4, 2):
             w[-1] = np.nan
         return w
 
-    with mock.patch.object(ric, "_CHUNK", chunk), mock.patch.object(ric, "_eigvalsh_lo", nan_in_last):
+    with mock.patch.object(ric, "_CHUNK", chunk), mock.patch.object(ric, "eigvalsh", nan_in_last):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             exact_block_ric(phi, 2)
 
 
 def test_exact_ric_lets_no_floating_point_warning_escape():
-    # the gufunc may overflow, divide by zero or underflow inside LAPACK's scaling;
-    # np.linalg.eigvalsh ignores those flags, and so does the kernel
+    # np.linalg.eigvalsh ignores overflow, division and underflow, and so does the kernel
     phi = gaussian_matrix(8, BlockStructure((1, 3, 2, 2)), seed=5)
-    real = ric._eigvalsh_lo
-
-    def flagging(G, signature):
-        np.float64(1e308) * 10.0, np.float64(1.0) / 0.0, np.float64(1e-308) * 1e-308
-        return real(G, signature=signature)
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with mock.patch.object(ric, "_eigvalsh_lo", flagging):
-            assert exact_block_ric(phi, 2) == _reference_ric(phi, 2)
         for scale in (1e-160, 1e150):  # Grams near the subnormal range and the largest double
             scaled = SensingMatrix(scale * phi.entries, phi.structure)
             assert exact_block_ric(scaled, 2) == _reference_ric(scaled, 2)

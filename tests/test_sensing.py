@@ -1,8 +1,6 @@
 import hashlib
-import importlib.util
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -194,7 +192,7 @@ def test_spread_kernel_rejects_overdetermined():
 def _no_flattening(monkeypatch):
     def flatten(V):
         raise AssertionError("a flattening pass ran before the argument checks")
-    monkeypatch.setattr(sensing, "_orthonormal", flatten)
+    monkeypatch.setattr(sensing, "orthonormal", flatten)
 
 
 def test_spread_kernel_rejects_balance_order_out_of_range(monkeypatch):
@@ -253,28 +251,6 @@ def test_spread_kernel_matches_the_np_linalg_qr_build_bit_for_bit(case):
     m, structure, seed, order = case
     phi = spread_kernel_matrix(m, structure, seed, balance_order=order)
     assert phi.entries.tobytes() == _reference_spread_kernel(*case).entries.tobytes()
-
-
-def test_spread_kernel_uses_numpys_qr_gufuncs_where_numpy_has_them():
-    if hasattr(np.linalg._umath_linalg, "qr_r_raw"):
-        assert sensing._qr_r_raw is np.linalg._umath_linalg.qr_r_raw
-
-
-@pytest.mark.parametrize("hidden", ["qr_r_raw", "qr_reduced"])
-def test_spread_kernel_falls_back_to_np_linalg_qr_without_the_gufuncs(monkeypatch, hidden):
-    # a second copy of the module, imported while numpy lacks one of the two names;
-    # np.linalg.qr, which the copy then calls, needs both back
-    spec = importlib.util.spec_from_file_location("blockcs._sensing_without_gufuncs", sensing.__file__)
-    fallback = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, fallback)  # its dataclass looks itself up there
-    with monkeypatch.context() as hiding:
-        hiding.delattr(np.linalg._umath_linalg, hidden)
-        spec.loader.exec_module(fallback)
-    assert fallback._qr_r_raw is None and fallback._qr_reduced is None
-    for case in [(21, BlockStructure.uniform(2, 12), 5, 2), (5, BlockStructure((1, 3, 2, 1)), 9, 3),
-                 (1, BlockStructure.uniform(1, 3), 0, 1)]:
-        phi = fallback.spread_kernel_matrix(*case[:3], balance_order=case[3])
-        assert phi.entries.tobytes() == _reference_spread_kernel(*case).entries.tobytes()
 
 
 def test_spread_kernel_acceptance_instances_are_pinned():

@@ -806,7 +806,7 @@ def test_noisy_batch_problems_skip_steps(alone):
         return max(widths, default=0) >= 2
 
     find(_noisy_batch_problems(), skips,
-         settings=settings(database=None, max_examples=200, phases=[Phase.generate]))
+         settings=settings(database=None, max_examples=200, phases=[Phase.generate], deadline=None))
 
 
 def test_batch_returns_an_unconverged_column_in_its_place():
