@@ -3,7 +3,7 @@ each calls, its fallback and its errstate contract.
 
 | entry point | calls | fallback | caller's errstate |
 |---|---|---|---|
-| `orthonormal(V)` | `qr_r_raw`, `qr_reduced` | `np.linalg.qr(V)[0]` | `errstate(QR_FAILED)` |
+| `orthonormal(V)` | `qr_r_raw`, `qr_reduced` | `np.linalg.qr(V)[0]` | none |
 | `eigvalsh(G)` | `eigvalsh_lo` | `np.linalg.eigvalsh(G)` | `errstate(EIGVALSH_FAILED)` |
 | `lstsq(a, b, rcond)` | `lstsq` | `np.linalg.lstsq(a, b, rcond)[0]` | `errstate(LSTSQ_FAILED)` |
 | `flapack()` | the module `scipy.linalg._flapack` | none: scipy >= 1.10 has it | none |
@@ -12,13 +12,15 @@ The numpy names are the gufuncs of `numpy.linalg._umath_linalg` that the
 fallback calls, with the signature it passes for float64: the same bits,
 without the wrapper's checks, copies and errstate on every call.  They are
 probed once, at import; where numpy lacks one (numpy 1.x names or splits them
-otherwise), the entry point calls the fallback.  Each caller enters the
-wrapper's errstate once instead, with its contract: a LAPACK failure, which the
-gufunc flags as invalid, raises `numpy.linalg.LinAlgError` with the wrapper's
-message, and overflow, division and underflow are ignored.  `flapack()` loads
-its module without importing `scipy.linalg`, whose `cho_factor` and
-`get_lapack_funcs` hand out the same `dpotrf` and `dpotrs`.  Only numpy 2.4.6
-and scipy 1.17.1 have been checked.
+otherwise), the entry point calls the fallback.  Each caller of `eigvalsh`
+and `lstsq` enters the wrapper's errstate once instead, with its contract: a
+LAPACK failure, which the gufunc flags as invalid, raises
+`numpy.linalg.LinAlgError` with the wrapper's message, and overflow, division
+and underflow are ignored.  `orthonormal` needs no errstate: Householder QR
+cannot raise the flag for a finite (n, k) input with k < n, and `SensingMatrix`
+refuses a non-finite result.  `flapack()` loads its module without importing
+`scipy.linalg`, whose `cho_factor` and `get_lapack_funcs` hand out the same
+`dpotrf` and `dpotrs`.  Only numpy 2.4.6 and scipy 1.17.1 have been checked.
 """
 
 from __future__ import annotations
@@ -30,19 +32,16 @@ import sys
 
 import numpy as np
 
-QR_FAILED = "Incorrect argument found while performing QR factorization"
 EIGVALSH_FAILED = "Eigenvalues did not converge"
 LSTSQ_FAILED = "SVD did not converge in Linear Least Squares"
 _FLAPACK = "scipy.linalg._flapack"
 
 
 def _probe(*names):
-    """numpy's gufunc under the one name, or the tuple of them under several, or None
-    where the installed numpy lacks any of them."""
+    """The tuple of numpy's gufuncs under `names`, or None where the installed numpy
+    lacks any of them."""
     found = tuple(getattr(np.linalg._umath_linalg, name, None) for name in names)
-    if None in found:
-        return None
-    return found if len(found) > 1 else found[0]
+    return None if None in found else found
 
 
 _qr = _probe("qr_r_raw", "qr_reduced")
@@ -62,8 +61,7 @@ def errstate(message: str) -> np.errstate:
 
 
 def orthonormal(V: np.ndarray) -> np.ndarray:
-    """np.linalg.qr(V)[0] of a fresh float64 (n, k) array, k < n, under
-    `errstate(QR_FAILED)`; V is overwritten."""
+    """np.linalg.qr(V)[0] of a fresh float64 (n, k) array, k < n; V is overwritten."""
     if _qr is None:
         return np.linalg.qr(V)[0]
     r_raw, reduced = _qr
@@ -75,7 +73,7 @@ def eigvalsh(G: np.ndarray) -> np.ndarray:
     """np.linalg.eigvalsh(G) of a float64 (..., k, k) stack, under `errstate(EIGVALSH_FAILED)`."""
     if _eigvalsh is None:
         return np.linalg.eigvalsh(G)
-    return _eigvalsh(G, signature="d->d")
+    return _eigvalsh[0](G, signature="d->d")
 
 
 def lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
@@ -83,7 +81,7 @@ def lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
     at least 1, under `errstate(LSTSQ_FAILED)`."""
     if _lstsq is None:
         return np.linalg.lstsq(a, b, rcond=rcond)[0]
-    return _lstsq(a, b, rcond, signature="ddd->ddid")[0]
+    return _lstsq[0](a, b, rcond, signature="ddd->ddid")[0]
 
 
 def flapack():

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from ._linalg import QR_FAILED, errstate, orthonormal
+from ._linalg import orthonormal
 from .blocks import BlockSignal, BlockStructure, SensingMatrix, _check_signal
 from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, condition_threshold, exact_block_ric
 from .seeding import generator
@@ -88,12 +88,11 @@ def spread_kernel_matrix(
     k = n - m
     V = rng.standard_normal((n, k))
     target = np.sqrt(k / n)
-    with errstate(QR_FAILED):
-        for _ in range(_FLATTEN_ITERS):
-            V = orthonormal(V)
-            row_norms = np.sqrt(np.add.reduce(V * V, axis=1, keepdims=True))  # np.linalg.norm's formula
-            V = V * (target / np.maximum(row_norms, 1e-300)) ** 0.9
+    for _ in range(_FLATTEN_ITERS):
         V = orthonormal(V)
+        row_norms = np.sqrt(np.add.reduce(V * V, axis=1, keepdims=True))  # np.linalg.norm's formula
+        V = V * (target / np.maximum(row_norms, 1e-300)) ** 0.9
+    V = orthonormal(V)
     proj = np.eye(n) - V @ V.T
     w, U = np.linalg.eigh(proj)
     basis = U[:, w > 0.5]  # orthonormal basis of the complement, n x m
