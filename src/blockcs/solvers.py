@@ -43,6 +43,21 @@ Otherwise the dual residual is evaluated, and since a column converges only
 when it passes both tests, the primal residual waits for a running column to
 pass the dual one.
 
+Every array of the iteration is C-ordered and has its full shape (rows by
+running columns), so that each elementwise ufunc call takes numpy's fast path
+for operands of one layout and shape, at about half the cost of a call that
+mixes C and Fortran order or broadcasts a per-column vector.  The
+observations enter in C order whatever the caller's layout, dropping the
+converged columns takes the others with `take` (a boolean mask along axis 1
+would give Fortran order), and the shrink thresholds fill a (blocks, columns)
+array.  LAPACK's dpotrs returns x in Fortran order, so a batch of several
+columns copies x to C order, but only after taking Phi x from it: the
+product's BLAS call, and so its bits, can follow the operand's layout (a lone
+column is both C- and Fortran-ordered and is never copied).  Elementwise
+results do not depend on the layout, but the reductions over axis 0 do:
+numpy sums the columns of a Fortran-ordered array pairwise, so each of them
+must keep seeing C order.
+
 A matrix whose scale the unit penalty cannot take (I + Phi^T Phi not finite
 or not positive definite in floating point, or iterates that turn
 non-finite) is refused with a ValueError that names the matrix's largest
@@ -156,12 +171,17 @@ def _block_shrink(V: np.ndarray, starts, lengths, tau) -> np.ndarray:
     return scale
 
 
-def _thresholds(beta: np.ndarray):
-    """The shrink threshold 1/beta of each column: for a lone column a 0-d
-    array, which numpy broadcasts faster than a 1-entry array and to the same
-    bits."""
+def _thresholds(beta: np.ndarray, blocks: int):
+    """The shrink threshold 1/beta of each column, laid out for `_block_shrink`'s
+    (blocks, columns) block norms: for a lone column a 0-d array, otherwise a
+    C-ordered (blocks, columns) array holding column j's threshold in all of
+    column j.  Either way each ufunc call in the shrink takes numpy's fast path
+    for operands of one layout and shape (a 1-entry array or a per-column
+    vector would be broadcast), with the bits of the broadcast."""
     tau = 1.0 / beta
-    return tau.reshape(()) if tau.size == 1 else tau
+    if tau.size == 1:
+        return tau.reshape(())
+    return np.broadcast_to(tau, (blocks, tau.size)).copy()
 
 
 def _column_norms(A: np.ndarray) -> np.ndarray:
@@ -190,7 +210,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     starts = phi.structure._edges[:-1]
     lengths = np.asarray(phi.structure.block_lengths)
     m, n = entries.shape
-    batch = B.shape[1]
+    blocks, batch = len(starts), B.shape[1]
 
     # scipy.linalg.cho_factor, with its checks, and the potrs get_lapack_funcs returns for it
     lapack = flapack()
@@ -213,11 +233,12 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     alpha_c = np.array(1.0 - cfg.over_relaxation)
     max_iters, primal_tol, dual_tol = cfg.max_iters, cfg.primal_tol, cfg.dual_tol
     beta = np.full(batch, cfg.penalty)
-    tau = _thresholds(beta)  # recomputed only when beta changes or columns leave
+    tau = _thresholds(beta, blocks)  # recomputed only when beta changes or columns leave
     czb = zb * alpha_c  # constant when every rho is 0, as z then stays 0
     noiseless = bool(np.all(rhos == 0.0))
     # a lone noiseless column first tests its dual residual on one coordinate, `probe`
     lone, probe = noiseless and batch == 1, 0
+    wide = batch > 1  # potrs's Fortran-ordered x needs a C copy (one column is both)
 
     est = np.zeros((n, batch))
     iters = np.full(batch, max_iters, dtype=int)
@@ -231,7 +252,9 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
             rhs = w - u
             rhs += entries_t @ (zb - v)
             x, _ = potrs(chol, rhs, 0, 1)  # the upper factor; overwrites rhs
-            px = entries @ x
+            px = entries @ x  # before the copy: BLAS's bits can follow x's layout
+            if wide:
+                x = np.ascontiguousarray(x)
             xu = x * alpha
             xu += w * alpha_c
             pxr = px * alpha
@@ -292,13 +315,14 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                 prim[hit_cols] = rp[hit]
                 dual[hit_cols] = rd[hit]
                 done[hit_cols] = True
-                keep = ~hit
-                cols, rp, rd, beta, rhos = (a[keep] for a in (cols, rp, rd, beta, rhos))
-                w, u, z, v, zb, czb, B = (a[:, keep] for a in (w, u, z, v, zb, czb, B))
+                keep = np.flatnonzero(~hit)
+                cols, rp, rd, beta, rhos = (a.take(keep) for a in (cols, rp, rd, beta, rhos))
+                # take keeps them C-ordered, where a mask along axis 1 would give Fortran order
+                w, u, z, v, zb, czb, B = (a.take(keep, 1) for a in (w, u, z, v, zb, czb, B))
                 if not cols.size:
                     break
-                tau = _thresholds(beta)
-                lone = noiseless and cols.size == 1
+                tau = _thresholds(beta, blocks)
+                lone, wide = noiseless and cols.size == 1, cols.size > 1
 
             if balance:
                 # each column balances its own residuals and rescales its own duals
@@ -307,7 +331,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                 if np.logical_or.reduce(up | down):
                     scale = np.where(up, _BALANCE_FACTOR, np.where(down, 1.0 / _BALANCE_FACTOR, 1.0))
                     beta = beta * scale
-                    tau = _thresholds(beta)
+                    tau = _thresholds(beta, blocks)
                     u /= scale
                     v /= scale
 
@@ -373,6 +397,7 @@ def _solve_batch(phi, name, B, rhos, config, truths):
     cfg = SolverConfig() if config is None else _checks.instance("config", config, SolverConfig)
     if B.shape[1] == 0:
         return []
+    B = np.ascontiguousarray(B)  # the iteration's layout, whatever the caller's
 
     scale = np.maximum(1.0, np.sqrt(_checks.squares(name, B, axis=0)))  # np.linalg.norm(B, axis=0)
     with errstate(LSTSQ_FAILED):  # np.linalg.lstsq(phi.entries, B)[0], at its default cutoff eps * max(m, n)

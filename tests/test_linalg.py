@@ -176,18 +176,17 @@ def test_overflow_division_and_underflow_inside_a_routine_warn_nothing(monkeypat
 
 
 @pytest.fixture
-def output_digest(monkeypatch):
-    """tools/output_digest.py as a module; the sys.path entries and the `workloads` module
-    that its digests() adds are gone after the test."""
-    monkeypatch.setattr(sys, "path", list(sys.path))
+def output_digest():
+    """tools/output_digest.py as a module, whose digests() leaves `sys.path` and the
+    `workloads` entry of `sys.modules` as it found them."""
     spec = importlib.util.spec_from_file_location("output_digest_under_test",
                                                   ROOT / "tools" / "output_digest.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    fresh = "workloads" not in sys.modules
+    path, workloads = list(sys.path), sys.modules.get("workloads")
     yield module
-    if fresh:
-        sys.modules.pop("workloads", None)
+    assert sys.path == path
+    assert sys.modules.get("workloads") is workloads
 
 
 def test_every_layer_gives_the_same_digests_through_every_numpy_fallback(monkeypatch, output_digest):

@@ -1,4 +1,5 @@
-"""tools/output_digest.py on the workloads' small families: deterministic across processes."""
+"""tools/output_digest.py on the workloads' small families: deterministic across processes,
+and equal to the digests pinned below."""
 
 import re
 import subprocess
@@ -6,6 +7,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# `output_digest.py --small --seed 20250810`: a change to any workload's output bits moves one
+SMALL_DIGESTS = [
+    "recover_exact bbc387cd11e2f78825570b98851895dc8b6589d0fe28ec6d37295ec09cf4bd83 240",
+    "recover_noisy 504b81e01471e5b6edb7713596ff917ba5ea2ee1e8fae56cc510d48929f6a804 36",
+    "phase_sweep 3e10eed4eba5e54bdce9ea9136e1823fd4d7ee43fb767770f0df3c936a77efe8 8",
+    "ric_certify 6d51a04f3bc83cc12d2485eba819b3882d9a7978b215bb08e3f5a4962da74903 3",
+    "oracle_batch 38ba4945bbbcf3e82b6efade1b55e1b938cecb4e405174fdd3d7c4fbc3173544 120",
+]
 
 
 def _digest_lines():
@@ -25,3 +34,7 @@ def test_output_digest_is_the_same_in_two_processes():
     # one matrix and its certificate per small RIC config; one batch outcome per column
     assert [int(line.split()[2]) for line in first] == [240, 36, 8, 3, 120]
     assert _digest_lines() == first
+
+
+def test_output_digest_gives_the_pinned_small_digests():
+    assert _digest_lines() == SMALL_DIGESTS

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -283,10 +284,10 @@ def test_noisy_origin_optimal_when_ball_covers_b(rng):
 
 def _result_bytes(res):
     """Every field of a RecoveryResult, floats as their bytes, so that -0.0 and NaN compare too."""
-    floats = [res.objective, res.feasibility_gap, res.primal_residual, res.dual_residual,
-              res.error_vector_norm]
+    floats = [res.objective, res.feasibility_gap, res.primal_residual, res.dual_residual]
+    err = res.error_vector_norm
     return (res.estimate.coeffs.tobytes(), res.estimate.structure, np.array(floats).tobytes(),
-            res.iterations, res.converged)
+            None if err is None else np.float64(err).tobytes(), res.iterations, res.converged)
 
 
 def test_noisy_rho_zero_matches_noiseless(rng):
@@ -807,6 +808,72 @@ def test_noisy_batch_problems_skip_steps(alone):
 
     find(_noisy_batch_problems(), skips,
          settings=settings(database=None, max_examples=200, phases=[Phase.generate], deadline=None))
+
+
+# --- one memory layout through the loop ---
+
+@pytest.mark.parametrize("kind", ["noiseless", "noisy", "mixed"])
+@settings(max_examples=20, deadline=None)
+@given(problem=_batch_problems(max_columns=12, min_columns=2))
+def test_fortran_ordered_observations_give_the_bits_of_c_ordered_ones(kind, problem):
+    # the solve takes the observations in C order, whatever the caller's layout
+    phi, B, rhos, cfg = problem
+    if kind == "noiseless":
+        rhos[:] = 0.0
+    elif kind == "noisy":
+        rhos[rhos == 0.0] = 1e-2
+    else:
+        rhos[0], rhos[-1] = 0.0, 1e-2
+    c_order = solve_noisy_batch(phi, B, rhos, cfg)
+    f_order = solve_noisy_batch(phi, np.asfortranarray(B), rhos, cfg)
+    assert [_result_bytes(res) for res in f_order] == [_result_bytes(res) for res in c_order]
+
+
+def _record_potrs(monkeypatch):
+    """(columns, C-contiguous) of every right-hand side that `_admm` hands LAPACK's dpotrs,
+    and the Fortran-contiguity of each x it returns, at each product taken from that x."""
+    lapack, seen, products = solvers.flapack(), [], []
+
+    class Solution(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(self.flags.f_contiguous)
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    def dpotrs(chol, rhs, *args):
+        seen.append((rhs.shape[1], rhs.flags.c_contiguous))
+        x, info = lapack.dpotrs(chol, rhs, *args)
+        return x.view(Solution), info
+
+    monkeypatch.setattr(solvers, "flapack", lambda: SimpleNamespace(dpotrf=lapack.dpotrf, dpotrs=dpotrs))
+    return seen, products
+
+
+# (structure, rows, radius of each column, which columns observe zero)
+LAYOUT_CASES = {
+    "noisy_12": (BlockStructure.uniform(2, 8), 11, [1e-3, 1e-2, 1e-1] * 4, []),
+    "ragged": (BlockStructure((1, 3, 2, 2, 1, 3)), 7, [0.0, 1e-2, 0.0, 1e-3, 1e-1, 0.0], [0, 2]),
+}
+
+
+@pytest.mark.parametrize("case", LAYOUT_CASES)
+def test_admm_hands_dpotrs_one_c_ordered_column_per_running_column(monkeypatch, case):
+    # a Fortran-ordered iterate, or one left by dropping converged columns, would show here;
+    # Phi x is taken from dpotrs's Fortran-ordered x, whose C copy gives other bits
+    structure, m, rhos, zero = LAYOUT_CASES[case]
+    rng = np.random.default_rng(1)
+    phi = SensingMatrix(rng.standard_normal((m, structure.total_dim)), structure)
+    B = np.column_stack([apply(phi, random_block_sparse(rng, structure, 1)) + rho * rng.standard_normal(m)
+                         for rho in rhos])
+    B[:, zero] = 0.0
+    seen, products = _record_potrs(monkeypatch)
+    iters = solvers._admm(phi, B, np.array(rhos), SolverConfig(max_iters=2000))[1]
+    # column j runs on steps 1 to iters[j]
+    running = [int(np.count_nonzero(iters >= it)) for it in range(1, iters.max() + 1)]
+    assert [columns for columns, _ in seen] == running
+    assert all(c_order for _, c_order in seen)
+    assert len(products) == len(seen) and all(products)
+    assert running[0] == len(rhos) and 1 < len(set(running))
 
 
 def test_batch_returns_an_unconverged_column_in_its_place():

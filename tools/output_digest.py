@@ -71,15 +71,27 @@ def _feed_oracle(h, orc) -> None:
 
 
 def digests(tree: Path, seed: int, small: bool) -> dict[str, tuple[str, int]]:
-    """{name: (sha256 hex, records hashed)} of the four workloads and the batch oracle in `tree`."""
-    for path in (tree / "bench", tree / "src"):
-        sys.path.insert(0, str(path))
-    blockcs = importlib.import_module("blockcs")
-    if (tree / "src").resolve() not in Path(blockcs.__file__).resolve().parents:
-        raise ImportError(f"blockcs was imported from {blockcs.__file__}, not from {tree / 'src'}")
-    cli = importlib.import_module("blockcs.cli")
-    workloads = importlib.import_module("workloads")
-    api = SimpleNamespace(**{name: getattr(blockcs, name) for name in blockcs.__all__}, main=cli.main)
+    """{name: (sha256 hex, records hashed)} of the four workloads and the batch oracle in `tree`.
+
+    It puts `<tree>/bench` and `<tree>/src` at the front of `sys.path` and imports
+    `workloads` from there; both are as before when it returns or raises."""
+    path, workloads = list(sys.path), sys.modules.pop("workloads", None)
+    sys.path[:0] = [str(tree / "bench"), str(tree / "src")]
+    try:
+        blockcs = importlib.import_module("blockcs")
+        if (tree / "src").resolve() not in Path(blockcs.__file__).resolve().parents:
+            raise ImportError(f"blockcs was imported from {blockcs.__file__}, not from {tree / 'src'}")
+        cli = importlib.import_module("blockcs.cli")
+        api = SimpleNamespace(**{name: getattr(blockcs, name) for name in blockcs.__all__}, main=cli.main)
+        return _digests(api, importlib.import_module("workloads"), seed, small)
+    finally:
+        sys.path[:] = path
+        sys.modules.pop("workloads", None)
+        if workloads is not None:
+            sys.modules["workloads"] = workloads
+
+
+def _digests(api, workloads, seed: int, small: bool) -> dict[str, tuple[str, int]]:
     out = {}
 
     h, records = hashlib.sha256(), 0
