@@ -92,9 +92,11 @@ def path(name: str, value) -> str:
 
 
 def array(name: str, value, shape: tuple) -> np.ndarray:
-    """`value` as a new float64 array, when it holds integers or reals (not bools,
-    strings, complex numbers or objects), has `shape` (a None entry matches any
-    length) and every entry is finite."""
+    """`value` as a new C-ordered float64 array, when it holds integers or reals (not
+    bools, strings, complex numbers or objects), has `shape` (a None entry matches
+    any length) and every entry is finite.  C order makes the bits computed from it
+    independent of the caller's layout: matmul's BLAS call, and numpy's reductions
+    over axis 0, can follow the layout of their operands."""
     try:
         arr = np.asarray(value)
     except ValueError:  # nesting numpy cannot make rectangular
@@ -106,7 +108,7 @@ def array(name: str, value, shape: tuple) -> np.ndarray:
                 n not in (None, h) for n, h in zip(shape, arr.shape))):
             got = f"shape {arr.shape}"
         else:
-            out = arr.astype(np.float64)
+            out = arr.astype(np.float64, order="C")
             if np.isfinite(out).all():
                 return out
             got = "a NaN or inf entry"

@@ -31,13 +31,17 @@ iterations, and change no output.
   one-coordinate value, since each rounded partial sum of non-negative terms
   is at least every term it holds and sqrt and the product round
   monotonically, so the skipped test would have failed.
-- A noisy batch (some rho > 0) first computes xw2 = ||x - w||^2 of each
-  running column, and skips both residuals when fl(sqrt(xw2)) exceeds the
-  primal tolerance for every one of them.  The primal residual is
+- A noisy batch (some rho > 0) first sums the squares of x - w down each
+  running column, s, and skips both residuals when fl(sqrt(xw2)) exceeds the
+  primal tolerance for every one of them, xw2 = fl(fl(sqrt(s))^2) being the
+  column's squared ||x - w||.  The primal residual is
   rp = fl(sqrt(fl(xw2 + fl(nz^2)))), with nz = ||Phi x - b - z||, computed
   from that very xw2; as fl(nz^2) >= 0 and the sum and sqrt round
   monotonically, rp >= fl(sqrt(xw2)), so no column could converge there (a
-  NaN rp fails the test as well).  A NaN xw2 never skips.
+  NaN rp fails the test as well).  Since sqrt and squaring round
+  monotonically too, the test takes the smallest s alone and squares a
+  Python float; xw2 itself is computed only where the residuals are.  A NaN
+  s never skips.
 
 Otherwise the dual residual is evaluated, and since a column converges only
 when it passes both tests, the primal residual waits for a running column to
@@ -46,8 +50,9 @@ pass the dual one.
 Every array of the iteration is C-ordered and has its full shape (rows by
 running columns), so that each elementwise ufunc call takes numpy's fast path
 for operands of one layout and shape, at about half the cost of a call that
-mixes C and Fortran order or broadcasts a per-column vector.  The
-observations enter in C order whatever the caller's layout, dropping the
+mixes C and Fortran order or broadcasts a per-column vector.  The matrix
+and the observations enter in C order whatever the caller's layout (as
+`_checks.array` returns every array argument), dropping the
 converged columns takes the others with `take` (a boolean mask along axis 1
 would give Fortran order), and the shrink thresholds fill a (blocks, columns)
 array.  LAPACK's dpotrs returns x in Fortran order, so a batch of several
@@ -57,6 +62,23 @@ column is both C- and Fortran-ordered and is never copied).  Elementwise
 results do not depend on the layout, but the reductions over axis 0 do:
 numpy sums the columns of a Fortran-ordered array pairwise, so each of them
 must keep seeing C order.
+
+The shrink's block norms are square roots of sums of squares over each
+block, `np.add.reduceat`'s sums.  Reduceat runs numpy's inner loop once per
+block and column, which is the one cost of the step that grows with the
+batch width, so a wide batch on uniform blocks adds strided row views
+instead, in reduceat's own order: it sums a block's tail a1, ..., a(d-1)
+from zero in order, as numpy's pairwise sum does below 8 terms, and adds
+that to a0, so the views give a0 + ((a1 + a2) + ...) and the same bits.
+Blocks of more than 8 coefficients would take the pairwise sum's unrolled
+order, and ragged blocks have no views, so they keep reduceat.  Each added
+view costs one ufunc call, about as much as reduceat spends on 70 to 150
+block sums (measured on 3 to 24 blocks of 2 to 8 coefficients), so a batch
+takes the views from `_VIEW_SUMS` = 128 block sums per added view on, which
+is 11 columns for 12 blocks of 2.  A lone column has too few block sums and keeps
+reduceat, which a view addition would cost more than (blocks of one
+coefficient are their own sums at any width).  `_block_summation` makes the
+choice where the batch changes width, at the start and where columns leave.
 
 A matrix whose scale the unit penalty cannot take (I + Phi^T Phi not finite
 or not positive definite in floating point, or iterates that turn
@@ -95,6 +117,8 @@ _BALANCE_EVERY = 50
 _BALANCE_FACTOR = 2.0
 _BALANCE_RATIO = 10.0
 _ONE = np.array(1.0)
+# block sums per added view (d - 1 of them for blocks of d) from which views beat reduceat
+_VIEW_SUMS = 128
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -153,15 +177,19 @@ def block_soft_threshold(x: BlockSignal, tau: float) -> BlockSignal:
     if tau == 0:
         return BlockSignal(x.coeffs, x.structure)
     st = x.structure
-    coeffs = _block_shrink(x.coeffs[:, None], st._edges[:-1], st.block_lengths, tau)
+    coeffs = _block_shrink(x.coeffs[:, None], *_block_summation(st, 1), st.block_lengths, tau)
     return BlockSignal(coeffs[:, 0], st)
 
 
-def _block_shrink(V: np.ndarray, starts, lengths, tau) -> np.ndarray:
-    """Columnwise block soft threshold of an (N, batch) array, for tau > 0, one
-    float (or 0-d array) or one per column (a block whose norm is at most tau
-    gets scale 1 - tau/tau = 0)."""
-    scale = np.add.reduceat(V * V, starts, 0)
+def _block_shrink(V: np.ndarray, sums, at, lengths, tau) -> np.ndarray:
+    """Columnwise block soft threshold of an (N, batch) array, for tau > 0 given
+    as `_thresholds` lays it out (or one float): each block is scaled by
+    1 - tau/max(||block||, tau), which is 0 for a block whose norm is at most tau.
+    The block norms are the square roots of `sums(V * V, at)`, the blocks' sums
+    of squares by the method `_block_summation` picks.  The method comes in as
+    a callable, not a flag, so that a step on reduceat makes the one C call and
+    tests nothing."""
+    scale = sums(V * V, at)
     np.sqrt(scale, scale)  # the block norms
     np.maximum(scale, tau, out=scale)
     np.divide(tau, scale, scale)
@@ -171,13 +199,43 @@ def _block_shrink(V: np.ndarray, starts, lengths, tau) -> np.ndarray:
     return scale
 
 
+def _block_sums(sq: np.ndarray, d: int) -> np.ndarray:
+    """np.add.reduceat(sq, starts), bit for bit, for the C-ordered (N, batch) `sq`
+    on blocks of d <= 8 rows each (starts = 0, d, 2d, ...), from strided row
+    views: reduceat adds the tail a1, ..., a(d-1) of a block from zero in order
+    (numpy's pairwise sum adds fewer than 8 terms so), then adds a0 to it.  So
+    the sum is a0 + (((a1 + a2) + a3) + ...), and at d = 1 the row itself: `sq`,
+    not a copy."""
+    if d < 3:
+        return sq if d == 1 else sq[0::2] + sq[1::2]
+    tail = sq[1::d] + sq[2::d]
+    for i in range(3, d):
+        tail += sq[i::d]
+    return np.add(sq[0::d], tail, tail)
+
+
+def _block_summation(structure, width: int):
+    """How `_block_shrink` sums a batch of `width` columns on `structure` over
+    its blocks, as (sums, at) for `sums(sq, at)`: `_block_sums` and the block
+    length d when the blocks are uniform with d <= 8 and there are at least
+    `_VIEW_SUMS` * (d - 1) block sums to take, otherwise np.add.reduceat and the
+    blocks' starts."""
+    lengths = structure.block_lengths
+    d = lengths[0]
+    if d > 8 or lengths.count(d) != len(lengths) or len(lengths) * width < _VIEW_SUMS * (d - 1):
+        return np.add.reduceat, structure._edges[:-1]
+    return _block_sums, d
+
+
 def _thresholds(beta: np.ndarray, blocks: int):
     """The shrink threshold 1/beta of each column, laid out for `_block_shrink`'s
     (blocks, columns) block norms: for a lone column a 0-d array, otherwise a
     C-ordered (blocks, columns) array holding column j's threshold in all of
     column j.  Either way each ufunc call in the shrink takes numpy's fast path
     for operands of one layout and shape (a 1-entry array or a per-column
-    vector would be broadcast), with the bits of the broadcast."""
+    vector would be broadcast), with the bits of the broadcast.  Dropping
+    columns takes their thresholds along (`take` on axis 1); they are rebuilt
+    only when beta changes or one column is left."""
     tau = 1.0 / beta
     if tau.size == 1:
         return tau.reshape(())
@@ -189,12 +247,14 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(A * A, axis=0))
 
 
-def _rules_out(xw2: np.ndarray, tol: float) -> bool:
-    """Whether sqrt(xw2) > tol for every running column, xw2 being each column's
-    squared ||x - w||, so that no primal residual can pass tol.  It takes the
-    sqrt of the smallest entry alone, which sqrt's monotone rounding allows; a
-    NaN entry makes the minimum NaN and the answer False."""
-    return math.sqrt(np.minimum.reduce(xw2)) > tol
+def _rules_out(sums: np.ndarray, tol: float) -> bool:
+    """Whether fl(sqrt(fl(fl(sqrt(s)) ** 2))) > tol for every entry s of `sums`,
+    each running column's squared sum over x - w, so that no primal residual can
+    pass tol.  It takes the sqrt, square and sqrt of the smallest entry alone:
+    each step rounds monotonically, so the smallest entry gives the smallest
+    result.  A NaN entry makes the minimum NaN and the answer False."""
+    r = math.sqrt(np.minimum.reduce(sums))
+    return math.sqrt(r * r) > tol
 
 
 def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig):
@@ -207,10 +267,9 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     """
     entries = phi.entries
     entries_t = entries.T
-    starts = phi.structure._edges[:-1]
     lengths = np.asarray(phi.structure.block_lengths)
     m, n = entries.shape
-    blocks, batch = len(starts), B.shape[1]
+    blocks, batch = len(lengths), B.shape[1]
 
     # scipy.linalg.cho_factor, with its checks, and the potrs get_lapack_funcs returns for it
     lapack = flapack()
@@ -233,12 +292,13 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     alpha_c = np.array(1.0 - cfg.over_relaxation)
     max_iters, primal_tol, dual_tol = cfg.max_iters, cfg.primal_tol, cfg.dual_tol
     beta = np.full(batch, cfg.penalty)
-    tau = _thresholds(beta, blocks)  # recomputed only when beta changes or columns leave
+    tau = _thresholds(beta, blocks)  # recomputed only when beta changes or one column is left
     czb = zb * alpha_c  # constant when every rho is 0, as z then stays 0
     noiseless = bool(np.all(rhos == 0.0))
     # a lone noiseless column first tests its dual residual on one coordinate, `probe`
     lone, probe = noiseless and batch == 1, 0
     wide = batch > 1  # potrs's Fortran-ordered x needs a C copy (one column is both)
+    add_blocks, at = _block_summation(phi.structure, batch)
 
     est = np.zeros((n, batch))
     iters = np.full(batch, max_iters, dtype=int)
@@ -261,7 +321,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
             pxr += czb if noiseless else zb * alpha_c
             w_old = w
             xu += u
-            w = _block_shrink(xu, starts, lengths, tau)
+            w = _block_shrink(xu, add_blocks, at, lengths, tau)
             xu -= w
             u = xu
             balance = it % _BALANCE_EVERY == 0
@@ -278,12 +338,23 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                         continue
                 dw = w - w_old
             else:
-                zin = pxr - B + v
-                z_old, z = z, zin * np.fmin(_ONE, rhos / _column_norms(zin))
-                v, zb = v + pxr - B - z, z + B
-                # rp is at least sqrt(xw2): where that fails every column, none can converge
-                xw2 = _column_norms(x - w) ** 2
-                if not last and _rules_out(xw2, primal_tol):
+                zin = pxr - B
+                zin += v  # (pxr - B) + v
+                # z = zin * fmin(1, rhos / ||zin||), in place
+                factor = _column_norms(zin)
+                np.divide(rhos, factor, factor)
+                np.fmin(_ONE, factor, factor)
+                zin *= factor
+                z_old, z = z, zin
+                pxr += v
+                pxr -= B
+                pxr -= z
+                v, zb = pxr, z + B  # ((v + pxr) - B) - z
+                # rp is at least sqrt(xw2), xw2 = sqrt(sums) ** 2: where that fails every
+                # column, none can converge
+                xw = x - w
+                sums = np.add.reduce(xw * xw, 0)
+                if not last and _rules_out(sums, primal_tol):
                     continue
                 dw = (w - w_old) + entries_t @ (z - z_old)
             sq = dw * dw
@@ -304,7 +375,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
             if noiseless:
                 rz, xw2 = px - B, _column_norms(x - w) ** 2
             else:
-                rz = px - B - z
+                rz, xw2 = px - B - z, np.sqrt(sums) ** 2
             rp = np.sqrt(xw2 + _column_norms(rz) ** 2)
             hit &= rp <= primal_tol
             if np.logical_or.reduce(hit):
@@ -317,12 +388,17 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                 done[hit_cols] = True
                 keep = np.flatnonzero(~hit)
                 cols, rp, rd, beta, rhos = (a.take(keep) for a in (cols, rp, rd, beta, rhos))
-                # take keeps them C-ordered, where a mask along axis 1 would give Fortran order
-                w, u, z, v, zb, czb, B = (a.take(keep, 1) for a in (w, u, z, v, zb, czb, B))
+                # take keeps them C-ordered, where a mask along axis 1 would give Fortran order;
+                # a noiseless batch never reads z (it stays 0) and a noisy one never reads czb
+                if noiseless:
+                    w, u, v, zb, czb, B = (a.take(keep, 1) for a in (w, u, v, zb, czb, B))
+                else:
+                    w, u, z, v, zb, B = (a.take(keep, 1) for a in (w, u, z, v, zb, B))
                 if not cols.size:
                     break
-                tau = _thresholds(beta, blocks)
+                tau = tau.take(keep, 1) if cols.size > 1 else _thresholds(beta, blocks)
                 lone, wide = noiseless and cols.size == 1, cols.size > 1
+                add_blocks, at = _block_summation(phi.structure, cols.size)
 
             if balance:
                 # each column balances its own residuals and rescales its own duals
@@ -397,7 +473,6 @@ def _solve_batch(phi, name, B, rhos, config, truths):
     cfg = SolverConfig() if config is None else _checks.instance("config", config, SolverConfig)
     if B.shape[1] == 0:
         return []
-    B = np.ascontiguousarray(B)  # the iteration's layout, whatever the caller's
 
     scale = np.maximum(1.0, np.sqrt(_checks.squares(name, B, axis=0)))  # np.linalg.norm(B, axis=0)
     with errstate(LSTSQ_FAILED):  # np.linalg.lstsq(phi.entries, B)[0], at its default cutoff eps * max(m, n)

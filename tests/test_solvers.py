@@ -810,13 +810,107 @@ def test_noisy_batch_problems_skip_steps(alone):
          settings=settings(database=None, max_examples=200, phases=[Phase.generate], deadline=None))
 
 
+# --- block sums and the skip rule ---
+
+@st.composite
+def _shrink_inputs(draw):
+    """(structure, V, beta): uniform blocks of 1 to 9 coefficients or ragged ones, 1 to 200
+    columns, entries of magnitude 1e-150 to 1e150 (within a factor of 100 of one another or
+    spread over the whole range) with zeros, and for each column a penalty whose threshold
+    lies between the column's block norms, so that the shrink keeps the norms' last bits."""
+    lengths = draw(st.one_of(
+        st.tuples(st.integers(1, 9), st.integers(1, 12)).map(lambda dl: (dl[0],) * dl[1]),
+        st.lists(st.integers(1, 9), min_size=2, max_size=12).map(tuple),
+    ), label="lengths")
+    width = draw(st.integers(1, 200), label="width")
+    exponent = draw(st.integers(-149, 149), label="exponent")
+    spread = draw(st.sampled_from([1, 150]), label="spread")
+    zeros = draw(st.sampled_from([0.0, 0.3, 1.0]), label="zeros")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = sum(lengths)
+    powers = np.clip(exponent + rng.uniform(-spread, spread, (n, width)), -150, 150)
+    V = rng.choice([-1.0, 1.0], (n, width)) * 10.0 ** powers
+    V[rng.random((n, width)) < zeros] = 0.0
+    norms = np.sqrt(np.add.reduceat(V * V, BlockStructure(lengths)._edges[:-1], 0))
+    tau = norms[rng.integers(len(lengths), size=width), np.arange(width)] * rng.uniform(0.3, 0.9, width)
+    tau[tau == 0.0] = 1.0
+    return BlockStructure(lengths), V, 1.0 / tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_shrink_inputs())
+def test_block_shrink_gives_the_bits_of_a_reduceat_shrink(inputs):
+    # the block sums as `_admm` picks them, and as strided views at every width the views allow
+    structure, V, beta = inputs
+    starts, lengths = structure._edges[:-1], np.asarray(structure.block_lengths)
+    d = lengths[0]
+    picks = [(np.add.reduceat, starts), solvers._block_summation(structure, V.shape[1])]
+    if d <= 8 and (lengths == d).all():
+        picks.append((solvers._block_sums, d))
+    tau = solvers._thresholds(beta, len(starts))
+    want = _block_shrink(V, starts, lengths, 1.0 / beta).tobytes()
+    for add_blocks, at in picks:
+        assert solvers._block_shrink(V, add_blocks, at, lengths, tau).tobytes() == want, add_blocks
+
+
+def _views(structure, width):
+    """The block length whose views `_block_summation` picks, or 0 for reduceat."""
+    add_blocks, at = solvers._block_summation(structure, width)
+    return at if add_blocks is solvers._block_sums else 0
+
+
+def test_block_sums_take_views_on_wide_uniform_batches_only():
+    # 12 blocks of 2 take views from `_VIEW_SUMS` block sums on; a lone column keeps reduceat
+    uniform = BlockStructure.uniform(2, 12)
+    wide = -(-solvers._VIEW_SUMS // 12)
+    assert [_views(uniform, k) for k in (1, wide - 1, wide, 198)] == [0, 0, 2, 2]
+    assert _views(BlockStructure.uniform(8, 12), 1000) == 8
+    assert _views(BlockStructure.uniform(9, 12), 1000) == 0
+    assert _views(BlockStructure((2, 2, 2, 3)), 1000) == 0
+    assert _views(BlockStructure.uniform(1, 3), 1) == 1  # the rows themselves
+    add_blocks, at = solvers._block_summation(BlockStructure((2, 2, 2, 3)), 1000)
+    assert add_blocks == np.add.reduceat and at.tolist() == [0, 2, 4, 6]
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=_batch_problems(max_columns=12))
+def test_admm_gives_the_bits_of_reduceat_with_views_at_every_width(problem):
+    def everywhere(structure, width):
+        lengths = structure.block_lengths
+        if lengths[0] <= 8 and len(set(lengths)) == 1:
+            return solvers._block_sums, lengths[0]
+        return np.add.reduceat, structure._edges[:-1]
+
+    with mock.patch.object(solvers, "_block_summation", everywhere):
+        views = solvers._admm(*problem)
+    with mock.patch.object(solvers, "_block_summation",
+                           lambda structure, width: (np.add.reduceat, structure._edges[:-1])):
+        reduceat = solvers._admm(*problem)
+    for got, want in zip(views, reduceat):
+        assert got.tobytes() == want.tobytes()
+
+
+_SUMS = st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e308, math.inf, math.nan]),
+                           st.floats(min_value=0.0)), min_size=1, max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sums=_SUMS, tol=st.floats(5e-324, 1e300))
+def test_rules_out_decides_as_the_squared_norms_do(sums, tol):
+    # the squared sums' smallest entry alone decides what every column's sqrt(sums) ** 2 decides
+    sums = np.array(sums)
+    with np.errstate(over="ignore"):
+        want = math.sqrt(np.minimum.reduce(np.sqrt(sums) ** 2)) > tol
+    assert solvers._rules_out(sums, tol) == want
+
+
 # --- one memory layout through the loop ---
 
 @pytest.mark.parametrize("kind", ["noiseless", "noisy", "mixed"])
 @settings(max_examples=20, deadline=None)
 @given(problem=_batch_problems(max_columns=12, min_columns=2))
-def test_fortran_ordered_observations_give_the_bits_of_c_ordered_ones(kind, problem):
-    # the solve takes the observations in C order, whatever the caller's layout
+def test_fortran_ordered_inputs_give_the_bits_of_c_ordered_ones(kind, problem):
+    # the matrix and the observations enter in C order, whatever the caller's layout
     phi, B, rhos, cfg = problem
     if kind == "noiseless":
         rhos[:] = 0.0
@@ -824,9 +918,32 @@ def test_fortran_ordered_observations_give_the_bits_of_c_ordered_ones(kind, prob
         rhos[rhos == 0.0] = 1e-2
     else:
         rhos[0], rhos[-1] = 0.0, 1e-2
-    c_order = solve_noisy_batch(phi, B, rhos, cfg)
-    f_order = solve_noisy_batch(phi, np.asfortranarray(B), rhos, cfg)
-    assert [_result_bytes(res) for res in f_order] == [_result_bytes(res) for res in c_order]
+    phi_f = SensingMatrix(np.asfortranarray(phi.entries), phi.structure)
+    c_order = [_result_bytes(res) for res in solve_noisy_batch(phi, B, rhos, cfg)]
+    assert [_result_bytes(res) for res in solve_noisy_batch(phi, np.asfortranarray(B), rhos, cfg)] == c_order
+    assert [_result_bytes(res) for res in solve_noisy_batch(phi_f, B, rhos, cfg)] == c_order
+    assert [_result_bytes(res) for res in solve_noisy_batch(phi_f, np.asfortranarray(B), rhos, cfg)] == c_order
+
+
+def test_a_fortran_ordered_matrix_gives_the_bits_of_a_c_ordered_one():
+    # six 2-block-sparse observations, on which a solve that kept the matrix's Fortran order gives
+    # column 3 other bits at rho = 0 and column 0 at rho = 1e-2; the oracle and the RIC certificate too
+    E = np.random.default_rng(0).standard_normal((13, 24))
+    structure = BlockStructure.uniform(2, 12)
+    phi, phi_f = SensingMatrix(E, structure), SensingMatrix(np.asfortranarray(E), structure)
+    assert phi_f.entries.flags.c_contiguous
+    rng = np.random.default_rng(1)
+    B = np.column_stack([apply(phi, random_block_sparse(rng, structure, 2)) for _ in range(6)])
+    for rho in (0.0, 1e-2):
+        assert ([_result_bytes(res) for res in solve_noisy_batch(phi_f, B, rho)]
+                == [_result_bytes(res) for res in solve_noisy_batch(phi, B, rho)])
+    sol, sol_f = brute_force_l20(phi, B[:, 0], s_max=2), brute_force_l20(phi_f, B[:, 0], s_max=2)
+    assert sol_f.estimate.coeffs.tobytes() == sol.estimate.coeffs.tobytes()
+    assert (sol_f.residual, sol_f.support, sol_f.supports_searched) == (sol.residual, sol.support,
+                                                                       sol.supports_searched)
+    cert, cert_f = exact_block_ric(phi, 2), exact_block_ric(phi_f, 2)
+    assert (np.array([cert_f.delta, cert_f.min_eig, cert_f.max_eig]).tobytes(), cert_f.worst_support) == (
+        np.array([cert.delta, cert.min_eig, cert.max_eig]).tobytes(), cert.worst_support)
 
 
 def _record_potrs(monkeypatch):
