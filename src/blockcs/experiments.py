@@ -1,11 +1,15 @@
 """Experiment harness: seeded batch trials, phase-transition sweeps, the
 threshold counterexample demonstration, and machine-readable reporting.
 
-Every trial draws from its own Philox stream keyed by (experiment seed,
-trial id), so a trial's record depends only on the spec and its trial id.
-Per-trial records go to CSV (17-significant-digit floats, exact round-trip);
-aggregate summaries go to JSON.  The wall_time column is the only
-nondeterministic field in the outputs.
+A kind is three things in `_KINDS`: its trials' parameters in trial-id
+order, a trial that returns one record's fields, and a summary of the
+records.  `run_experiment` runs every kind through one loop, which numbers
+and times each trial.  Every trial draws from its own Philox stream keyed
+by (experiment seed, trial id), so a trial's record depends only on the
+spec and its trial id.  Per-trial records go to CSV (17-significant-digit
+floats, exact round-trip); aggregate summaries go to JSON.  The wall_time
+column, measured for every trial, is the only nondeterministic field in the
+outputs.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -93,6 +98,11 @@ def _list_of(item, scalar_ok: bool = False):
     return convert
 
 
+def _admissible_t(value) -> float:
+    """float in (0, 4/3)"""
+    return _checks.real("value", value, 0.0, 4.0 / 3.0, strict=True)
+
+
 _COUNT = _at_least(int, 1)
 _REQUIRED = object()  # grid-format default of a key the spec must give
 # grid keys of the kinds that draw matrices: their block structure, t and ensemble
@@ -122,7 +132,7 @@ _GRID_FORMATS = {
         "compute_ric": (_flag, False),
     },
     "COUNTEREXAMPLE": {
-        "t": _MATRIX_KEYS["t"],
+        "t": (_admissible_t, 1.0),
         "s": (_COUNT, 2),
         "d": (_COUNT, 2),
         "l": (_COUNT, 6),
@@ -142,6 +152,9 @@ _GRID_FORMATS = {
 EXPERIMENT_KINDS = tuple(_GRID_FORMATS)
 
 _RIC_AUTO_CAP = 10_000  # compute exact constants automatically below this many supports
+
+# ensemble -> how its row count m must compare with its column count l*d
+_ROWS = {"spread_kernel": (operator.lt, "<"), "identity": (operator.eq, "==")}
 
 
 def _grid_values(kind: str, grid: dict) -> dict:
@@ -163,6 +176,17 @@ def _grid_values(kind: str, grid: dict) -> dict:
     for key in ("s", "s_values", "orders"):
         if key in values and max(np.atleast_1d(values[key])) > values["l"]:
             raise ValueError(f"{kind} grid key {key!r} asks for more than l = {values['l']} blocks")
+    if values.get("ensemble") in _ROWS:
+        fits, op = _ROWS[values["ensemble"]]
+        n = values["l"] * values["d"]
+        for key in ("m", "m_values"):
+            bad = [m for m in np.atleast_1d(values.get(key, [])) if not fits(m, n)]
+            if bad:
+                raise ValueError(f"{kind} grid key {key!r}: the {values['ensemble']} ensemble needs "
+                                 f"m {op} l*d = {n}, got {bad[0]}")
+    if kind == "COUNTEREXAMPLE" and values["l"] <= 2 * values["s"]:
+        raise ValueError(f"{kind} grid key 'l': the threshold instance needs l > 2s = {2 * values['s']}, "
+                         f"got {values['l']}")
     return values
 
 
@@ -245,6 +269,7 @@ class TrialRecord:
 
 _CSV_TYPES = {f.name: f.type for f in fields(TrialRecord)}  # annotations, as strings
 _CSV_COLUMNS = tuple(_CSV_TYPES)
+_OPTIONAL = {f.name for f in fields(TrialRecord) if f.default is None}  # the cells that may be empty
 
 
 def _cell(value) -> str:
@@ -268,28 +293,35 @@ def records_to_csv(records, path, header_fields: dict) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_cell(annotation: str, text: str):
-    if text == "":
+def _parse_cell(name: str, text: str):
+    """The value of a `name` cell."""
+    if text == "" and name in _OPTIONAL:
         return None
-    if annotation == "int":
-        return int(text)
-    if annotation.startswith("bool"):
+    if _CSV_TYPES[name].startswith("bool"):
+        if text not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
         return text == "true"
-    return float(text)
+    return int(text) if _CSV_TYPES[name] == "int" else float(text)
 
 
 def records_from_csv(path) -> list[TrialRecord]:
+    """The records of a trial CSV; a ValueError names the path, and the line
+    and column of a malformed row or cell."""
     records = []
     lines = Path(path).read_text().splitlines()
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not body or body[0] != ",".join(_CSV_COLUMNS):
+    body = [(number, ln) for number, ln in enumerate(lines, 1) if ln and not ln.startswith("#")]
+    if not body or body[0][1] != ",".join(_CSV_COLUMNS):
         raise ValueError(f"{path} does not carry the blockcs trial schema")
-    for line in body[1:]:
+    for number, line in body[1:]:
         cells = line.split(",")
         if len(cells) != len(_CSV_COLUMNS):
-            raise ValueError(f"malformed trial row: {line!r}")
-        kwargs = {name: _parse_cell(_CSV_TYPES[name], cell) for name, cell in zip(_CSV_COLUMNS, cells)}
-        kwargs["condition_ok"] = bool(kwargs["condition_ok"])
+            raise ValueError(f"{path} line {number}: malformed trial row {line!r}")
+        kwargs = {}
+        for name, cell in zip(_CSV_COLUMNS, cells):
+            try:
+                kwargs[name] = _parse_cell(name, cell)
+            except ValueError as exc:
+                raise ValueError(f"{path} line {number} column {name!r}: {exc}") from None
         records.append(TrialRecord(**kwargs))
     return records
 
@@ -385,8 +417,6 @@ def _make_matrix(ensemble: str, m: int, structure: BlockStructure, key: int) -> 
         return gaussian_matrix(m, structure, key)
     if ensemble == "spread_kernel":
         return spread_kernel_matrix(m, structure, key)
-    if m != structure.total_dim:
-        raise ValueError("identity ensemble needs m == total dimension")
     return SensingMatrix(np.eye(m), structure)
 
 
@@ -399,8 +429,7 @@ def _random_block_sparse(rng, structure: BlockStructure, s: int) -> BlockSignal:
     return BlockSignal(coeffs, structure)
 
 
-def _recovery_trial(spec: ExperimentSpec, g: dict, trial_id: int, m: int, s: int, rho: float) -> TrialRecord:
-    start = time.perf_counter()
+def _recovery_trial(spec: ExperimentSpec, g: dict, trial_id: int, m: int, s: int, rho: float, _repeat: int):
     d, l, t = g["d"], g["l"], g["t"]
     structure = BlockStructure.uniform(d, l)
     phi = _make_matrix(g["ensemble"], m, structure, stream_key(spec.seed, trial_id, 0))
@@ -428,33 +457,9 @@ def _recovery_trial(spec: ExperimentSpec, g: dict, trial_id: int, m: int, s: int
     if condition_ok:
         bound_t = error_bound_tight(t, s, delta, rho, 0.0).bound
         bound_l = error_bound_loose(t, s, delta, rho, 0.0).bound
-    return TrialRecord(
-        trial_id=trial_id,
-        seed_stream=stream_key(spec.seed, trial_id),
-        m=m,
-        n=structure.total_dim,
-        d=d,
-        l=l,
-        s=s,
-        t=t,
-        rho=rho,
-        delta=delta,
-        condition_ok=condition_ok,
-        recovery_error=err,
-        bound_tight=bound_t,
-        bound_loose=bound_l,
-        success=bool(rel_err <= spec.success_tol),
-        wall_time=time.perf_counter() - start,
-    )
-
-
-def _recovery_grid(spec: ExperimentSpec, g: dict, m_values, s_values, rhos):
-    """Run `_recovery_trial` over m x s x rho x trial, numbering trials in that order."""
-    grid = itertools.product(m_values, s_values, rhos, range(g["trials"]))
-    return [
-        _recovery_trial(spec, g, tid, m, s, rho)
-        for tid, (m, s, rho, _) in enumerate(grid)
-    ]
+    return dict(seed_stream=stream_key(spec.seed, trial_id), m=m, n=structure.total_dim, d=d, l=l, s=s, t=t,
+                rho=rho, delta=delta, condition_ok=condition_ok, recovery_error=err, bound_tight=bound_t,
+                bound_loose=bound_l, success=bool(rel_err <= spec.success_tol)), None
 
 
 def _success_cells(records, cell_key) -> dict[str, dict]:
@@ -468,51 +473,41 @@ def _success_cells(records, cell_key) -> dict[str, dict]:
     return cells
 
 
-def _run_recovery_trials(spec: ExperimentSpec, g: dict):
-    records = _recovery_grid(spec, g, [g["m"]], [g["s"]], g["rho"])
+def _recovery_summary(g: dict, records: list, _) -> dict:
     violations = [
         max(0.0, rec.recovery_error - rec.bound_tight)
         for rec in records
         if rec.condition_ok and rec.bound_tight is not None
     ]
-    summary = {
+    return {
         "trials": len(records),
         "success_rate": sum(int(bool(r.success)) for r in records) / len(records),
         "max_bound_violation": max(violations) if violations else 0.0,
         "condition_certified": sum(int(r.condition_ok) for r in records),
         "cells": _success_cells(records, lambda r: f"m={r.m},s={r.s},rho={format_float(r.rho)}"),
     }
-    return records, summary
 
 
-def _run_phase_transition(spec: ExperimentSpec, g: dict):
-    records = _recovery_grid(spec, g, g["m_values"], g["s_values"], [0.0])
-    summary = {
+def _phase_summary(g: dict, records: list, _) -> dict:
+    return {
         "trials": len(records),
         "cells": _success_cells(records, lambda r: f"m={r.m},s={r.s}"),
         "m_values": g["m_values"],
         "s_values": g["s_values"],
     }
-    return records, summary
 
 
-def _run_counterexample(spec: ExperimentSpec, g: dict):
-    start = time.perf_counter()
+def _counterexample_trial(spec: ExperimentSpec, g: dict, trial_id: int):
     report = demo_counterexample(g["t"], g["s"], g["d"], g["l"], spec.solver)
     # condition_ok stays False: the instance sits exactly at the threshold
-    rec = TrialRecord(
-        trial_id=0,
-        seed_stream=stream_key(spec.seed, 0),
-        m=report.l * report.d,
-        n=report.l * report.d,
-        d=report.d,
-        l=report.l,
-        s=report.s,
-        t=report.t,
-        delta=report.delta,
-        wall_time=time.perf_counter() - start,
-    )
-    summary = {
+    n = report.l * report.d
+    return dict(seed_stream=stream_key(spec.seed, trial_id), m=n, n=n, d=report.d, l=report.l, s=report.s,
+                t=report.t, delta=report.delta), report
+
+
+def _counterexample_summary(g: dict, records: list, reports: list) -> dict:
+    (report,) = reports
+    return {
         "delta": report.delta,
         "threshold": report.threshold,
         "ric_order": report.ric_order,
@@ -524,105 +519,61 @@ def _run_counterexample(spec: ExperimentSpec, g: dict):
         "non_unique_minimizer": report.non_unique,
         "text": report.render(),
     }
-    return [rec], summary
 
 
-def _ric_trial(spec: ExperimentSpec, g: dict, trial_id: int, matrix_index: int, order: int) -> TrialRecord:
-    start = time.perf_counter()
+def _ric_trial(spec: ExperimentSpec, g: dict, trial_id: int, matrix_index: int, order: int):
     structure = BlockStructure.uniform(g["d"], g["l"])
     phi = _make_matrix(g["ensemble"], g["m"], structure, stream_key(spec.seed, matrix_index, 0))
-    cert = exact_block_ric(phi, order)
-    cond = check_condition(cert.delta, g["t"], order)
-    return TrialRecord(
-        trial_id=trial_id,
-        seed_stream=stream_key(spec.seed, matrix_index),
-        m=g["m"],
-        n=structure.total_dim,
-        d=g["d"],
-        l=g["l"],
-        s=order,
-        t=g["t"],
-        delta=cert.delta,
-        condition_ok=bool(cond.ok),
-        wall_time=time.perf_counter() - start,
-    )
+    delta = exact_block_ric(phi, order).delta
+    return dict(seed_stream=stream_key(spec.seed, matrix_index), m=g["m"], n=structure.total_dim, d=g["d"],
+                l=g["l"], s=order, t=g["t"], delta=delta,
+                condition_ok=bool(check_condition(delta, g["t"], order).ok)), None
 
 
-def _run_ric_sweep(spec: ExperimentSpec, g: dict):
-    matrices = g["matrices"] or g["trials"]
-    records = [
-        _ric_trial(spec, g, tid, idx, order)
-        for tid, (idx, order) in enumerate(itertools.product(range(matrices), g["orders"]))
-    ]
-    deltas: dict[str, list] = {}
-    for rec in records:
-        deltas.setdefault(f"order={rec.s}", []).append(rec.delta)
+def _ric_summary(g: dict, records: list, _) -> dict:
+    deltas = {f"order={order}": [rec.delta for rec in records if rec.s == order] for order in g["orders"]}
     per_order = {key: {"min": min(ds), "max": max(ds), "mean": sum(ds) / len(ds)}
                  for key, ds in deltas.items()}
-    summary = {"matrices": matrices, "orders": g["orders"], "per_order": per_order}
-    return records, summary
+    return {"matrices": g["matrices"] or g["trials"], "orders": g["orders"], "per_order": per_order}
 
 
-def _run_identity_suite(spec: ExperimentSpec, g: dict):
-    worst = {
-        "subset_sum": 0.0,
-        "subset_inner_product": 0.0,
-        "subset_energy_difference": 0.0,
-        "disjoint_pair_energy": 0.0,
-    }
-    polytope_checked = 0
-    records: list[TrialRecord] = []
-    for trial in range(g["trials"]):
-        rng = generator(spec.seed, trial)
-        s = int(rng.integers(2, g["max_blocks"] + 1))
-        m = int(rng.integers(1, s + 1))
-        vectors = [rng.standard_normal(4) for _ in range(s)]
-        r1 = subset_sum_residual(vectors, m)
-        r2 = subset_inner_product_residual(vectors, max(2, m))
+_IDENTITIES = ("subset_sum", "subset_inner_product", "subset_energy_difference", "disjoint_pair_energy")
 
-        l = int(rng.integers(2, g["max_blocks"] + 1))
-        d = int(rng.integers(1, 3))
-        structure = BlockStructure.uniform(d, l)
-        rows = int(rng.integers(2, 7))
-        phi = SensingMatrix(rng.standard_normal((rows, structure.total_dim)) / np.sqrt(rows), structure)
-        x = BlockSignal(rng.standard_normal(structure.total_dim), structure)
-        mm = int(rng.integers(1, l + 1))
-        nn = int(rng.integers(1, l + 1))
-        r3 = subset_energy_difference_residual(phi, x, mm, nn)
-        if l >= mm + nn:
-            r4 = disjoint_pair_energy_residual(phi, x, mm, nn)
-        else:
-            r4 = disjoint_pair_energy_residual(phi, x, 1, 1)
 
-        sp = int(rng.integers(1, l + 1))
-        alpha = float(rng.uniform(0.5, 2.0))
-        member = _random_polytope_member(rng, structure, sp, alpha)
-        polytope_decompose(member, alpha, sp)
-        polytope_checked += 1
+def _identity_trial(spec: ExperimentSpec, g: dict, trial_id: int):
+    rng = generator(spec.seed, trial_id)
+    s = int(rng.integers(2, g["max_blocks"] + 1))
+    m = int(rng.integers(1, s + 1))
+    vectors = [rng.standard_normal(4) for _ in range(s)]
+    r1 = subset_sum_residual(vectors, m)
+    r2 = subset_inner_product_residual(vectors, max(2, m))
 
-        for name, res in zip(worst, (r1, r2, r3, r4)):
-            worst[name] = max(worst[name], res)
-        records.append(
-            TrialRecord(
-                trial_id=trial,
-                seed_stream=stream_key(spec.seed, trial),
-                m=rows,
-                n=structure.total_dim,
-                d=d,
-                l=l,
-                s=s,
-                t=1.0,
-                recovery_error=max(r1, r2, r3, r4),
-                success=bool(max(r1, r2, r3, r4) <= 1e-10),
-            )
-        )
-    summary = {
+    l = int(rng.integers(2, g["max_blocks"] + 1))
+    d = int(rng.integers(1, 3))
+    structure = BlockStructure.uniform(d, l)
+    rows = int(rng.integers(2, 7))
+    phi = SensingMatrix(rng.standard_normal((rows, structure.total_dim)) / np.sqrt(rows), structure)
+    x = BlockSignal(rng.standard_normal(structure.total_dim), structure)
+    mm = int(rng.integers(1, l + 1))
+    nn = int(rng.integers(1, l + 1))
+    r3 = subset_energy_difference_residual(phi, x, mm, nn)
+    r4 = disjoint_pair_energy_residual(phi, x, *((mm, nn) if l >= mm + nn else (1, 1)))
+
+    sp = int(rng.integers(1, l + 1))
+    alpha = float(rng.uniform(0.5, 2.0))
+    polytope_decompose(_random_polytope_member(rng, structure, sp, alpha), alpha, sp)
+    worst = max(r1, r2, r3, r4)
+    return dict(seed_stream=stream_key(spec.seed, trial_id), m=rows, n=structure.total_dim, d=d, l=l, s=s,
+                t=1.0, recovery_error=worst, success=bool(worst <= 1e-10)), (r1, r2, r3, r4)
+
+
+def _identity_summary(g: dict, records: list, residuals: list) -> dict:
+    return {
         "trials": g["trials"],
-        "max_residuals": worst,
-        "polytope_members_checked": polytope_checked,
+        "max_residuals": {name: max(0.0, *res) for name, res in zip(_IDENTITIES, zip(*residuals))},
+        "polytope_members_checked": len(records),  # one member decomposed per trial
         "all_below_1e-10": all(bool(r.success) for r in records),
     }
-    return records, summary
 
 
 def _random_polytope_member(rng, structure: BlockStructure, s: int, alpha: float) -> BlockSignal:
@@ -653,12 +604,19 @@ def _random_polytope_member(rng, structure: BlockStructure, s: int, alpha: float
     return BlockSignal(coeffs, structure)
 
 
-_RUNNERS = {
-    "RECOVERY_TRIALS": _run_recovery_trials,
-    "PHASE_TRANSITION": _run_phase_transition,
-    "COUNTEREXAMPLE": _run_counterexample,
-    "RIC_SWEEP": _run_ric_sweep,
-    "IDENTITY_SUITE": _run_identity_suite,
+# kind -> (trial parameters, trial, summary), as the module docstring says; a trial
+# also returns what the summary reads of it besides the records.  The trials look up
+# gaussian_matrix, exact_block_ric and solve_noiseless here at call time, where the
+# benchmark swaps them, so the table holds no such function itself.
+_KINDS = {
+    "RECOVERY_TRIALS": (lambda g: itertools.product([g["m"]], [g["s"]], g["rho"], range(g["trials"])),
+                        _recovery_trial, _recovery_summary),
+    "PHASE_TRANSITION": (lambda g: itertools.product(g["m_values"], g["s_values"], [0.0], range(g["trials"])),
+                         _recovery_trial, _phase_summary),
+    "COUNTEREXAMPLE": (lambda g: [()], _counterexample_trial, _counterexample_summary),
+    "RIC_SWEEP": (lambda g: itertools.product(range(g["matrices"] or g["trials"]), g["orders"]),
+                  _ric_trial, _ric_summary),
+    "IDENTITY_SUITE": (lambda g: [()] * g["trials"], _identity_trial, _identity_summary),
 }
 
 
@@ -670,7 +628,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     the wall_time column.
     """
     spec = _checks.instance("spec", spec, ExperimentSpec)
-    records, summary = _RUNNERS[spec.kind](spec, _grid_values(spec.kind, spec.grid))
+    g = _grid_values(spec.kind, spec.grid)
+    params, trial, summarize = _KINDS[spec.kind]
+    records, extras = [], []
+    for trial_id, args in enumerate(params(g)):
+        start = time.perf_counter()
+        values, extra = trial(spec, g, trial_id, *args)
+        records.append(TrialRecord(trial_id=trial_id, **values, wall_time=time.perf_counter() - start))
+        extras.append(extra)
+    summary = summarize(g, records, extras)
     header = {
         "kind": spec.kind,
         "seed": spec.seed,

@@ -51,3 +51,25 @@ def test_phase_transition_calls_the_patched_solver_once_per_trial(tmp_path, monk
     report = run_experiment(spec)
     assert len(report.records) == 4
     assert len(calls) == len(report.records)
+
+
+@pytest.mark.parametrize("kind, grid, names", [
+    ("PHASE_TRANSITION", {"l": 6, "d": 2, "s_values": [1, 2], "m_values": [8], "trials": 2, "compute_ric": True},
+     {"gaussian_matrix", "exact_block_ric", "solve_noiseless"}),
+    ("RIC_SWEEP", {"l": 6, "d": 2, "m": 8, "orders": [1, 2], "matrices": 2},
+     {"gaussian_matrix", "exact_block_ric"}),
+])
+def test_each_patched_experiments_name_runs_once_per_trial(spans, tmp_path, monkeypatch, kind, grid, names):
+    calls = dict.fromkeys(names, 0)
+    for module, name, _ in spans.PATCHED:
+        if module == "blockcs.experiments":
+            fn = getattr(blockcs.experiments, name)
+
+            def counting(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(blockcs.experiments, name, counting)
+    report = run_experiment(ExperimentSpec(kind=kind, seed=42, grid=grid, output_path=str(tmp_path / "run")))
+    assert len(report.records) == 4
+    assert calls == dict.fromkeys(names, len(report.records))

@@ -1,11 +1,12 @@
 import json
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from blockcs import ExperimentSpec, demo_counterexample, run_experiment
+from blockcs import ExperimentSpec, TrialRecord, demo_counterexample, run_experiment
 from blockcs.experiments import (
     _GRID_FORMATS,
     _REQUIRED,
@@ -52,6 +53,13 @@ _RECOVERY_GRID = {"l": 6, "m": 8, "s": 2}
     ("RECOVERY_TRIALS", dict(_RECOVERY_GRID, compute_ric="no"), "compute_ric"),
     ("RECOVERY_TRIALS", dict(_RECOVERY_GRID, ensemble="bernoulli"), "ensemble"),
     ("RIC_SWEEP", {"l": 3, "m": 6, "orders": [4]}, "orders"),
+    ("PHASE_TRANSITION", {"l": 4, "m_values": [4, 8], "s_values": [1], "ensemble": "spread_kernel"}, "m_values"),
+    ("RECOVERY_TRIALS", dict(_RECOVERY_GRID, ensemble="identity"), "m"),
+    ("RIC_SWEEP", {"l": 3, "m": 6, "ensemble": "spread_kernel"}, "m"),
+    ("RIC_SWEEP", {"l": 3, "m": 5, "ensemble": "identity"}, "m"),
+    ("COUNTEREXAMPLE", {"t": 4 / 3}, "t"),
+    ("COUNTEREXAMPLE", {"t": 0.0}, "t"),
+    ("COUNTEREXAMPLE", {"s": 3, "l": 6}, "l"),
     ("IDENTITY_SUITE", {"max_blocks": 1}, "max_blocks"),
     ("IDENTITY_SUITE", {"trials": 1, "bogus": 1}, "bogus"),
 ])
@@ -172,6 +180,51 @@ def test_records_csv_round_trip(tmp_path):
     records_to_csv(records, again, {"kind": spec.kind, "seed": spec.seed, "success_tol": "1.0000000000000001e-05"})
     # byte-identical modulo the fixed float formatting used on both sides
     assert Path(report.csv_path).read_text() == again.read_text()
+
+
+_ROW = TrialRecord(trial_id=0, seed_stream=1, m=4, n=8, d=2, l=4, s=1, t=1.0)
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("condition_ok", "maybe"),
+    ("condition_ok", ""),
+    ("success", "True"),
+    ("m", "x"),
+    ("m", ""),
+    ("m", "4.0"),
+    ("t", ""),
+    ("wall_time", "fast"),
+])
+def test_records_from_csv_names_a_malformed_cell(tmp_path, column, cell):
+    path = tmp_path / "rows.csv"
+    records_to_csv([_ROW, _ROW], path, {})
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[1].split(",").index(column)] = cell
+    path.write_text("\n".join(lines[:3] + [",".join(cells)]) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} line 4 column {column!r}: "):
+        records_from_csv(path)
+
+
+def test_records_from_csv_names_a_short_row(tmp_path):
+    path = tmp_path / "rows.csv"
+    records_to_csv([_ROW], path, {})
+    path.write_text(path.read_text() + "0,1\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} line 4: malformed trial row"):
+        records_from_csv(path)
+
+
+@pytest.mark.parametrize("kind, grid", [
+    ("RECOVERY_TRIALS", {"l": 4, "m": 6, "s": 1, "rho": [0.0, 0.01], "trials": 2}),
+    ("PHASE_TRANSITION", {"l": 4, "m_values": [6], "s_values": [1], "trials": 2, "compute_ric": True}),
+    ("COUNTEREXAMPLE", {"t": 1.0}),
+    ("RIC_SWEEP", {"l": 4, "m": 6, "matrices": 2}),
+    ("IDENTITY_SUITE", {"trials": 3, "max_blocks": 4}),
+])
+def test_every_trial_is_timed_and_reads_back(tmp_path, kind, grid):
+    report = run_experiment(ExperimentSpec(kind=kind, seed=3, grid=grid, output_path=str(tmp_path / "run")))
+    assert report.records and all(rec.wall_time > 0 for rec in report.records)
+    assert records_from_csv(report.csv_path) == list(report.records)
 
 
 def test_recovery_trials_identity_all_succeed(tmp_path):
