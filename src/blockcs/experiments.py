@@ -27,6 +27,9 @@ import numpy as np
 from . import _checks
 from .blocks import BlockSignal, BlockStructure, SensingMatrix, mixed_norm_2_1
 from .ric import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
+    _check_cap,
     _effective_order,
     check_condition,
     condition_threshold,
@@ -113,8 +116,8 @@ _MATRIX_KEYS = {
     "ensemble": (_one_of("gaussian", "spread_kernel", "identity"), "gaussian"),
 }
 
-# experiment kind -> grid key -> (conversion, default or _REQUIRED); a None
-# default stays None, every other default goes through the conversion
+# experiment kind -> grid key -> (conversion, default or _REQUIRED); a default
+# goes through the conversion too
 _GRID_FORMATS = {
     "RECOVERY_TRIALS": {
         **_MATRIX_KEYS,
@@ -141,8 +144,7 @@ _GRID_FORMATS = {
         **_MATRIX_KEYS,
         "m": (_COUNT, _REQUIRED),
         "orders": (_list_of(_COUNT), [1, 2]),
-        "matrices": (_COUNT, None),  # None: as many as trials
-        "trials": (_COUNT, 1),
+        "matrices": (_COUNT, 1),
     },
     "IDENTITY_SUITE": {
         "trials": (_COUNT, 200),
@@ -164,18 +166,24 @@ def _grid_values(kind: str, grid: dict) -> dict:
     unknown = [key for key in grid if key not in formats]
     if unknown:
         raise ValueError(f"{kind} grid has no key {unknown[0]!r}; it reads {sorted(formats)}")
-    values = dict.fromkeys(formats)  # an absent key with a None default stays None
+    values = {}
     for key, (convert, default) in formats.items():
         if key not in grid and default is _REQUIRED:
             raise ValueError(f"{kind} grid lacks the required key {key!r}")
-        if key in grid or default is not None:
-            try:
-                values[key] = convert(grid.get(key, default))
-            except ValueError as exc:
-                raise ValueError(f"{kind} grid key {key!r}: {exc}") from None
+        try:
+            values[key] = convert(grid.get(key, default))
+        except ValueError as exc:
+            raise ValueError(f"{kind} grid key {key!r}: {exc}") from None
     for key in ("s", "s_values", "orders"):
         if key in values and max(np.atleast_1d(values[key])) > values["l"]:
             raise ValueError(f"{kind} grid key {key!r} asks for more than l = {values['l']} blocks")
+    for order in values.get("orders", []):  # each order's exact RIC enumerates C(l, order) supports
+        try:
+            _check_cap(math.comb(values["l"], order), DEFAULT_ENUMERATION_CAP, f"C({values['l']}, {order})")
+        except EnumerationCapError as exc:
+            raise ValueError(f"{kind} grid key 'orders': {exc}") from None
+    if values.get("ensemble") == "spread_kernel" and values["l"] < 2:  # it balances the order-2 RIC
+        raise ValueError(f"{kind} grid key 'l': the spread_kernel ensemble needs l >= 2, got {values['l']}")
     if values.get("ensemble") in _ROWS:
         fits, op = _ROWS[values["ensemble"]]
         n = values["l"] * values["d"]
@@ -534,7 +542,7 @@ def _ric_summary(g: dict, records: list, _) -> dict:
     deltas = {f"order={order}": [rec.delta for rec in records if rec.s == order] for order in g["orders"]}
     per_order = {key: {"min": min(ds), "max": max(ds), "mean": sum(ds) / len(ds)}
                  for key, ds in deltas.items()}
-    return {"matrices": g["matrices"] or g["trials"], "orders": g["orders"], "per_order": per_order}
+    return {"matrices": g["matrices"], "orders": g["orders"], "per_order": per_order}
 
 
 _IDENTITIES = ("subset_sum", "subset_inner_product", "subset_energy_difference", "disjoint_pair_energy")
@@ -614,7 +622,7 @@ _KINDS = {
     "PHASE_TRANSITION": (lambda g: itertools.product(g["m_values"], g["s_values"], [0.0], range(g["trials"])),
                          _recovery_trial, _phase_summary),
     "COUNTEREXAMPLE": (lambda g: [()], _counterexample_trial, _counterexample_summary),
-    "RIC_SWEEP": (lambda g: itertools.product(range(g["matrices"] or g["trials"]), g["orders"]),
+    "RIC_SWEEP": (lambda g: itertools.product(range(g["matrices"]), g["orders"]),
                   _ric_trial, _ric_summary),
     "IDENTITY_SUITE": (lambda g: [()] * g["trials"], _identity_trial, _identity_summary),
 }

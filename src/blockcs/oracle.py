@@ -9,6 +9,7 @@ past the largest double prints no warning.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,6 @@ _RANK_GUARD = 1e4
 _EPS = float(np.finfo(float).eps)
 _FACTOR_BUDGET = 64 * 1024  # bytes kept between calls: one matrix's entries and screen factors
 _ARRAY_OVERHEAD = 256  # bytes a kept array costs beyond its data: its object and containers
-_kept: tuple = (b"", None, 0, {})  # the one matrix whose factors are kept: see _factored_level
 
 
 class NoSparseFitError(RuntimeError):
@@ -115,8 +115,8 @@ def brute_force_l20_batch(
     (forced) or its certified lower bound, screened residual minus margin, is
     <= residual_tol.  The other candidates are deferred, and solved only for the
     best residual of a column that no support fits.  So every outcome is
-    bit-identical to solving each support exactly.  The QR factors are kept for
-    the next call on an equal matrix, within _FACTOR_BUDGET bytes."""
+    bit-identical to solving each support exactly.  The QR factors are kept in
+    `_levels` for the next call on an equal matrix, within _FACTOR_BUDGET bytes."""
     phi = _checks.instance("phi", phi, SensingMatrix)
     s_max, residual_tol = _limits(phi, s_max, residual_tol, cap)
     B = _checks.array("observations", B, (phi.num_rows, None))
@@ -146,12 +146,12 @@ def _l20(phi: SensingMatrix, name: str, columns: np.ndarray, s_max: int, residua
     column_norms = np.sqrt(_checks.squares(name, columns, axis=1))
     # one errstate per call: lstsq's contract, which also keeps the screen's overflows quiet
     with errstate(LSTSQ_FAILED):
-        slot, obs, norms = _slot(phi), columns.T, column_norms
+        levels, obs, norms = _levels(phi.entries.tobytes(), structure, _ric._CHUNK), columns.T, column_norms
         for k in range(s_max + 1):
             bound = None  # running upper bound on each best exact residual
             best = [(math.inf, 0, None)] * len(unresolved)
-            level = slot[3].get(k)
-            for sups, groups in (_factored_level(phi, slot, k) if level is None else level[1]):
+            level = levels.get(k)
+            for sups, groups in (_factored_level(phi, levels, k) if level is None else level[1]):
                 for rows, cols, (qt, kappa, forced) in groups:
                     if qt is None:
                         # the empty support, alone in level 0 and screened exactly by ||b_j||, or
@@ -188,9 +188,6 @@ def _l20(phi: SensingMatrix, name: str, columns: np.ndarray, s_max: int, residua
                         if (res_ij, position) < best[j][:2]:
                             best[j] = (res_ij, position, (sups[rows[i]], cols[i], coef))
                 searched += len(sups)
-            latest = _kept  # read once: another thread may replace it with another matrix's
-            if latest[0] is slot[0]:  # a level just factored may be kept: carry it into the next
-                slot = latest
             for j, (best_res, _, found) in zip(unresolved, best):
                 best_overall[j] = min(best_overall[j], best_res)
                 if best_res <= residual_tol:
@@ -220,32 +217,23 @@ def _solve(sub: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     return math.sqrt(diff.dot(diff)), coef  # np.linalg.norm(diff), bit for bit
 
 
-def _slot(phi: SensingMatrix) -> tuple:
-    """The kept slot when it holds `phi`'s matrix, else a new empty slot for it: see
-    `_factored_level`."""
-    key = phi.entries.tobytes()
-    slot = _kept
-    if slot[0] == key and slot[1] == phi.structure and slot[2] == _ric._CHUNK:
-        return slot
-    return key, phi.structure, _ric._CHUNK, {}
+@functools.lru_cache(maxsize=1)
+def _levels(key: bytes, structure, chunk: int) -> dict:
+    """The kept levels {k: (bytes, chunks)} of one matrix: see `_factored_level`."""
+    return {}
 
 
-def _factored_level(phi: SensingMatrix, slot: tuple, k: int):
+def _factored_level(phi: SensingMatrix, levels: dict, k: int):
     """The chunks of `_support_chunks(phi.structure, k)` with each group's screen factors,
-    as (sups, [(rows, cols, (qt, kappa, forced)), ...]), for a level that `slot` lacks.
+    as (sups, [(rows, cols, (qt, kappa, forced)), ...]), for a level that `levels` lacks.
 
-    The factors depend on the matrix alone, so the last matrix's levels are kept between
-    calls in one slot, (entries bytes, structure, chunk size, {k: (bytes, chunks)}),
-    matched bit for bit (-0.0 is not 0.0) by `_slot`, once per call.  A level is kept once
-    consumed to the end if the slot's array bytes stay within _FACTOR_BUDGET; a level that
-    does not fit is factored chunk by chunk on every call.  The slot is only ever replaced
-    whole, by `slot` with the new level, so a reader never pairs one matrix's entries
-    with another's factors."""
-    global _kept
-    key, structure, _, levels = slot
-    room = _FACTOR_BUDGET - len(key) - sum(size for size, _ in levels.values())
+    The factors depend on the matrix alone, so `_levels` keeps the last matrix's, keyed
+    bit for bit (-0.0 is not 0.0) on its entries' bytes, structure and chunk size.  A level
+    consumed to the end is stored in `levels` if the entries and every kept array stay within
+    _FACTOR_BUDGET bytes; a level that does not fit is factored chunk by chunk on every call."""
+    room = _FACTOR_BUDGET - phi.entries.nbytes - sum(size for size, _ in levels.values())
     chunks, size = [], 0
-    for sups, groups in _support_chunks(structure, k):
+    for sups, groups in _support_chunks(phi.structure, k):
         factored = [(rows, cols, _factor(phi.entries, cols)) for rows, cols in groups]
         if chunks is not None:
             arrays = [sups, *(a for rows, cols, factors in factored for a in (rows, cols, *factors))]
@@ -256,7 +244,7 @@ def _factored_level(phi: SensingMatrix, slot: tuple, k: int):
                 chunks = None
         yield sups, factored
     if chunks is not None:
-        _kept = (*slot[:3], {**levels, k: (size, chunks)})
+        levels[k] = (size, chunks)
 
 
 def _factor(entries: np.ndarray, cols: np.ndarray):

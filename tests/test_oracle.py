@@ -374,8 +374,16 @@ def test_batch_memory_does_not_grow_with_support_count():
 
 # --- screen factors kept between calls ---
 
-def _forget_factors(monkeypatch):
-    monkeypatch.setattr(oracle, "_kept", (b"", None, 0, {}))
+def _forget_factors():
+    oracle._levels.cache_clear()
+
+
+def _kept_levels(phi):
+    """The levels kept for `phi` at the current chunk size, which must be the store's key."""
+    hits = oracle._levels.cache_info().hits
+    levels = oracle._levels(phi.entries.tobytes(), phi.structure, ric._CHUNK)
+    assert oracle._levels.cache_info().hits == hits + 1, "the store holds another matrix"
+    return levels
 
 
 def _without_qr():
@@ -383,24 +391,24 @@ def _without_qr():
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
-def test_kept_factors_give_the_bits_of_a_batch_and_a_cold_call(name, monkeypatch):
+def test_kept_factors_give_the_bits_of_a_batch_and_a_cold_call(name):
     phi, b, s_max = _oracle_case(name)
     rng = np.random.default_rng(len(name))
     B = np.column_stack([b, -2.0 * b, b + 1e-3 * rng.standard_normal(len(b))])
-    _forget_factors(monkeypatch)
+    _forget_factors()
     batch = [_outcome_key(outcome) for outcome in brute_force_l20_batch(phi, B, s_max)]
     with _without_qr():  # every level the batch needed is kept
         warm = [_outcome_key(_standalone(phi, B[:, j], s_max)) for j in range(B.shape[1])]
     cold = []
     for j in range(B.shape[1]):
-        _forget_factors(monkeypatch)
+        _forget_factors()
         cold.append(_outcome_key(_standalone(phi, B[:, j], s_max)))
     assert warm == batch == cold
     golden = json.loads((GOLDEN / "oracle_outputs.json").read_text())[name]
     assert _oracle_digest(_standalone(phi, b, s_max)) == golden
 
 
-def test_kept_factors_follow_the_matrix_values(monkeypatch):
+def test_kept_factors_follow_the_matrix_values():
     structure = BlockStructure((2, 1, 2, 3, 2))
     rng = np.random.default_rng(8)
     a = SensingMatrix(rng.standard_normal((7, 10)), structure)
@@ -413,7 +421,7 @@ def test_kept_factors_follow_the_matrix_values(monkeypatch):
         b = phi.entries @ x
         assert _outcome_key(_standalone(phi, b, 2)) == _outcome_key(_reference_l20(phi, b, 2))
 
-    _forget_factors(monkeypatch)
+    _forget_factors()
     for phi in (a, other, a):
         matches_reference(phi)
     with _without_qr():  # an equal copy is served the kept factors
@@ -428,25 +436,38 @@ def test_kept_factors_follow_the_matrix_values(monkeypatch):
         matches_reference(SensingMatrix(np.where(signed == 0.0, -0.0, signed), structure))
 
 
-def test_kept_factors_follow_the_chunk_size(monkeypatch):
+def test_kept_factors_follow_the_chunk_size():
     phi = gaussian_matrix(6, BlockStructure.uniform(1, 7), seed=3)
     b = phi.entries[:, :2] @ np.array([1.0, -1.0])
-    _forget_factors(monkeypatch)
+    _forget_factors()
     expected = _outcome_key(_standalone(phi, b, 2))
     with mock.patch.object(ric, "_CHUNK", 2):
         assert _outcome_key(_standalone(phi, b, 2)) == expected
-        assert oracle._kept[2] == 2
-        assert max(len(sups) for sups, _ in oracle._kept[3][2][1]) == 2
+        assert max(len(sups) for sups, _ in _kept_levels(phi)[2][1]) == 2
 
 
-def test_kept_columns_own_their_bytes(monkeypatch):
-    # the slot's budget counts each kept array's nbytes, so no `cols` may view a larger array
+def test_kept_factors_follow_the_block_structure():
+    # equal entries under another structure are another matrix: its levels are factored again
+    entries = np.random.default_rng(9).standard_normal((5, 6))
+    b = entries[:, :3] @ np.array([1.0, -2.0, 0.5])  # blocks 0 and 1 of (2, 2, 2), block 0 of (3, 3)
+    _forget_factors()
+    for lengths in ((2, 2, 2), (3, 3), (2, 2, 2)):
+        phi = SensingMatrix(entries, BlockStructure(lengths))
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            got = _outcome_key(_standalone(phi, b, 2))
+        assert qr.called, lengths
+        assert got == _outcome_key(_reference_l20(phi, b, 2))
+
+
+def test_kept_columns_own_their_bytes():
+    # the store's budget counts each kept array's nbytes, so no `cols` may view a larger array
     phi = gaussian_matrix(6, BlockStructure((1, 3, 2, 1)), seed=3)
-    _forget_factors(monkeypatch)
+    _forget_factors()
+    levels = oracle._levels(phi.entries.tobytes(), phi.structure, ric._CHUNK)
     for k in range(5):
-        for _, factored in oracle._factored_level(phi, oracle._slot(phi), k):
+        for _, factored in oracle._factored_level(phi, levels, k):
             assert all(owns_its_bytes(cols) for _, cols, _ in factored)
-    assert sorted(oracle._kept[3]) == [0, 1, 2, 3, 4]
+    assert sorted(_kept_levels(phi)) == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("l, d, m, kept_levels", [(48, 1, 8, [0, 1]), (12, 2, 21, [0, 1, 2])])
@@ -463,7 +484,7 @@ def test_kept_memory_stays_within_the_budget(l, d, m, kept_levels):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert sorted(oracle._kept[3]) == kept_levels
+    assert sorted(_kept_levels(phi)) == kept_levels
     assert kept <= oracle._FACTOR_BUDGET
 
 
@@ -496,22 +517,22 @@ def test_single_calls_cold_and_warm_match_reference_loop(lengths, m, seed, chunk
     with mock.patch.object(ric, "_CHUNK", chunk):
         for b in (fit, no_fit):
             expected = _outcome_key(_reference_l20(phi, b.copy(), s_max))
-            with mock.patch.object(oracle, "_kept", (b"", None, 0, {})):
-                cold = _outcome_key(_standalone(phi, b, s_max))
-                assert oracle._kept[0] == phi.entries.tobytes() and oracle._kept[2] == chunk
-                warm = _outcome_key(_standalone(phi, b, s_max))
+            _forget_factors()
+            cold = _outcome_key(_standalone(phi, b, s_max))
+            _kept_levels(phi)
+            warm = _outcome_key(_standalone(phi, b, s_max))
             assert cold == warm == expected
 
 
 # --- floating-point warnings (tests/test_linalg.py covers the least-squares entry point) ---
 
-def test_oracle_lets_no_floating_point_warning_escape(gram_overflow_phi, monkeypatch):
+def test_oracle_lets_no_floating_point_warning_escape(gram_overflow_phi):
     # the QR pivots square past the largest double, and with b the matrix's own column so
     # does the empty support's residual; the support whose pivots overflow is forced and
     # solved exactly, so the outcomes are the reference loop's
     column = gram_overflow_phi.entries[:, 0]
     for b in (column * 1e-154, column):
-        _forget_factors(monkeypatch)
+        _forget_factors()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _outcome_key(_standalone(gram_overflow_phi, b, 1))
