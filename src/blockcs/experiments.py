@@ -38,7 +38,7 @@ from .ric import (
     exact_block_ric,
 )
 from .seeding import generator, stream_key
-from .sensing import gaussian_matrix, sharpness_instance, spread_kernel_matrix, apply
+from .sensing import _check_balance_order, gaussian_matrix, sharpness_instance, spread_kernel_matrix, apply
 from .serialize import format_float
 from .solvers import SolverConfig, solve_noiseless, solve_noisy
 from .identities import (
@@ -182,8 +182,11 @@ def _grid_values(kind: str, grid: dict) -> dict:
             _check_cap(math.comb(values["l"], order), DEFAULT_ENUMERATION_CAP, f"C({values['l']}, {order})")
         except EnumerationCapError as exc:
             raise ValueError(f"{kind} grid key 'orders': {exc}") from None
-    if values.get("ensemble") == "spread_kernel" and values["l"] < 2:  # it balances the order-2 RIC
-        raise ValueError(f"{kind} grid key 'l': the spread_kernel ensemble needs l >= 2, got {values['l']}")
+    try:  # the spread_kernel matrix balances one RIC: its order must fit l and the enumeration cap
+        if values.get("ensemble") == "spread_kernel":
+            _check_balance_order(values["l"])
+    except (ValueError, EnumerationCapError) as exc:
+        raise ValueError(f"{kind} grid key 'l': the spread_kernel ensemble cannot be built: {exc}") from None
     if values.get("ensemble") in _ROWS:
         fits, op = _ROWS[values["ensemble"]]
         n = values["l"] * values["d"]

@@ -146,7 +146,9 @@ def _l20(phi: SensingMatrix, name: str, columns: np.ndarray, s_max: int, residua
     column_norms = np.sqrt(_checks.squares(name, columns, axis=1))
     # one errstate per call: lstsq's contract, which also keeps the screen's overflows quiet
     with errstate(LSTSQ_FAILED):
-        levels, obs, norms = _levels(phi.entries.tobytes(), structure, _ric._CHUNK), columns.T, column_norms
+        fits = phi.entries.nbytes < _FACTOR_BUDGET  # larger entries keep nothing, not even as the key
+        levels = _levels(phi.entries.tobytes(), structure, _ric._CHUNK) if fits else {}
+        obs, norms = columns.T, column_norms
         for k in range(s_max + 1):
             bound = None  # running upper bound on each best exact residual
             best = [(math.inf, 0, None)] * len(unresolved)
@@ -227,10 +229,10 @@ def _factored_level(phi: SensingMatrix, levels: dict, k: int):
     """The chunks of `_support_chunks(phi.structure, k)` with each group's screen factors,
     as (sups, [(rows, cols, (qt, kappa, forced)), ...]), for a level that `levels` lacks.
 
-    The factors depend on the matrix alone, so `_levels` keeps the last matrix's, keyed
-    bit for bit (-0.0 is not 0.0) on its entries' bytes, structure and chunk size.  A level
-    consumed to the end is stored in `levels` if the entries and every kept array stay within
-    _FACTOR_BUDGET bytes; a level that does not fit is factored chunk by chunk on every call."""
+    The factors depend on the matrix alone, so `_levels` keeps them for the last matrix under
+    _FACTOR_BUDGET bytes, keyed bit for bit (-0.0 is not 0.0) on its entries' bytes, structure and
+    chunk size.  A level consumed to the end is stored in `levels` if the entries and every kept
+    array stay within the budget; a level that does not fit is factored chunk by chunk on every call."""
     room = _FACTOR_BUDGET - phi.entries.nbytes - sum(size for size, _ in levels.values())
     chunks, size = [], 0
     for sups, groups in _support_chunks(phi.structure, k):

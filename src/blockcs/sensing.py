@@ -81,9 +81,7 @@ def spread_kernel_matrix(
     """
     n = _checks.instance("structure", structure, BlockStructure).total_dim
     m = _checks.count("m", m, 1, n - 1)
-    l = structure.num_blocks
-    balance_order = _checks.count("balance_order", balance_order, 1, l)
-    _check_cap(math.comb(l, balance_order), DEFAULT_ENUMERATION_CAP, f"C({l}, {balance_order})")
+    balance_order = _check_balance_order(structure.num_blocks, balance_order)
     rng = generator(seed)
     k = n - m
     V = rng.standard_normal((n, k))
@@ -99,6 +97,14 @@ def spread_kernel_matrix(
     cert = exact_block_ric(SensingMatrix(basis.T, structure), balance_order)
     c = 2.0 / (cert.max_eig + cert.min_eig)
     return SensingMatrix(np.sqrt(c) * basis.T, structure)
+
+
+def _check_balance_order(l: int, balance_order=2) -> int:
+    """`spread_kernel_matrix`'s `balance_order` on l blocks, checked: an integer in [1, l]
+    whose C(l, balance_order) supports are within the default enumeration cap."""
+    balance_order = _checks.count("balance_order", balance_order, 1, l)
+    _check_cap(math.comb(l, balance_order), DEFAULT_ENUMERATION_CAP, f"C({l}, {balance_order})")
+    return balance_order
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ _RECOVERY_GRID = {"l": 6, "m": 8, "s": 2}
     ("PHASE_TRANSITION", {"l": 1, "d": 4, "m_values": [2], "s_values": [1], "ensemble": "spread_kernel"}, "l"),
     ("RECOVERY_TRIALS", {"l": 1, "d": 4, "m": 2, "s": 1, "ensemble": "spread_kernel"}, "l"),
     ("RIC_SWEEP", {"l": 1, "d": 4, "m": 2, "orders": [1], "ensemble": "spread_kernel"}, "l"),
+    ("RIC_SWEEP", {"l": 1415, "d": 1, "m": 10, "orders": [1], "ensemble": "spread_kernel"}, "l"),
     ("RIC_SWEEP", {"l": 40, "d": 1, "m": 10, "orders": [1, 20], "matrices": 3}, "orders"),
     ("RIC_SWEEP", {"l": 4, "m": 6, "trials": 3}, "trials"),
     ("COUNTEREXAMPLE", {"t": 4 / 3}, "t"),

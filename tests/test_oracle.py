@@ -470,12 +470,15 @@ def test_kept_columns_own_their_bytes():
     assert sorted(_kept_levels(phi)) == [0, 1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("l, d, m, kept_levels", [(48, 1, 8, [0, 1]), (12, 2, 21, [0, 1, 2])])
+@pytest.mark.parametrize("l, d, m, kept_levels",
+                         [(48, 1, 8, [0, 1]), (12, 2, 21, [0, 1, 2]), (48, 1, 200, None)])
 def test_kept_memory_stays_within_the_budget(l, d, m, kept_levels):
     # at l = 48 the 1,128 two-block supports would need about 200 kB and are factored
-    # on every call; at l = 12, d = 2 every level fits
+    # on every call; at l = 12, d = 2 every level fits; at m = 200 the 76.8 kB of entries
+    # exceed the budget, so the store keeps nothing, not even their bytes as its key
     phi = gaussian_matrix(m, BlockStructure.uniform(d, l), seed=1)
     B = np.random.default_rng(2).standard_normal((m, 40))
+    _forget_factors()
     gc.collect()
     tracemalloc.start()
     try:
@@ -484,7 +487,10 @@ def test_kept_memory_stays_within_the_budget(l, d, m, kept_levels):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert sorted(_kept_levels(phi)) == kept_levels
+    if kept_levels is None:
+        assert oracle._levels.cache_info().currsize == 0
+    else:
+        assert sorted(_kept_levels(phi)) == kept_levels
     assert kept <= oracle._FACTOR_BUDGET
 
 
@@ -519,7 +525,7 @@ def test_single_calls_cold_and_warm_match_reference_loop(lengths, m, seed, chunk
             expected = _outcome_key(_reference_l20(phi, b.copy(), s_max))
             _forget_factors()
             cold = _outcome_key(_standalone(phi, b, s_max))
-            _kept_levels(phi)
+            assert 0 in _kept_levels(phi)  # level 0 always fits at these sizes
             warm = _outcome_key(_standalone(phi, b, s_max))
             assert cold == warm == expected
 
