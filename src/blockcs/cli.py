@@ -65,13 +65,8 @@ def _load_vector(path: str):
 
 
 def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    if args.tol is not None:
-        kwargs["primal_tol"] = args.tol
-        kwargs["dual_tol"] = args.tol
-    return SolverConfig(**kwargs)
+    return SolverConfig(**{name: getattr(args, name) for name in ("max_iters", "tol")
+                           if getattr(args, name) is not None})
 
 
 def _emit(payload, out: str | None) -> None:

@@ -187,7 +187,11 @@ class ConditionReport:
     `effective_order` is the integer order floor(t*s) at which the constant
     is measured when t*s is not an integer; a t*s within 1e-12 of an integer
     counts as that integer, the tolerance of the t*s >= 2 test, so the order
-    is 2 or more exactly when that test passes.  `reason` is None when the
+    is 2 or more exactly when that test passes.  The threshold construction
+    (`sharpness_instance`) is sharp only at floor(t*s): its constant exceeds
+    t/(4-t) at ceil(t*s).  This convention is unchecked against the paper's
+    full text, of which only the abstract is at hand; the order may be meant
+    as ceil(t*s).  `reason` is None when the
     condition holds, else one of "t_out_of_range", "invalid_delta" (delta
     negative or not finite), "ts_below_two", "delta_not_below_threshold".
     """

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -131,8 +132,11 @@ def sharpness_instance(t: float, s: int, d: int, l: int) -> SharpnessInstance:
     """Build the threshold-attaining instance for parameters (t, s, d, l).
 
     All `l` blocks have uniform length `d`; the first 2s blocks carry the
-    construction.  For integer t*s >= 2 the block restricted-isometry
-    constant of `phi` at order t*s equals t/(4-t) exactly.
+    construction, and `phi` is c times the identity on the others, with c
+    rounded up until c**2 >= 4/(4-t) in exact arithmetic.  So the untouched
+    block proves that the block restricted-isometry constant of `phi` is at
+    least t/(4-t) at every order, exactly; for integer t*s >= 2 it equals
+    t/(4-t) at order t*s up to the rounding of the stored entries.
 
     Raises
     ------
@@ -152,6 +156,8 @@ def sharpness_instance(t: float, s: int, d: int, l: int) -> SharpnessInstance:
     x1 = np.zeros(n)
     x1[: 2 * s * d] = 1.0 / np.sqrt(2 * s * d)
     scale = 1.0 / np.sqrt(1.0 - t / 4.0)
+    while Fraction(scale) ** 2 < 4 / (4 - Fraction(t)):
+        scale = math.nextafter(scale, math.inf)
     entries = scale * (np.eye(n) - np.outer(x1, x1))
 
     x0 = np.zeros(n)

@@ -9,6 +9,8 @@ by operator splitting: auxiliary variables w = x and z = Phi x - b, an
 x-update through a cached Cholesky factorization of (I + Phi^T Phi), a
 block soft-thresholding w-update, and a z-update that projects onto the
 rho-ball (the origin when rho = 0).  Every proximal piece is closed form.
+A column converges once both residuals are at most `SolverConfig.tol`; the
+over-relaxation 1.6 and the feasibility tolerance 1e-8 * max(1, ||b||) are fixed.
 
 A batch entry point runs many right-hand sides against one matrix in a
 single vectorized iteration.  Each column keeps its own penalty, rebalanced
@@ -26,14 +28,14 @@ iterations, and change no output.
 - A lone noiseless column (a batch of one with rho = 0, from the start or
   once the other columns have left) first takes one probe coordinate p, the
   largest |dw| entry at its last full dual test, and skips both residuals
-  when beta * sqrt(dw_p * dw_p) already exceeds the dual tolerance.  The
+  when beta * sqrt(dw_p * dw_p) already exceeds the tolerance.  The
   computed residual fl(beta * sqrt(sum fl(dw_i^2))) is at least that
   one-coordinate value, since each rounded partial sum of non-negative terms
   is at least every term it holds and sqrt and the product round
   monotonically, so the skipped test would have failed.
 - A noisy batch (some rho > 0) first sums the squares of x - w down each
   running column, s, and skips both residuals when fl(sqrt(xw2)) exceeds the
-  primal tolerance for every one of them, xw2 = fl(fl(sqrt(s))^2) being the
+  tolerance for every one of them, xw2 = fl(fl(sqrt(s))^2) being the
   column's squared ||x - w||.  The primal residual is
   rp = fl(sqrt(fl(xw2 + fl(nz^2)))), with nz = ||Phi x - b - z||, computed
   from that very xw2; as fl(nz^2) >= 0 and the sum and sqrt round
@@ -50,18 +52,18 @@ pass the dual one.
 Every array of the iteration is C-ordered and has its full shape (rows by
 running columns), so that each elementwise ufunc call takes numpy's fast path
 for operands of one layout and shape, at about half the cost of a call that
-mixes C and Fortran order or broadcasts a per-column vector.  The matrix
-and the observations enter in C order whatever the caller's layout (as
-`_checks.array` returns every array argument), dropping the
-converged columns takes the others with `take` (a boolean mask along axis 1
-would give Fortran order), and the shrink thresholds fill a (blocks, columns)
-array.  LAPACK's dpotrs returns x in Fortran order, so a batch of several
-columns copies x to C order, but only after taking Phi x from it: the
+mixes C and Fortran order or broadcasts a per-column vector.  The matrix and
+the observations enter in C order whatever the caller's layout (as
+`_checks.array` returns every array argument), dropping the converged columns
+takes the others with `take` (a boolean mask along axis 1 would give Fortran
+order), and the shrink thresholds fill a (blocks, columns) array, a lone
+column's too.  LAPACK's dpotrs returns x in Fortran order, so a batch of
+several columns copies x to C order, but only after taking Phi x from it: the
 product's BLAS call, and so its bits, can follow the operand's layout (a lone
 column is both C- and Fortran-ordered and is never copied).  Elementwise
-results do not depend on the layout, but the reductions over axis 0 do:
-numpy sums the columns of a Fortran-ordered array pairwise, so each of them
-must keep seeing C order.
+results do not depend on the layout, but the reductions over axis 0 do: numpy
+sums the columns of a Fortran-ordered array pairwise, so each of them must
+keep seeing C order.
 
 The shrink's block norms are square roots of sums of squares over each
 block, `np.add.reduceat`'s sums.  Reduceat runs numpy's inner loop once per
@@ -117,6 +119,10 @@ _BALANCE_EVERY = 50
 _BALANCE_FACTOR = 2.0
 _BALANCE_RATIO = 10.0
 _ONE = np.array(1.0)
+# over-relaxation alpha = 1.6 and 1 - alpha, 0-d: numpy converts a Python float on every call
+_ALPHA, _ALPHA_C = np.array(1.6), np.array(1.0 - 1.6)
+# b is feasible when its distance to the range of Phi is at most rho + this * max(1, ||b||)
+_FEASIBILITY_TOL = 1e-8
 # block sums per added view (d - 1 of them for blocks of d) from which views beat reduceat
 _VIEW_SUMS = 128
 
@@ -127,24 +133,21 @@ class InfeasibleProblemError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Operator-splitting solver parameters."""
+    """Operator-splitting solver parameters: at most `max_iters` iterations, a
+    column converging once its primal and dual residuals are both at most
+    `tol`, and `penalty` the starting penalty of every column."""
 
     max_iters: int = 50_000
-    primal_tol: float = 1e-9
-    dual_tol: float = 1e-9
+    tol: float = 1e-9
     penalty: float = 1.0
-    over_relaxation: float = 1.6
-    feasibility_tol: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "max_iters", _checks.count("max_iters", self.max_iters, 1))
-        for name in ("primal_tol", "dual_tol", "penalty", "feasibility_tol"):
+        for name in ("tol", "penalty"):
             object.__setattr__(self, name, _checks.real(name, getattr(self, name), 0.0, strict=True))
         if 1.0 / self.penalty == np.inf:  # the shrink threshold would be inf and the estimate NaN
             raise ValueError(f"penalty must be a finite real > 0.0 with a finite reciprocal, "
                              f"got {self.penalty!r}")
-        relaxation = _checks.real("over_relaxation", self.over_relaxation, 1.0, 1.9)
-        object.__setattr__(self, "over_relaxation", relaxation)
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,7 @@ def block_soft_threshold(x: BlockSignal, tau: float) -> BlockSignal:
 
 def _block_shrink(V: np.ndarray, sums, at, lengths, tau) -> np.ndarray:
     """Columnwise block soft threshold of an (N, batch) array, for tau > 0 given
-    as `_thresholds` lays it out (or one float): each block is scaled by
+    as one float or as `_thresholds` lays it out: each block is scaled by
     1 - tau/max(||block||, tau), which is 0 for a block whose norm is at most tau.
     The block norms are the square roots of `sums(V * V, at)`, the blocks' sums
     of squares by the method `_block_summation` picks.  The method comes in as
@@ -227,19 +230,15 @@ def _block_summation(structure, width: int):
     return _block_sums, d
 
 
-def _thresholds(beta: np.ndarray, blocks: int):
-    """The shrink threshold 1/beta of each column, laid out for `_block_shrink`'s
-    (blocks, columns) block norms: for a lone column a 0-d array, otherwise a
-    C-ordered (blocks, columns) array holding column j's threshold in all of
-    column j.  Either way each ufunc call in the shrink takes numpy's fast path
-    for operands of one layout and shape (a 1-entry array or a per-column
-    vector would be broadcast), with the bits of the broadcast.  Dropping
-    columns takes their thresholds along (`take` on axis 1); they are rebuilt
-    only when beta changes or one column is left."""
-    tau = 1.0 / beta
-    if tau.size == 1:
-        return tau.reshape(())
-    return np.broadcast_to(tau, (blocks, tau.size)).copy()
+def _thresholds(beta: np.ndarray, blocks: int) -> np.ndarray:
+    """The shrink threshold 1/beta of each column, laid out as `_block_shrink`'s
+    (blocks, columns) block norms are: a C-ordered (blocks, columns) array
+    holding column j's threshold in all of column j, a lone column included.
+    So each ufunc call in the shrink takes numpy's fast path for operands of one
+    layout and shape (a per-column vector would be broadcast), with the bits of
+    the broadcast.  Dropping columns takes their thresholds along (`take` on
+    axis 1); they are rebuilt only when beta changes."""
+    return np.broadcast_to(1.0 / beta, (blocks, beta.size)).copy()
 
 
 def _column_norms(A: np.ndarray) -> np.ndarray:
@@ -262,7 +261,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
 
     Returns per-column (estimate columns, iterations, primal residual,
     dual residual, converged).  Each column's result is snapshotted the
-    first time both residuals pass their tolerances, so reported residuals
+    first time both residuals are at most `cfg.tol`, so reported residuals
     always satisfy the convergence contract.
     """
     entries = phi.entries
@@ -287,13 +286,10 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     w, u = np.zeros((n, batch)), np.zeros((n, batch))
     z, v = np.zeros((m, batch)), np.zeros((m, batch))
     zb = z + B
-    # 0-d arrays: numpy converts a Python float operand again on every call
-    alpha = np.array(cfg.over_relaxation)
-    alpha_c = np.array(1.0 - cfg.over_relaxation)
-    max_iters, primal_tol, dual_tol = cfg.max_iters, cfg.primal_tol, cfg.dual_tol
+    max_iters, tol = cfg.max_iters, cfg.tol
     beta = np.full(batch, cfg.penalty)
-    tau = _thresholds(beta, blocks)  # recomputed only when beta changes or one column is left
-    czb = zb * alpha_c  # constant when every rho is 0, as z then stays 0
+    tau = _thresholds(beta, blocks)  # recomputed only when beta changes
+    czb = zb * _ALPHA_C  # constant when every rho is 0, as z then stays 0
     noiseless = bool(np.all(rhos == 0.0))
     # a lone noiseless column first tests its dual residual on one coordinate, `probe`
     lone, probe = noiseless and batch == 1, 0
@@ -315,10 +311,10 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
             px = entries @ x  # before the copy: BLAS's bits can follow x's layout
             if wide:
                 x = np.ascontiguousarray(x)
-            xu = x * alpha
-            xu += w * alpha_c
-            pxr = px * alpha
-            pxr += czb if noiseless else zb * alpha_c
+            xu = x * _ALPHA
+            xu += w * _ALPHA_C
+            pxr = px * _ALPHA
+            pxr += czb if noiseless else zb * _ALPHA_C
             w_old = w
             xu += u
             w = _block_shrink(xu, add_blocks, at, lengths, tau)
@@ -334,7 +330,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                 if lone and not last:
                     # one coordinate's share is a lower bound on the computed rd
                     d = w.item(probe) - w_old.item(probe)
-                    if beta.item() * math.sqrt(d * d) > dual_tol:
+                    if beta.item() * math.sqrt(d * d) > tol:
                         continue
                 dw = w - w_old
             else:
@@ -354,7 +350,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                 # column, none can converge
                 xw = x - w
                 sums = np.add.reduce(xw * xw, 0)
-                if not last and _rules_out(sums, primal_tol):
+                if not last and _rules_out(sums, tol):
                     continue
                 dw = (w - w_old) + entries_t @ (z - z_old)
             sq = dw * dw
@@ -365,11 +361,11 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
             # only a column that passes the dual test can be hit: rp waits for one
             if lone:
                 probe = int(sq.argmax())
-                hit = rd.item() <= dual_tol
+                hit = rd.item() <= tol
                 if not (last or hit):
                     continue
             else:
-                hit = rd <= dual_tol
+                hit = rd <= tol
                 if not (last or np.logical_or.reduce(hit)):
                     continue
             if noiseless:
@@ -377,7 +373,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
             else:
                 rz, xw2 = px - B - z, np.sqrt(sums) ** 2
             rp = np.sqrt(xw2 + _column_norms(rz) ** 2)
-            hit &= rp <= primal_tol
+            hit &= rp <= tol
             if np.logical_or.reduce(hit):
                 # snapshot the converged columns, then drop them from the loop's arrays
                 hit_cols = cols[hit]
@@ -388,15 +384,10 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
                 done[hit_cols] = True
                 keep = np.flatnonzero(~hit)
                 cols, rp, rd, beta, rhos = (a.take(keep) for a in (cols, rp, rd, beta, rhos))
-                # take keeps them C-ordered, where a mask along axis 1 would give Fortran order;
-                # a noiseless batch never reads z (it stays 0) and a noisy one never reads czb
-                if noiseless:
-                    w, u, v, zb, czb, B = (a.take(keep, 1) for a in (w, u, v, zb, czb, B))
-                else:
-                    w, u, z, v, zb, B = (a.take(keep, 1) for a in (w, u, z, v, zb, B))
+                # take keeps them C-ordered, where a mask along axis 1 would give Fortran order
+                w, u, z, v, zb, czb, B, tau = (a.take(keep, 1) for a in (w, u, z, v, zb, czb, B, tau))
                 if not cols.size:
                     break
-                tau = tau.take(keep, 1) if cols.size > 1 else _thresholds(beta, blocks)
                 lone, wide = noiseless and cols.size == 1, cols.size > 1
                 add_blocks, at = _block_summation(phi.structure, cols.size)
 
@@ -478,7 +469,7 @@ def _solve_batch(phi, name, B, rhos, config, truths):
     with errstate(LSTSQ_FAILED):  # np.linalg.lstsq(phi.entries, B)[0], at its default cutoff eps * max(m, n)
         sol = lstsq(phi.entries, B, np.finfo(np.float64).eps * max(phi.entries.shape))
     dist = np.linalg.norm(phi.entries @ sol - B, axis=0)  # to the range of Phi
-    bad = dist > rhos + cfg.feasibility_tol * scale
+    bad = dist > rhos + _FEASIBILITY_TOL * scale
     if np.any(bad):
         j = int(np.nonzero(bad)[0][0])
         target = "Phi x = b" if rhos[j] == 0 else f"||Phi x - b|| <= {rhos[j]:g}"

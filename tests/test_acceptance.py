@@ -19,6 +19,7 @@ from blockcs import (
     BlockSignal,
     BlockStructure,
     apply,
+    best_block_approx,
     brute_force_l20_batch,
     check_condition,
     cone_constraint_check,
@@ -250,7 +251,7 @@ def test_criterion_3_noisy_bound(noisy_runs):
         runs, elapsed = noisy_runs
         assert len(runs) >= 200
         assert all(r.converged for r in runs)
-        # zero tolerance beyond solver feasibility_tol
+        # zero tolerance beyond the solvers' feasibility tolerance
         feas_tol = 1e-8
         violations = [r for r in runs if r.abs_err > r.bound + 2 * feas_tol]
         assert not violations
@@ -455,3 +456,49 @@ def test_criterion_7_cone_diagnostic(noiseless_runs, noisy_runs):
         return f"{checked} converged runs, worst slack {worst_slack:.2e}"
 
     _checked(7, "cone-constraint diagnostic", body)
+
+
+# --------------------------------------------------------------------------
+# criterion 8: both error bounds on compressible signals
+# --------------------------------------------------------------------------
+
+# one tail scale eps per instance, in turn; each truth's tail blocks have norms eps * U(0, 1)
+TAIL_SCALES = (1e-3, 1e-2, 0.1, 0.3, 1.0)
+
+
+def test_criterion_8_compressible_bounds(certified_instances):
+    def body():
+        start = time.perf_counter()
+        ratios = []
+        for idx, inst in enumerate(certified_instances):
+            st_ = inst.phi.structure
+            eps = TAIL_SCALES[idx % len(TAIL_SCALES)]
+            rng = generator(ACC_SEED, 8, idx)
+            truths, obs, rhos = [], [], []
+            for rho in (0.0, 1e-2):
+                for _ in range(4):
+                    head = rng.choice(st_.num_blocks, size=S, replace=False)
+                    coeffs = np.zeros(st_.total_dim)
+                    for i in range(st_.num_blocks):
+                        sl = st_.block_slice(i)
+                        v = rng.standard_normal(sl.stop - sl.start)
+                        coeffs[sl] = v if i in head else v * (eps * rng.uniform() / np.linalg.norm(v))
+                    xi = rng.standard_normal(inst.phi.num_rows)
+                    xi *= rho / np.linalg.norm(xi)
+                    truths.append(BlockSignal(coeffs, st_))
+                    obs.append(apply(inst.phi, truths[-1]) + xi)
+                    rhos.append(rho)
+            results = solve_noisy_batch(inst.phi, np.column_stack(obs), rhos, truths=truths)
+            for x, res, rho in zip(truths, results, rhos):
+                assert res.converged
+                tail = mixed_norm_2_1(best_block_approx(x, S).tail)
+                tight = error_bound_tight(T, S, inst.delta, rho, tail).bound
+                loose = error_bound_loose(T, S, inst.delta, rho, tail).bound
+                assert res.error_vector_norm <= tight <= loose
+                ratios.append(tight / res.error_vector_norm)
+        elapsed = time.perf_counter() - start
+        assert len(ratios) == 8 * len(certified_instances)
+        assert elapsed < 60.0
+        return f"{len(ratios)} solves, min tight bound/error {min(ratios):.1f}x, {elapsed:.1f}s"
+
+    _checked(8, "both bounds hold on compressible signals", body)

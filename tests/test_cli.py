@@ -292,8 +292,8 @@ def test_sweep_missing_grid_key_exit_one(tmp_path, capsys):
     {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"max_iters": "x"}},
     {"kind": "PHASE_TRANSITION", "grid": {"l": 6, "m_values": 8, "s_values": [1], "trials": 1}},
     {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"max_iters": 2.5}},
-    {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"primal_tol": float("nan")}},
-    {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"primal_tol": 10**400}},
+    {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"tol": float("nan")}},
+    {"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"tol": 10**400}},
 ])
 def test_sweep_mistyped_spec_exit_one(tmp_path, capsys, spec):
     cfg_path = tmp_path / "spec.json"
@@ -315,6 +315,20 @@ def test_sweep_refuses_a_penalty_whose_reciprocal_overflows(tmp_path, capsys):
     assert err == ("error: experiment spec key 'solver': penalty must be a finite real > 0.0 "
                    "with a finite reciprocal, got 1e-310\n")
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("primal_tol", 1e-9), ("dual_tol", 1e-9), ("over_relaxation", 1.6), ("feasibility_tol", 1e-8),
+])
+def test_sweep_refuses_a_solver_key_beyond_max_iters_tol_and_penalty(tmp_path, capsys, key, value):
+    # each a setting SolverConfig once had, at its old default
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({"kind": "IDENTITY_SUITE", "grid": {"trials": 1},
+                                    "output_path": str(tmp_path / "out"), "solver": {key: value}}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiment spec key 'solver': ") and repr(key) in err
+    assert err.count("\n") == 1 and not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -355,7 +369,7 @@ def test_recover_non_finite_tol_exit_one(instance_files, capsys, tol):
     argv = ["recover", "--matrix", matrix_path, "--obs", obs_path]
     assert main([*argv, "--tol", tol]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "primal_tol" in err and "Traceback" not in err
+    assert err.startswith("error: tol must be") and "Traceback" not in err
 
 
 def test_recover_non_finite_observation_exit_one(instance_files, capsys):

@@ -364,7 +364,7 @@ def _spec_with_solver(**solver):
     ("demo_counterexample", "d", lambda v: demo_counterexample(1.0, 2, v, 6), BAD_COUNTS),
     ("demo_counterexample", "l", lambda v: demo_counterexample(1.0, 2, 2, v), BAD_COUNTS),
     ("spec_from_json", "max_iters", lambda v: _spec_with_solver(max_iters=v), BAD_COUNTS),
-    ("spec_from_json", "primal_tol", lambda v: _spec_with_solver(primal_tol=v), BAD_REALS),
+    ("spec_from_json", "tol", lambda v: _spec_with_solver(tol=v), BAD_REALS),
 ))
 def test_rejects_bad_count_or_real(name, call, value):
     with rejects_argument(name, value):

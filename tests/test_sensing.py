@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,62 @@ def test_sharpness_two_sided_bound_on_first_blocks(t, s, d, l):
         w = np.linalg.eigvalsh(sub.T @ sub)
         assert w[0] >= 1.0 - delta - 1e-10
         assert w[-1] <= 1.0 + delta + 1e-10
+
+
+# (t, s, d, l) of the threshold instances with t*s >= 2 at the least l = 2s + 1: 51 cases
+SHARP_GRID = [(t, s, d, 2 * s + 1) for t in (0.5, 2.0 / 3.0, 0.8, 1.0, 1.1, 1.2, 1.3)
+              for s in (2, 3, 4) for d in (1, 2, 3) if t * s >= 2.0 - 1e-12]
+
+
+def _positive_definite(A) -> bool:
+    """Whether the symmetric matrix A of Fractions (a list of rows) is positive
+    definite: every pivot of its LDL^T factorization, in exact arithmetic, is > 0."""
+    A = [row[:] for row in A]
+    for k, row_k in enumerate(A):
+        if row_k[k] <= 0:
+            return False
+        for row in A[k + 1:]:
+            f = row[k] / row_k[k]
+            for j in range(k + 1, len(row)):
+                row[j] -= f * row_k[j]
+    return True
+
+
+def _not_below(phi, t, order) -> bool:
+    """Whether the block RIC of `phi` as stored, at `order`, is at least thr =
+    t/(4-t), both exact: whether some support's Gram matrix G has
+    G - (1 - thr) I or (1 + thr) I - G not positive definite.  Stops at the first
+    such support."""
+    thr = Fraction(t) / (4 - Fraction(t))
+    cols = [[Fraction(v) for v in col] for col in phi.entries.T.tolist()]
+    structure = phi.structure
+    for sup in itertools.combinations(range(structure.num_blocks), order):
+        sub = [cols[i] for i in structure.block_indices(sup).tolist()]
+        G = [[sum(a * b for a, b in zip(ci, cj)) for cj in sub] for ci in sub]
+        low = [[g - (1 - thr) * (i == j) for j, g in enumerate(row)] for i, row in enumerate(G)]
+        high = [[(1 + thr) * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(G)]
+        if not (_positive_definite(low) and _positive_definite(high)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("t", sorted({case[0] for case in SHARP_GRID}))
+def test_sharpness_instance_is_not_below_the_threshold_in_exact_arithmetic(t):
+    # the matrix as stored, with c**2 >= 4/(4-t) exactly, is not below the threshold
+    for _, s, d, l in (case for case in SHARP_GRID if case[0] == t):
+        inst = sharpness_instance(t, s, d, l)
+        assert _not_below(inst.phi, t, check_condition(0.0, t, s).effective_order), (s, d)
+
+
+def test_sharpness_instance_fails_the_float_condition():
+    assert len(SHARP_GRID) == 51
+    ok = []
+    for t, s, d, l in SHARP_GRID:
+        order = check_condition(0.0, t, s).effective_order
+        delta = exact_block_ric(sharpness_instance(t, s, d, l).phi, order).delta
+        if check_condition(delta, t, s).ok:
+            ok.append((t, s, d))
+    assert not ok
 
 
 # --- engineered spread-kernel instances ---

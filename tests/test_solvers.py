@@ -33,7 +33,7 @@ from blockcs import (
     spread_kernel_matrix,
 )
 from blockcs import solvers
-from blockcs.solvers import _BALANCE_EVERY, _BALANCE_FACTOR, _BALANCE_RATIO, _column_norms
+from blockcs.solvers import _ALPHA, _BALANCE_EVERY, _BALANCE_FACTOR, _BALANCE_RATIO, _column_norms
 from conftest import (
     BAD_COUNTS,
     BAD_REALS,
@@ -408,9 +408,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
-        SolverConfig(primal_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(over_relaxation=2.5)
+        SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(penalty=-1.0)
 
@@ -431,8 +429,8 @@ def test_result_residuals_respect_tolerances(rng):
     cfg = SolverConfig()
     res = solve_noiseless(phi, apply(phi, x), cfg)
     assert res.converged
-    assert res.primal_residual <= cfg.primal_tol
-    assert res.dual_residual <= cfg.dual_tol
+    assert res.primal_residual <= cfg.tol
+    assert res.dual_residual <= cfg.tol
 
 
 _EYE = SensingMatrix(np.eye(2), BlockStructure.uniform(1, 2))
@@ -441,7 +439,7 @@ _EYE = SensingMatrix(np.eye(2), BlockStructure.uniform(1, 2))
 @pytest.mark.parametrize("name, call, value", bad_arguments(
     ("SolverConfig", "max_iters", lambda v: SolverConfig(max_iters=v), BAD_COUNTS),
     *[("SolverConfig", field, lambda v, field=field: SolverConfig(**{field: v}), BAD_REALS)
-      for field in ("primal_tol", "dual_tol", "penalty", "over_relaxation", "feasibility_tol")],
+      for field in ("tol", "penalty")],
     ("block_soft_threshold", "tau",
      lambda v: block_soft_threshold(BlockSignal([3.0, 4.0], BlockStructure((2,))), v),
      BAD_REALS),
@@ -566,7 +564,7 @@ def _reference_admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: So
     v = np.zeros((m, batch))
     zb = z + B
     beta = cfg.penalty
-    alpha = cfg.over_relaxation
+    alpha = _ALPHA.item()
     alpha_c = 1.0 - alpha
     noiseless = np.all(rhos == 0.0)
 
@@ -601,7 +599,7 @@ def _reference_admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: So
         rp = np.sqrt(_column_norms(x - w) ** 2 + _column_norms(rz) ** 2)
         rd = beta * _column_norms(dw)
 
-        hit = (rp <= cfg.primal_tol) & (rd <= cfg.dual_tol)
+        hit = (rp <= cfg.tol) & (rd <= cfg.tol)
         if any_done:
             hit &= ~done
         if hit.any():
@@ -692,8 +690,7 @@ def _failing_noiseless_problem(seed, d, k, s, m, penalty, max_iters, tol):
     rng = np.random.default_rng(seed)
     phi = SensingMatrix(rng.standard_normal((m, d * k)), structure)
     B = apply(phi, random_block_sparse(rng, structure, s))[:, None]
-    return phi, B, np.zeros(1), SolverConfig(max_iters=max_iters, penalty=penalty,
-                                             primal_tol=tol, dual_tol=tol)
+    return phi, B, np.zeros(1), SolverConfig(max_iters=max_iters, penalty=penalty, tol=tol)
 
 
 @st.composite
