@@ -38,7 +38,7 @@ from .ric import (
     exact_block_ric,
 )
 from .seeding import generator, stream_key
-from .sensing import _check_balance_order, gaussian_matrix, sharpness_instance, spread_kernel_matrix, apply
+from .sensing import _check_balance_blocks, gaussian_matrix, sharpness_instance, spread_kernel_matrix, apply
 from .serialize import format_float
 from .solvers import SolverConfig, solve_noiseless, solve_noisy
 from .identities import (
@@ -153,7 +153,8 @@ _GRID_FORMATS = {
 }
 EXPERIMENT_KINDS = tuple(_GRID_FORMATS)
 
-_RIC_AUTO_CAP = 10_000  # compute exact constants automatically below this many supports
+_RIC_AUTO_CAP = 10_000  # compute_ric computes exact constants only up to this many supports
+_flag.__doc__ = f"bool (δ only where C(l, order) ≤ {_RIC_AUTO_CAP:,})"  # compute_ric's only conversion
 
 # ensemble -> how its row count m must compare with its column count l*d
 _ROWS = {"spread_kernel": (operator.lt, "<"), "identity": (operator.eq, "==")}
@@ -182,9 +183,9 @@ def _grid_values(kind: str, grid: dict) -> dict:
             _check_cap(math.comb(values["l"], order), DEFAULT_ENUMERATION_CAP, f"C({values['l']}, {order})")
         except EnumerationCapError as exc:
             raise ValueError(f"{kind} grid key 'orders': {exc}") from None
-    try:  # the spread_kernel matrix balances one RIC: its order must fit l and the enumeration cap
+    try:  # the spread_kernel matrix balances its order-2 RIC: l must fit it and the enumeration cap
         if values.get("ensemble") == "spread_kernel":
-            _check_balance_order(values["l"])
+            _check_balance_blocks(values["l"])
     except (ValueError, EnumerationCapError) as exc:
         raise ValueError(f"{kind} grid key 'l': the spread_kernel ensemble cannot be built: {exc}") from None
     if values.get("ensemble") in _ROWS:
@@ -248,9 +249,13 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
     if not isinstance(solver, dict):
         raise ValueError("experiment spec key 'solver': value must be a mapping of SolverConfig keys, "
                          f"got {type(solver).__name__}")
+    settings = [f.name for f in fields(SolverConfig)]
+    unknown = [key for key in solver if key not in settings]
+    if unknown:
+        raise ValueError(f"experiment spec key 'solver' has no key {unknown[0]!r}; it reads {settings}")
     try:
         solver = SolverConfig(**solver)
-    except (TypeError, ValueError) as exc:  # a key SolverConfig lacks, or a bad value
+    except ValueError as exc:
         raise ValueError(f"experiment spec key 'solver': {exc}") from None
     return ExperimentSpec(**{"seed": 0, "grid": {}, **obj, "solver": solver})
 

@@ -63,13 +63,8 @@ class OracleSolution:
     supports_searched: int
 
 
-def brute_force_l20(
-    phi: SensingMatrix,
-    b,
-    s_max: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> OracleSolution:
+def brute_force_l20(phi: SensingMatrix, b, s_max: int,
+                    residual_tol: float = DEFAULT_RESIDUAL_TOL) -> OracleSolution:
     """Exhaustive search for the sparsest block vector fitting `b` of shape (m,).
 
     For k = 0, 1, ..., s_max enumerates every block support of size k,
@@ -85,7 +80,8 @@ def brute_force_l20(
         `residual_tol` is negative or non-finite, or the observation is not a
         finite real array of shape (m,).
     EnumerationCapError
-        If the total number of supports up to s_max exceeds `cap`.
+        If the total number of supports up to s_max exceeds the default
+        enumeration cap, before any solve.
     NoSparseFitError
         If no support within s_max fits; carries the best residual seen.
     numpy.linalg.LinAlgError
@@ -93,19 +89,14 @@ def brute_force_l20(
     """
     phi = _checks.instance("phi", phi, SensingMatrix)
     b = _checks.array("observation", b, (phi.num_rows,))
-    outcome = _l20(phi, "observation", b[None], *_limits(phi, s_max, residual_tol, cap))[0]
+    outcome = _l20(phi, "observation", b[None], *_limits(phi, s_max, residual_tol))[0]
     if isinstance(outcome, NoSparseFitError):
         raise outcome
     return outcome
 
 
-def brute_force_l20_batch(
-    phi: SensingMatrix,
-    B,
-    s_max: int,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[OracleSolution | NoSparseFitError]:
+def brute_force_l20_batch(phi: SensingMatrix, B, s_max: int,
+                          residual_tol: float = DEFAULT_RESIDUAL_TOL) -> list[OracleSolution | NoSparseFitError]:
     """`brute_force_l20` on each column of the (m, n) observations `B`: one
     OracleSolution per column, or the NoSparseFitError (returned, not raised)
     for a column that no support fits.  Raises as `brute_force_l20` does.
@@ -118,17 +109,18 @@ def brute_force_l20_batch(
     bit-identical to solving each support exactly.  The QR factors are kept in
     `_levels` for the next call on an equal matrix, within _FACTOR_BUDGET bytes."""
     phi = _checks.instance("phi", phi, SensingMatrix)
-    s_max, residual_tol = _limits(phi, s_max, residual_tol, cap)
+    s_max, residual_tol = _limits(phi, s_max, residual_tol)
     B = _checks.array("observations", B, (phi.num_rows, None))
     return _l20(phi, "observations", np.ascontiguousarray(B.T), s_max, residual_tol)
 
 
-def _limits(phi: SensingMatrix, s_max, residual_tol, cap) -> tuple[int, float]:
-    """The checked (s_max, residual_tol), once the supports up to s_max are within `cap`."""
+def _limits(phi: SensingMatrix, s_max, residual_tol) -> tuple[int, float]:
+    """The checked (s_max, residual_tol), once the supports up to s_max are within the
+    default enumeration cap."""
     l = phi.structure.num_blocks
     s_max = _checks.count("s_max", s_max, 0, l)
     residual_tol = _checks.real("residual_tol", residual_tol, 0.0)
-    _check_cap(sum(math.comb(l, k) for k in range(s_max + 1)), cap,
+    _check_cap(sum(math.comb(l, k) for k in range(s_max + 1)), DEFAULT_ENUMERATION_CAP,
                f"sum of C({l}, k) for k <= {s_max}")
     return s_max, residual_tol
 

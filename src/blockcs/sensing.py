@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _FLATTEN_ITERS = 100  # row-energy flattening passes of the spread-kernel construction
+_BALANCE_ORDER = 2  # the RIC order at which the spread kernel is rescaled
 
 
 def apply(phi: SensingMatrix, x: BlockSignal) -> np.ndarray:
@@ -55,34 +56,29 @@ def gaussian_matrix(m: int, structure: BlockStructure, seed: int) -> SensingMatr
     return SensingMatrix(entries, structure)
 
 
-def spread_kernel_matrix(
-    m: int,
-    structure: BlockStructure,
-    seed: int,
-    balance_order: int = 2,
-) -> SensingMatrix:
+def spread_kernel_matrix(m: int, structure: BlockStructure, seed: int) -> SensingMatrix:
     """Underdetermined matrix engineered for a small block restricted-isometry
-    constant at the given order.
+    constant at order 2, the order t*s = 2 of the paper's theorem.
 
     Construction: draw an (N - m)-dimensional kernel subspace, iteratively
     flatten its row energies so no small group of coordinates captures much
     kernel mass, take Phi as an orthonormal basis of the orthogonal
     complement, and rescale so the extremal restricted eigenvalues at
-    `balance_order` straddle 1 symmetrically.  The result is random but far
+    order 2 straddle 1 symmetrically.  The result is random but far
     better conditioned on block supports than a plain Gaussian ensemble;
     instances should still be certified exactly before use.
 
     Raises
     ------
     ValueError
-        If `m` is outside [1, N) or `balance_order` is outside [1, l].
+        If `m` is outside [1, N) or the structure has fewer than 2 blocks.
     EnumerationCapError
-        If C(l, balance_order) exceeds the default enumeration cap.  Both are
-        checked before any construction work.
+        If C(l, 2) exceeds the default enumeration cap.  Both are checked
+        before any construction work.
     """
-    n = _checks.instance("structure", structure, BlockStructure).total_dim
+    _check_balance_blocks(_checks.instance("structure", structure, BlockStructure).num_blocks)
+    n = structure.total_dim
     m = _checks.count("m", m, 1, n - 1)
-    balance_order = _check_balance_order(structure.num_blocks, balance_order)
     rng = generator(seed)
     k = n - m
     V = rng.standard_normal((n, k))
@@ -95,17 +91,16 @@ def spread_kernel_matrix(
     proj = np.eye(n) - V @ V.T
     w, U = np.linalg.eigh(proj)
     basis = U[:, w > 0.5]  # orthonormal basis of the complement, n x m
-    cert = exact_block_ric(SensingMatrix(basis.T, structure), balance_order)
+    cert = exact_block_ric(SensingMatrix(basis.T, structure), _BALANCE_ORDER)
     c = 2.0 / (cert.max_eig + cert.min_eig)
     return SensingMatrix(np.sqrt(c) * basis.T, structure)
 
 
-def _check_balance_order(l: int, balance_order=2) -> int:
-    """`spread_kernel_matrix`'s `balance_order` on l blocks, checked: an integer in [1, l]
-    whose C(l, balance_order) supports are within the default enumeration cap."""
-    balance_order = _checks.count("balance_order", balance_order, 1, l)
-    _check_cap(math.comb(l, balance_order), DEFAULT_ENUMERATION_CAP, f"C({l}, {balance_order})")
-    return balance_order
+def _check_balance_blocks(l: int) -> None:
+    """Raise unless `spread_kernel_matrix` can balance its RIC on l blocks: l >= 2 and
+    C(l, 2) supports within the default enumeration cap."""
+    _checks.count("l", l, _BALANCE_ORDER)
+    _check_cap(math.comb(l, _BALANCE_ORDER), DEFAULT_ENUMERATION_CAP, f"C({l}, {_BALANCE_ORDER})")
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ def test_spec_rejects_missing_grid_key(kind, grid, missing):
 _RECOVERY_GRID = {"l": 6, "m": 8, "s": 2}
 
 
-@pytest.mark.parametrize("kind, grid, key", [
+_BAD_GRIDS = [
     ("PHASE_TRANSITION", {"l": 6, "m_values": 8, "s_values": [1]}, "m_values"),
     ("PHASE_TRANSITION", {"l": 6, "m_values": [8], "s_values": "12"}, "s_values"),
     ("PHASE_TRANSITION", {"l": 6, "m_values": [8], "s_values": [1, 7]}, "s_values"),
@@ -68,10 +68,28 @@ _RECOVERY_GRID = {"l": 6, "m": 8, "s": 2}
     ("COUNTEREXAMPLE", {"s": 3, "l": 6}, "l"),
     ("IDENTITY_SUITE", {"max_blocks": 1}, "max_blocks"),
     ("IDENTITY_SUITE", {"trials": 1, "bogus": 1}, "bogus"),
-])
+]
+
+
+@pytest.mark.parametrize("kind, grid, key", _BAD_GRIDS)
 def test_spec_rejects_bad_grid(kind, grid, key):
     with pytest.raises(ValueError, match=f"key {key!r}"):
         ExperimentSpec(kind=kind, seed=1, grid=grid)
+
+
+_SPREAD_KERNEL_L = [(kind, grid) for kind, grid, key in _BAD_GRIDS
+                    if key == "l" and grid.get("ensemble") == "spread_kernel"]
+
+
+@pytest.mark.parametrize("kind, grid", _SPREAD_KERNEL_L,
+                         ids=[f"{kind}-l{grid['l']}" for kind, grid in _SPREAD_KERNEL_L])
+def test_spec_refuses_an_l_the_spread_kernel_cannot_balance(kind, grid):
+    # the kernel is balanced at order 2: the error names grid key 'l' and no setting a spec lacks
+    reason = {1: "l must be an integer >= 2, got 1",
+              1415: "C(1415, 2) = 1000405 block supports exceeds the enumeration cap 1000000"}[grid["l"]]
+    with pytest.raises(ValueError) as err:
+        ExperimentSpec(kind=kind, seed=1, grid=grid)
+    assert str(err.value) == f"{kind} grid key 'l': the spread_kernel ensemble cannot be built: {reason}"
 
 
 def test_spec_from_json_rejects_unknown_solver_key():
@@ -243,6 +261,17 @@ def test_recovery_trials_identity_all_succeed(tmp_path):
     )
     report = run_experiment(spec)
     assert report.summary["success_rate"] == 1.0
+
+
+@pytest.mark.parametrize("l, computed", [(20, False), (14, True)])
+def test_recovery_trials_compute_ric_only_within_ten_thousand_supports(tmp_path, l, computed):
+    # order t*s = 5: C(20, 5) = 15,504 supports are over the automatic cap, C(14, 5) = 2,002 within it
+    spec = ExperimentSpec(kind="RECOVERY_TRIALS", seed=7, output_path=str(tmp_path / "ric"),
+                          grid={"l": l, "d": 1, "m": l - 2, "s": 5, "t": 1.0, "trials": 1})
+    (rec,) = run_experiment(spec).records
+    assert (rec.delta is not None) == computed
+    if not computed:
+        assert not rec.condition_ok and rec.bound_tight is None and rec.bound_loose is None
 
 
 def test_recovery_trials_certified_bounds_present(tmp_path):

@@ -49,10 +49,10 @@ def _outcome_key(outcome):
 # noiseless solve, whose feasibility check is a lstsq (lstsq)
 CALLS = {
     "spread_kernel_matrix": lambda: [
-        spread_kernel_matrix(m, structure, seed, balance_order=order).entries.tobytes()
-        for m, structure, seed, order in [(21, BlockStructure.uniform(2, 12), 5, 2),
-                                          (5, BlockStructure((1, 3, 2, 1)), 9, 3),
-                                          (1, BlockStructure.uniform(1, 3), 0, 1)]],
+        spread_kernel_matrix(m, structure, seed).entries.tobytes()
+        for m, structure, seed in [(21, BlockStructure.uniform(2, 12), 5),
+                                   (5, BlockStructure((1, 3, 2, 1)), 9),
+                                   (1, BlockStructure.uniform(1, 3), 0)]],
     "exact_block_ric": lambda: exact_block_ric(PHI, 2),
     "brute_force_l20": lambda: _key(brute_force_l20(PHI, B, 2)),
     "brute_force_l20_batch": lambda: [_outcome_key(outcome) for outcome in brute_force_l20_batch(

@@ -149,13 +149,19 @@ def test_oracle_not_found_signal():
 
 
 def test_oracle_cap_error():
+    # 2,804,012 supports up to s_max = 7 of 30 blocks exceed the package's cap, and it is
+    # checked before any solve; up to s_max = 6 there are 768,212
     st_ = BlockStructure.uniform(1, 30)
     phi = gaussian_matrix(10, st_, seed=6)
-    with pytest.raises(EnumerationCapError) as err:
-        brute_force_l20(phi, np.zeros(10), s_max=15, cap=10_000)
-    total = sum(math.comb(30, k) for k in range(16))
-    assert err.value.num_supports == total
-    assert str(total) in str(err.value)
+    total = sum(math.comb(30, k) for k in range(8))
+    assert total > ric.DEFAULT_ENUMERATION_CAP
+    message = rf"^sum of C\(30, k\) for k <= 7 = {total} block supports exceeds the enumeration cap 1000000$"
+    with mock.patch.object(oracle, "_l20", side_effect=AssertionError("the oracle ran past its cap")):
+        with pytest.raises(EnumerationCapError, match=message) as err:
+            brute_force_l20(phi, np.zeros(10), s_max=7)
+        assert err.value.num_supports == total
+        with pytest.raises(EnumerationCapError, match=message):
+            brute_force_l20_batch(phi, np.zeros((10, 2)), s_max=7)
 
 
 def test_oracle_rejects_non_finite_observation():
@@ -630,7 +636,6 @@ def _oracle(**kwargs):
 @pytest.mark.parametrize("name, call, value", bad_arguments(
     ("brute_force_l20", "s_max", lambda v: _oracle(s_max=v), BAD_COUNTS),
     ("brute_force_l20", "residual_tol", lambda v: _oracle(residual_tol=v), BAD_REALS),
-    ("brute_force_l20", "cap", lambda v: _oracle(cap=v), BAD_COUNTS),
     ("brute_force_l20_batch", "s_max", lambda v: brute_force_l20_batch(
         gaussian_matrix(4, BlockStructure.uniform(2, 4), seed=1), np.zeros((4, 2)), v),
      BAD_COUNTS),

@@ -252,23 +252,23 @@ def _no_flattening(monkeypatch):
     monkeypatch.setattr(sensing, "orthonormal", flatten)
 
 
-def test_spread_kernel_rejects_balance_order_out_of_range(monkeypatch):
-    # under its own name, before any flattening pass
+def test_spread_kernel_rejects_one_block_naming_l(monkeypatch):
+    # the kernel is balanced at order 2, before any flattening pass; a single column
+    # leaves no m to name
     _no_flattening(monkeypatch)
-    st_ = BlockStructure.uniform(2, 3)
-    for order in (0, 5, 2.0, True, None):
-        with pytest.raises(ValueError, match=rf"^balance_order must be an integer in \[1, 3\], got {order!r}$"):
-            spread_kernel_matrix(4, st_, 1, balance_order=order)
+    for d, m in [(4, 2), (1, 1)]:
+        with pytest.raises(ValueError, match=r"^l must be an integer >= 2, got 1$"):
+            spread_kernel_matrix(m, BlockStructure.uniform(d, 1), 1)
 
 
 def test_spread_kernel_checks_the_enumeration_cap_before_building(monkeypatch):
     _no_flattening(monkeypatch)
     with pytest.raises(EnumerationCapError,
-                       match=r"^C\(40, 20\) = 137846528820 block supports exceeds the enumeration cap 1000000$"):
-        spread_kernel_matrix(39, BlockStructure.uniform(1, 40), 1, balance_order=20)
+                       match=r"^C\(1415, 2\) = 1000405 block supports exceeds the enumeration cap 1000000$"):
+        spread_kernel_matrix(10, BlockStructure.uniform(1, 1415), 1)
 
 
-def _reference_spread_kernel(m, structure, seed, balance_order=2):
+def _reference_spread_kernel(m, structure, seed):
     """spread_kernel_matrix as built through np.linalg.qr and np.linalg.norm."""
     n = structure.total_dim
     rng = generator(seed)
@@ -283,14 +283,14 @@ def _reference_spread_kernel(m, structure, seed, balance_order=2):
     proj = np.eye(n) - V @ V.T
     w, U = np.linalg.eigh(proj)
     basis = U[:, w > 0.5]
-    cert = exact_block_ric(SensingMatrix(basis.T, structure), balance_order)
+    cert = exact_block_ric(SensingMatrix(basis.T, structure), 2)
     c = 2.0 / (cert.max_eig + cert.min_eig)
     return SensingMatrix(np.sqrt(c) * basis.T, structure)
 
 
 @st.composite
 def _spread_cases(draw):
-    """(m, structure, seed, balance_order): uniform or ragged blocks, n - m in [1, n - 1]."""
+    """(m, structure, seed): uniform or ragged blocks, n - m in [1, n - 1]."""
     if draw(st.booleans()):
         lengths = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=8)))
     else:
@@ -298,15 +298,13 @@ def _spread_cases(draw):
     structure = BlockStructure(lengths)
     n = structure.total_dim
     m = n - draw(st.integers(1, n - 1))
-    order = draw(st.integers(1, min(3, structure.num_blocks)))
-    return m, structure, draw(st.integers(0, 2**64 - 1)), order
+    return m, structure, draw(st.integers(0, 2**64 - 1))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_spread_cases())
 def test_spread_kernel_matches_the_np_linalg_qr_build_bit_for_bit(case):
-    m, structure, seed, order = case
-    phi = spread_kernel_matrix(m, structure, seed, balance_order=order)
+    phi = spread_kernel_matrix(*case)
     assert phi.entries.tobytes() == _reference_spread_kernel(*case).entries.tobytes()
 
 
