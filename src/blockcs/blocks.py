@@ -232,18 +232,10 @@ def mixed_norm_2_inf(x: BlockSignal) -> float:
     return float(_check_signal("x", x).block_norms().max())
 
 
-def block_support(x: BlockSignal, threshold: float = 0.0) -> frozenset[int]:
-    """Indices (0-based) of blocks whose Euclidean norm exceeds `threshold`.
-
-    The default threshold 0 gives the exact support {i : ||x[i]||_2 != 0},
-    decided bitwise on the stored coefficients.
-    """
-    x = _check_signal("x", x)
-    if threshold == 0.0:
-        hits = _nonzero_blocks(x)
-    else:
-        hits = x.block_norms() > threshold
-    return frozenset(int(i) for i in np.nonzero(hits)[0])
+def block_support(x: BlockSignal) -> frozenset[int]:
+    """Indices (0-based) of the nonzero blocks, the exact support
+    {i : ||x[i]||_2 != 0}, decided bitwise on the stored coefficients."""
+    return frozenset(int(i) for i in np.nonzero(_nonzero_blocks(_check_signal("x", x)))[0])
 
 
 def best_block_approx(x: BlockSignal, s: int) -> BlockApproximation:

@@ -125,6 +125,8 @@ _ALPHA, _ALPHA_C = np.array(1.6), np.array(1.0 - 1.6)
 _FEASIBILITY_TOL = 1e-8
 # block sums per added view (d - 1 of them for blocks of d) from which views beat reduceat
 _VIEW_SUMS = 128
+# every column's starting penalty, read by each `_admm` call
+_PENALTY = 1.0
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -133,21 +135,16 @@ class InfeasibleProblemError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Operator-splitting solver parameters: at most `max_iters` iterations, a
-    column converging once its primal and dual residuals are both at most
-    `tol`, and `penalty` the starting penalty of every column."""
+    """Operator-splitting solver parameters: at most `max_iters` iterations, and
+    a column converging once its primal and dual residuals are both at most
+    `tol`.  Every column starts at the penalty `_PENALTY` = 1."""
 
     max_iters: int = 50_000
     tol: float = 1e-9
-    penalty: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "max_iters", _checks.count("max_iters", self.max_iters, 1))
-        for name in ("tol", "penalty"):
-            object.__setattr__(self, name, _checks.real(name, getattr(self, name), 0.0, strict=True))
-        if 1.0 / self.penalty == np.inf:  # the shrink threshold would be inf and the estimate NaN
-            raise ValueError(f"penalty must be a finite real > 0.0 with a finite reciprocal, "
-                             f"got {self.penalty!r}")
+        object.__setattr__(self, "tol", _checks.real("tol", self.tol, 0.0, strict=True))
 
 
 @dataclass(frozen=True)
@@ -287,7 +284,7 @@ def _admm(phi: SensingMatrix, B: np.ndarray, rhos: np.ndarray, cfg: SolverConfig
     z, v = np.zeros((m, batch)), np.zeros((m, batch))
     zb = z + B
     max_iters, tol = cfg.max_iters, cfg.tol
-    beta = np.full(batch, cfg.penalty)
+    beta = np.full(batch, _PENALTY)
     tau = _thresholds(beta, blocks)  # recomputed only when beta changes
     czb = zb * _ALPHA_C  # constant when every rho is 0, as z then stays 0
     noiseless = bool(np.all(rhos == 0.0))

@@ -138,12 +138,6 @@ def test_block_support_cases():
     assert block_support(BlockSignal(coeffs, st6)) == frozenset({2, 5})
 
 
-def test_block_support_threshold_overload():
-    st_ = BlockStructure((1, 1, 1))
-    x = BlockSignal([0.5, 2.0, 0.0], st_)
-    assert block_support(x, threshold=1.0) == frozenset({1})
-
-
 # --- best block approximation ---
 
 def test_best_block_approx_exactly_sparse(rng):
