@@ -80,13 +80,16 @@ class BlockStructure:
         return edges
 
     def block_slice(self, i: int) -> slice:
-        """Coefficient slice of block `i`."""
+        """Coefficient slice of block `i`, an integer in [0, l - 1]."""
+        i = _checks.count("i", i, 0, self.num_blocks - 1)
         e = self._edges
         return slice(int(e[i]), int(e[i + 1]))
 
     def block_indices(self, blocks) -> np.ndarray:
-        """Sorted coefficient indices covered by the given block indices."""
+        """Sorted coefficient indices covered by the given block indices, each an
+        integer in [0, l - 1]."""
         e = self._edges
+        blocks = [_checks.count(f"blocks[{j}]", i, 0, self.num_blocks - 1) for j, i in enumerate(blocks)]
         parts = [np.arange(e[i], e[i + 1]) for i in sorted(blocks)]
         if not parts:
             return np.array([], dtype=np.intp)
@@ -118,7 +121,7 @@ class BlockSignal:
         return cls(np.zeros(structure.total_dim), structure)
 
     def block(self, i: int) -> np.ndarray:
-        """Read-only view of block `i`."""
+        """Read-only view of block `i`, an integer in [0, l - 1]."""
         return self.coeffs[self.structure.block_slice(i)]
 
     def block_norms(self) -> np.ndarray:
@@ -193,7 +196,7 @@ class SensingMatrix:
         return self.entries.shape[1]
 
     def column_block(self, i: int) -> np.ndarray:
-        """The M x d_i column-block of block `i`."""
+        """The M x d_i column-block of block `i`, an integer in [0, l - 1]."""
         return self.entries[:, self.structure.block_slice(i)]
 
 

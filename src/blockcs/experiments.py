@@ -29,7 +29,7 @@ from .blocks import BlockSignal, BlockStructure, SensingMatrix, mixed_norm_2_1
 from .ric import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
-    _check_cap,
+    _check_order,
     _effective_order,
     check_condition,
     condition_threshold,
@@ -38,7 +38,8 @@ from .ric import (
     exact_block_ric,
 )
 from .seeding import generator, stream_key
-from .sensing import _check_balance_blocks, gaussian_matrix, sharpness_instance, spread_kernel_matrix, apply
+from .sensing import (_check_balance_blocks, _sharpness_arguments, apply, gaussian_matrix, sharpness_instance,
+                      spread_kernel_matrix)
 from .serialize import format_float
 from .solvers import SolverConfig, solve_noiseless, solve_noisy
 from .identities import (
@@ -106,6 +107,19 @@ def _admissible_t(value) -> float:
     return _checks.real("value", value, 0.0, 4.0 / 3.0, strict=True)
 
 
+# the largest max_blocks whose identity trials stay within the enumeration cap: the disjoint
+# pairs C(l, m) * C(l - m, n) of l blocks at their largest outgrow every other identity's count
+_IDENTITY_BLOCKS = next(l - 1 for l in itertools.count(3) if DEFAULT_ENUMERATION_CAP < max(
+    math.comb(l, m) * math.comb(l - m, n) for m in range(1, l) for n in range(1, l - m + 1)))
+
+
+def _identity_blocks(value) -> int:
+    return _checks.count("value", value, 2, _IDENTITY_BLOCKS)
+
+
+_identity_blocks.__doc__ = f"int in [2, {_IDENTITY_BLOCKS}] (every enumeration within the cap)"
+
+
 _COUNT = _at_least(int, 1)
 _REQUIRED = object()  # grid-format default of a key the spec must give
 # grid keys of the kinds that draw matrices: their block structure, t and ensemble
@@ -148,7 +162,7 @@ _GRID_FORMATS = {
     },
     "IDENTITY_SUITE": {
         "trials": (_COUNT, 200),
-        "max_blocks": (_at_least(int, 2), 8),
+        "max_blocks": (_identity_blocks, 8),
     },
 }
 EXPERIMENT_KINDS = tuple(_GRID_FORMATS)
@@ -180,7 +194,7 @@ def _grid_values(kind: str, grid: dict) -> dict:
             raise ValueError(f"{kind} grid key {key!r} asks for more than l = {values['l']} blocks")
     for order in values.get("orders", []):  # each order's exact RIC enumerates C(l, order) supports
         try:
-            _check_cap(math.comb(values["l"], order), DEFAULT_ENUMERATION_CAP, f"C({values['l']}, {order})")
+            _check_order(values["l"], order)
         except EnumerationCapError as exc:
             raise ValueError(f"{kind} grid key 'orders': {exc}") from None
     try:  # the spread_kernel matrix balances its order-2 RIC: l must fit it and the enumeration cap
@@ -196,9 +210,14 @@ def _grid_values(kind: str, grid: dict) -> dict:
             if bad:
                 raise ValueError(f"{kind} grid key {key!r}: the {values['ensemble']} ensemble needs "
                                  f"m {op} l*d = {n}, got {bad[0]}")
-    if kind == "COUNTEREXAMPLE" and values["l"] <= 2 * values["s"]:
-        raise ValueError(f"{kind} grid key 'l': the threshold instance needs l > 2s = {2 * values['s']}, "
-                         f"got {values['l']}")
+    if kind == "COUNTEREXAMPLE":
+        if values["l"] <= 2 * values["s"]:
+            raise ValueError(f"{kind} grid key 'l': the threshold instance needs l > 2s = {2 * values['s']}, "
+                             f"got {values['l']}")
+        try:  # the instance's exact RIC enumerates C(l, order) supports
+            _check_order(values["l"], max(1, _effective_order(values["t"], values["s"])))
+        except EnumerationCapError as exc:
+            raise ValueError(f"{kind} grid key 'l': {exc}") from None
     return values
 
 
@@ -399,9 +418,12 @@ def demo_counterexample(
     t: float, s: int, d: int, l: int, config: SolverConfig | None = None
 ) -> CounterexampleReport:
     """Build the threshold instance, certify its constant, and exhibit the
-    two equal-objective witnesses sharing one measurement."""
+    two equal-objective witnesses sharing one measurement.  The arguments and
+    the C(l, order) supports of the constant are checked before anything is built."""
+    t, s, d, l = _sharpness_arguments(t, s, d, l)
+    order = max(1, _effective_order(t, s))
+    _check_order(l, order)
     inst = sharpness_instance(t, s, d, l)
-    order = max(1, _effective_order(inst.t, inst.s))
     cert = exact_block_ric(inst.phi, order)
     b = apply(inst.phi, inst.x0)
     gap = float(np.linalg.norm(b - apply(inst.phi, inst.x_hat)))

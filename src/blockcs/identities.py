@@ -4,7 +4,9 @@ identities of a sensing matrix, and the constructive decomposition of the
 block polytope into convex combinations of block-sparse extreme vectors.
 
 The identity verifiers return residuals, not booleans; acceptable
-thresholds live with the callers so failures stay diagnosable.
+thresholds live with the callers so failures stay diagnosable.  Each checks
+the number of subsets it would walk against DEFAULT_ENUMERATION_CAP before
+the first one, and raises EnumerationCapError over it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from . import _checks
 from .blocks import BlockSignal, SensingMatrix, _check_signal, mixed_norm_2_1, mixed_norm_2_inf
+from .ric import DEFAULT_ENUMERATION_CAP, _check_cap
 
 __all__ = [
     "PolytopeDecomposition",
@@ -50,6 +53,7 @@ def subset_sum_residual(vectors, m: int) -> float:
     fam = _as_vector_family(vectors)
     s = len(fam)
     m = _checks.count("m", m, 1, s)
+    _check_cap(math.comb(s, m), DEFAULT_ENUMERATION_CAP, f"C({s}, {m})")
     lhs = np.zeros_like(fam[0])
     for sub in itertools.combinations(range(s), m):
         for j in sub:
@@ -73,6 +77,7 @@ def subset_inner_product_residual(vectors, m: int) -> float:
     if s < 2:
         raise ValueError("the identity needs at least two vectors")
     m = _checks.count("m", m, 2, s)
+    _check_cap(math.comb(s, m), DEFAULT_ENUMERATION_CAP, f"C({s}, {m})")
     gram = np.array([[float(np.dot(a, b)) for b in fam] for a in fam])
     off_diag_total = float(gram.sum() - np.trace(gram))
     lhs_terms = []
@@ -119,6 +124,7 @@ def subset_energy_difference_residual(phi: SensingMatrix, x: BlockSignal, m: int
     m = _checks.count("m", m, 1, l)
     n = _checks.count("n", n, 1, l)
     images = _block_images(phi, x)
+    _check_cap(math.comb(l, m) + math.comb(l, n), DEFAULT_ENUMERATION_CAP, f"C({l}, {m}) + C({l}, {n})")
     first = math.fsum(
         _restricted_energy(images, sub) for sub in itertools.combinations(range(l), m)
     )
@@ -146,6 +152,8 @@ def disjoint_pair_energy_residual(phi: SensingMatrix, x: BlockSignal, m: int, n:
     if l < m + n:
         raise ValueError(f"need l >= m + n, got l={l}, m={m}, n={n}")
     images = _block_images(phi, x)
+    _check_cap(math.comb(l, m) * math.comb(l - m, n), DEFAULT_ENUMERATION_CAP,
+               f"C({l}, {m}) * C({l - m}, {n})")
     weight = m * n * l * math.comb(l, m) * math.comb(l - m, n)
     terms = []
     for pi in itertools.combinations(range(l), m):

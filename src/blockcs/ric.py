@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -78,6 +79,16 @@ def _check_cap(count: int, cap: int, what: str) -> None:
         raise EnumerationCapError(
             f"{what} = {count} block supports exceeds the enumeration cap {cap}", count
         )
+
+
+def _check_order(l: int, k: int) -> None:
+    """_check_cap at the default cap on the C(l, k) supports of order k, 0 <= k <= l, of
+    l blocks.  Where min(k, l - k) > 64 the count, at least 2**64, is refused uncounted:
+    C(10**6, 5 * 10**5) alone takes seconds to compute."""
+    if min(k, l - k) > 64:
+        raise EnumerationCapError(f"C({l}, {k}) > 2**64 block supports exceeds the enumeration cap "
+                                  f"{DEFAULT_ENUMERATION_CAP}", 2**64)
+    _check_cap(math.comb(l, k), DEFAULT_ENUMERATION_CAP, f"C({l}, {k})")
 
 
 _CHUNK = 128  # block supports per chunk of the enumeration kernel
@@ -215,16 +226,12 @@ _TS_TOL = 1e-12  # t*s this close to an integer counts as that integer
 
 
 def _effective_order(t: float, s: int) -> int:
-    """floor(t*s), or the integer within _TS_TOL of t*s.  At nearest = 2 the
-    lower comparison is check_condition's t*s >= 2 test itself, so the order
-    is 2 or more exactly when that test passes."""
-    ts = t * s
-    if not math.isfinite(ts):  # |t| * s beyond the float range: t is a whole number
-        return int(t) * s
+    """floor(t*s), or the integer within _TS_TOL of t*s, for the exact product
+    t*s of the float t and any integer s.  So the order is 2 or more exactly
+    where t*s >= 2 - _TS_TOL, check_condition's t*s >= 2 test."""
+    ts = Fraction(t) * s
     nearest = round(ts)
-    if nearest - _TS_TOL <= ts <= nearest + _TS_TOL:
-        return int(nearest)
-    return int(math.floor(ts))
+    return nearest if abs(ts - nearest) <= _TS_TOL else math.floor(ts)
 
 
 def check_condition(delta: float, t: float, s: int) -> ConditionReport:
@@ -240,17 +247,18 @@ def check_condition(delta: float, t: float, s: int) -> ConditionReport:
     s = _checks.count("s", s, 0)
     delta = _checks.number("delta", delta)
     threshold = t / (4.0 - t) if 0.0 < t < 4.0 / 3.0 else None
+    order = _effective_order(t, s)
     if threshold is None:
         reason = "t_out_of_range"
     elif not 0.0 <= delta < math.inf:
         reason = "invalid_delta"
-    elif t * s < 2.0 - _TS_TOL:
+    elif order < 2:  # t*s < 2 - _TS_TOL
         reason = "ts_below_two"
     elif not delta < threshold:
         reason = "delta_not_below_threshold"
     else:
         reason = None
-    return ConditionReport(reason is None, t, s, delta, threshold, _effective_order(t, s), reason)
+    return ConditionReport(reason is None, t, s, delta, threshold, order, reason)
 
 
 @dataclass(frozen=True)
@@ -283,9 +291,9 @@ def _error_bound(variant: str, t, s, delta, rho, tail_norm) -> BoundReport:
     denom = t + (t - 4.0) * delta
     noise_coeff = 2.0 * math.sqrt(2.0) * math.sqrt(1.0 + delta) * t_tilde / denom
     if variant == "tight":
-        tail_coeff = 0.5 * math.sqrt(2.0 / s) * ((8.0 * delta + 4.0 * math.sqrt(denom * delta)) / denom + 1.0)
+        tail_coeff = 0.5 * math.sqrt(2 / s) * ((8.0 * delta + 4.0 * math.sqrt(denom * delta)) / denom + 1.0)
     else:
-        tail_coeff = math.sqrt(2.0 / s) * ((4.0 * delta + 2.0 * math.sqrt(denom * delta)) / denom + math.sqrt(2.0))
+        tail_coeff = math.sqrt(2 / s) * ((4.0 * delta + 2.0 * math.sqrt(denom * delta)) / denom + math.sqrt(2.0))
     bound = noise_coeff * rho + tail_coeff * tail_norm
     return BoundReport(t, s, delta, rho, tail_norm, t_tilde, denom, noise_coeff, tail_coeff, bound, variant)
 

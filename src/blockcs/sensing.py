@@ -15,7 +15,7 @@ import numpy as np
 from . import _checks
 from ._linalg import orthonormal
 from .blocks import BlockSignal, BlockStructure, SensingMatrix, _check_signal
-from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, condition_threshold, exact_block_ric
+from .ric import _check_order, condition_threshold, exact_block_ric
 from .seeding import generator
 
 __all__ = [
@@ -99,8 +99,18 @@ def spread_kernel_matrix(m: int, structure: BlockStructure, seed: int) -> Sensin
 def _check_balance_blocks(l: int) -> None:
     """Raise unless `spread_kernel_matrix` can balance its RIC on l blocks: l >= 2 and
     C(l, 2) supports within the default enumeration cap."""
-    _checks.count("l", l, _BALANCE_ORDER)
-    _check_cap(math.comb(l, _BALANCE_ORDER), DEFAULT_ENUMERATION_CAP, f"C({l}, {_BALANCE_ORDER})")
+    _check_order(_checks.count("l", l, _BALANCE_ORDER), _BALANCE_ORDER)
+
+
+def _sharpness_arguments(t, s, d, l) -> tuple[float, int, int, int]:
+    """(t, s, d, l) converted as `sharpness_instance` takes them, or its ValueError."""
+    condition_threshold(t)  # raises unless 0 < t < 4/3
+    s = _checks.count("s", s, 1)
+    d = _checks.count("d", d, 1)
+    l = _checks.count("l", l, 1)
+    if l <= 2 * s:
+        raise ValueError(f"need 2s < l, got s={s}, l={l}")
+    return float(t), s, d, l
 
 
 @dataclass(frozen=True)
@@ -138,13 +148,7 @@ def sharpness_instance(t: float, s: int, d: int, l: int) -> SharpnessInstance:
     ValueError
         If t is outside (0, 4/3), s < 1, d < 1, or l <= 2s.
     """
-    condition_threshold(t)  # raises unless 0 < t < 4/3
-    t = float(t)
-    s = _checks.count("s", s, 1)
-    d = _checks.count("d", d, 1)
-    l = _checks.count("l", l, 1)
-    if l <= 2 * s:
-        raise ValueError(f"need 2s < l, got s={s}, l={l}")
+    t, s, d, l = _sharpness_arguments(t, s, d, l)
     structure = BlockStructure.uniform(d, l)
     n = structure.total_dim
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from blockcs import (
     BlockSignal,
     BlockStructure,
+    SensingMatrix,
     best_block_approx,
     block_support,
     mixed_norm_2_0,
@@ -265,6 +266,9 @@ def test_best_block_approx_idempotent_on_head(a, s):
     np.testing.assert_array_equal(again.coeffs, head.coeffs)
 
 
+_THREE = BlockStructure.uniform(2, 3)
+
+
 @pytest.mark.parametrize("name, call, value", bad_arguments(
     ("BlockStructure", "block_lengths[0]", lambda v: BlockStructure((v, 2)), BAD_COUNTS),
     ("uniform", "block_length", lambda v: BlockStructure.uniform(v, 2), BAD_COUNTS),
@@ -272,6 +276,12 @@ def test_best_block_approx_idempotent_on_head(a, s):
     ("best_block_approx", "s",
      lambda v: best_block_approx(BlockSignal([1.0, 2.0, 3.0], BlockStructure((1, 1, 1))), v),
      BAD_COUNTS),
+    # -1 would index the block edges from the end, 3 past them
+    ("block_slice", "i", lambda v: _THREE.block_slice(v), (*BAD_COUNTS, 2.5, -1, 3)),
+    ("block_indices", "blocks[1]", lambda v: _THREE.block_indices([0, v]), (*BAD_COUNTS, 2.5, -1, 3)),
+    ("block", "i", lambda v: BlockSignal.zeros(_THREE).block(v), (*BAD_COUNTS, 2.5, -1, 3)),
+    ("column_block", "i", lambda v: SensingMatrix(np.eye(6), _THREE).column_block(v),
+     (*BAD_COUNTS, 2.5, -1, 3)),
 ))
 def test_rejects_bad_count(name, call, value):
     with rejects_argument(name, value):

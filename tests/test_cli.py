@@ -1,15 +1,20 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import blockcs
-from blockcs import BlockStructure, SensingMatrix, gaussian_matrix, sharpness_instance, apply
+from blockcs import BlockStructure, SensingMatrix, SolverConfig, gaussian_matrix, sharpness_instance, apply
+from blockcs import cli
 from blockcs.cli import main
+from blockcs.experiments import spec_from_json
 from blockcs.serialize import matrix_to_json, save_json, signal_from_json, structure_to_json
 from conftest import strip_wall_time
 
@@ -200,6 +205,16 @@ def test_bound_t_whose_order_overflows_exit_one(capsys):
     assert err.startswith("error:") and "t_out_of_range" in err and "Traceback" not in err
 
 
+def test_bound_takes_an_s_beyond_the_float_range(capsys):
+    s = "1" + "0" * 400
+    assert main(["bound", "--t", "1", "--s", s, "--delta", "0.1", "--rho", "0.1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = json.loads(captured.out)
+    assert [rep["s"] for rep in reports] == [int(s)] * 2
+    assert all(math.isfinite(rep["bound"]) and rep["bound"] > 0 for rep in reports)
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(blockcs.__file__).parents[1]))
     argv = [sys.executable, "-m", "blockcs", "bound", "--t", "1", "--s", "2", "--delta", "0.25"]
@@ -254,6 +269,16 @@ def test_counterexample_subcommand(tmp_path, capsys):
     assert payload["non_unique"] is True
 
 
+def test_counterexample_over_the_enumeration_cap_builds_nothing(capsys):
+    l = 10**400
+    with mock.patch("numpy.zeros", side_effect=AssertionError("an array was built")):
+        assert main(["counterexample", "--t", "1", "--s", "2", "--d", "1", "--l", str(l)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: C({l}, 2) = {math.comb(l, 2)} block supports exceeds "
+                            "the enumeration cap 1000000\n")
+
+
 def test_counterexample_invalid_params_exit_one():
     assert main(["counterexample", "--t", "1", "--s", "2", "--d", "2", "--l", "4"]) == 1
 
@@ -301,6 +326,23 @@ def test_sweep_mistyped_spec_exit_one(tmp_path, capsys, spec):
     assert main(["sweep", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_solver_config_fields_are_the_recover_flags_and_the_solver_spec_keys(instance_files):
+    # a SolverConfig setting that neither the CLI nor a spec can set has no caller
+    names = [field.name for field in dataclasses.fields(SolverConfig)]
+    assert names == ["max_iters", "tol"]
+    recover = cli._build_parser()._subparsers._group_actions[0].choices["recover"]
+    flags = {action.dest: action.option_strings for action in recover._actions}
+    assert [flags[name] for name in names] == [["--max-iters"], ["--tol"]]
+    _, matrix_path, obs_path, _ = instance_files
+    with mock.patch.object(cli, "solve_noisy", side_effect=ValueError("stop")) as solve:
+        assert main(["recover", "--matrix", matrix_path, "--obs", obs_path, "--max-iters", "7",
+                     "--tol", "0.5"]) == 1
+    assert solve.call_args.args[3] == SolverConfig(max_iters=7, tol=0.5)
+    with pytest.raises(ValueError) as err:
+        spec_from_json({"kind": "IDENTITY_SUITE", "grid": {"trials": 1}, "solver": {"bogus": 1}})
+    assert str(err.value).endswith(f"it reads {names}")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -433,6 +475,17 @@ def test_verify_identities_subcommand(tmp_path, capsys):
     assert summary["all_below_1e-10"] is True
     assert (tmp_path / "ids.json").exists()
     assert (tmp_path / "ids.csv").exists()
+
+
+def test_verify_identities_over_the_enumeration_cap_runs_no_trial(tmp_path, capsys):
+    # 16 blocks have C(16, 5) * C(11, 5) = 2018016 disjoint pairs, over the cap
+    with mock.patch.object(cli, "run_experiment") as run:
+        assert main(["verify-identities", "--max-blocks", "16", "--out", str(tmp_path / "ids")]) == 1
+    run.assert_not_called()
+    err = capsys.readouterr().err
+    assert err == ("error: IDENTITY_SUITE grid key 'max_blocks': value must be an integer in "
+                   "[2, 15], got 16\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_recover_csv_matrix_with_sidecar(tmp_path):

@@ -3,10 +3,12 @@ import math
 import re
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from blockcs import ExperimentSpec, TrialRecord, demo_counterexample, run_experiment
+from blockcs import (EnumerationCapError, ExperimentSpec, TrialRecord, demo_counterexample, experiments,
+                     run_experiment)
 from blockcs.experiments import (
     _GRID_FORMATS,
     _REQUIRED,
@@ -62,11 +64,15 @@ _BAD_GRIDS = [
     ("RIC_SWEEP", {"l": 1, "d": 4, "m": 2, "orders": [1], "ensemble": "spread_kernel"}, "l"),
     ("RIC_SWEEP", {"l": 1415, "d": 1, "m": 10, "orders": [1], "ensemble": "spread_kernel"}, "l"),
     ("RIC_SWEEP", {"l": 40, "d": 1, "m": 10, "orders": [1, 20], "matrices": 3}, "orders"),
+    # C(10**6, 5 * 10**5) > 2**64 is refused uncounted: computing it takes seconds
+    ("RIC_SWEEP", {"l": 10**6, "d": 1, "m": 10, "orders": [5 * 10**5]}, "orders"),
     ("RIC_SWEEP", {"l": 4, "m": 6, "trials": 3}, "trials"),
     ("COUNTEREXAMPLE", {"t": 4 / 3}, "t"),
     ("COUNTEREXAMPLE", {"t": 0.0}, "t"),
     ("COUNTEREXAMPLE", {"s": 3, "l": 6}, "l"),
+    ("COUNTEREXAMPLE", {"l": 2000}, "l"),  # C(2000, 2) = 1999000 supports
     ("IDENTITY_SUITE", {"max_blocks": 1}, "max_blocks"),
+    ("IDENTITY_SUITE", {"max_blocks": 16}, "max_blocks"),  # 2018016 disjoint pairs on 16 blocks
     ("IDENTITY_SUITE", {"trials": 1, "bogus": 1}, "bogus"),
 ]
 
@@ -75,6 +81,12 @@ _BAD_GRIDS = [
 def test_spec_rejects_bad_grid(kind, grid, key):
     with pytest.raises(ValueError, match=f"key {key!r}"):
         ExperimentSpec(kind=kind, seed=1, grid=grid)
+
+
+def test_identity_suite_takes_the_largest_max_blocks_within_the_cap():
+    # a trial's largest enumeration is its disjoint pairs: C(15, 5) * C(10, 5) = 756756 on 15
+    # blocks, 2018016 on 16, which _BAD_GRIDS refuses
+    assert ExperimentSpec(kind="IDENTITY_SUITE", seed=1, grid={"max_blocks": 15}).grid == {"max_blocks": 15}
 
 
 _SPREAD_KERNEL_L = [(kind, grid) for kind, grid, key in _BAD_GRIDS
@@ -187,6 +199,19 @@ def test_counterexample_demo_smallest_instance():
 def test_counterexample_rejects_small_l():
     with pytest.raises(ValueError, match="2s < l"):
         demo_counterexample(1.0, 2, 2, 4)
+
+
+@pytest.mark.parametrize("t, s, l, text", [
+    (1.0, 2, 2000, "C(2000, 2) = 1999000 block supports exceeds"),
+    (1.0, 2, 10**400, f"C({10**400}, 2) = {math.comb(10**400, 2)} block supports exceeds"),
+    (1.2, 60, 200, "C(200, 72) > 2**64 block supports exceeds"),  # never counted
+])
+def test_counterexample_checks_its_ric_cap_before_building_the_instance(t, s, l, text):
+    with mock.patch.object(experiments, "sharpness_instance") as build:
+        with pytest.raises(EnumerationCapError) as err:
+            demo_counterexample(t, s, 1, l)
+    build.assert_not_called()
+    assert str(err.value) == f"{text} the enumeration cap 1000000"
 
 
 def test_records_csv_round_trip(tmp_path):

@@ -1,9 +1,13 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from blockcs import (
     BlockSignal,
     BlockStructure,
+    EnumerationCapError,
     SensingMatrix,
     gaussian_matrix,
     mixed_norm_2_0,
@@ -247,6 +251,35 @@ def test_polytope_term_count_budget(rng):
         active = mixed_norm_2_0(x)
         assert len(dec.terms) <= 1 + active
         check_decomposition(dec, x, alpha, s)
+
+
+class _Walked(Exception):
+    """Raised by the patched itertools.combinations: the enumeration began."""
+
+
+def _blocks(l):
+    structure = BlockStructure.uniform(1, l)
+    return gaussian_matrix(2, structure, seed=1), BlockSignal(np.ones(l), structure)
+
+
+@pytest.mark.parametrize("call, over, within, count", [
+    # C(s, m) subsets of s vectors: C(23, 11) = 1352078 over the cap, C(21, 10) = 352716 within
+    (lambda k: subset_sum_residual(np.ones((k, 2)), k // 2), 23, 21, "C(23, 11) = 1352078"),
+    (lambda k: subset_inner_product_residual(np.ones((k, 2)), k // 2), 23, 21, "C(23, 11) = 1352078"),
+    # C(l, m) + C(l, n): each of 2 * C(22, 11) = 1410864 is within the cap, the sum is not
+    (lambda k: subset_energy_difference_residual(*_blocks(22), 11, k), 11, 1,
+     "C(22, 11) + C(22, 11) = 1410864"),
+    # C(l, m) * C(l - m, n) disjoint pairs: 2018016 on 16 blocks, 756756 on 15
+    (lambda k: disjoint_pair_energy_residual(*_blocks(k), 5, 5), 16, 15, "C(16, 5) * C(11, 5) = 2018016"),
+], ids=["subset_sum", "subset_inner_product", "subset_energy_difference", "disjoint_pair_energy"])
+def test_identity_enumeration_over_the_cap_raises_before_any_subset(call, over, within, count):
+    with mock.patch.object(itertools, "combinations", side_effect=_Walked) as combinations:
+        with pytest.raises(EnumerationCapError) as err:
+            call(over)
+        assert str(err.value) == f"{count} block supports exceeds the enumeration cap 1000000"
+        combinations.assert_not_called()
+        with pytest.raises(_Walked):  # within the cap the walk starts
+            call(within)
 
 
 def _phi_and_x():

@@ -3,11 +3,12 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, sqrt as msqrt
 
@@ -373,6 +374,24 @@ def test_check_condition_effective_order():
     assert report.ok
 
 
+def test_check_condition_and_bounds_take_an_s_beyond_the_float_range():
+    # t*s is exact: a 401-digit s neither overflows nor loses the order's digits
+    s = 10**400
+    report = check_condition(0.1, 1.0, s)
+    assert (report.ok, report.effective_order) == (True, s)
+    for bound in (error_bound_tight, error_bound_loose):
+        rep = bound(1.0, s, 0.1, 0.1, 1.0)
+        # sqrt(2 / s) underflows to 0, so the tail adds nothing
+        assert rep.tail_coeff == 0.0 and rep.bound == rep.noise_coeff * 0.1 and math.isfinite(rep.bound)
+
+
+def test_check_condition_order_of_a_fractional_t_beyond_the_float_range():
+    # 1.5 * 13e307 exceeds the largest float; its order is floor(1.5 * s), not s
+    s = 13 * 10**307
+    report = check_condition(0.1, 1.5, s)
+    assert (report.reason, report.effective_order) == ("t_out_of_range", 195 * 10**306)
+
+
 def test_check_condition_order_and_ts_test_share_one_tolerance():
     # t*s = 2 - 5e-10 is below two by the 1e-12 tolerance, so its order is 1, not 2
     report = check_condition(0.1, 0.99999999975, 2)
@@ -382,12 +401,15 @@ def test_check_condition_order_and_ts_test_share_one_tolerance():
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([(1.0, 2), (2.0 / 3.0, 3), (0.4, 5)]), st.integers(-6000, 6000))
+# the two draws at which the exact t*s and its float product fall on either side of 2 - 1e-12
+@example((1.0, 2), -2252)
+@example((0.4, 5), -3604)
 def test_check_condition_order_is_two_exactly_where_the_ts_test_passes(base, ulps):
-    # t*s within a few thousand ulps of 2, across the float nearest 2 - 1e-12
+    # t*s within a few thousand ulps of 2, across 2 - 1e-12; t*s is exact, not its float product
     t0, s = base
     t = t0 + ulps * math.ulp(t0)
     report = check_condition(0.1, t, s)
-    assert (report.reason == "ts_below_two") is (t * s < 2.0 - 1e-12)
+    assert (report.reason == "ts_below_two") is (Fraction(t) * s < 2 - Fraction(1e-12))
     assert (report.effective_order >= 2) is (report.reason != "ts_below_two")
 
 
