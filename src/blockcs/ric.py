@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -227,11 +226,14 @@ _TS_TOL = 1e-12  # t*s this close to an integer counts as that integer
 
 def _effective_order(t: float, s: int) -> int:
     """floor(t*s), or the integer within _TS_TOL of t*s, for the exact product
-    t*s of the float t and any integer s.  So the order is 2 or more exactly
-    where t*s >= 2 - _TS_TOL, check_condition's t*s >= 2 test."""
-    ts = Fraction(t) * s
-    nearest = round(ts)
-    return nearest if abs(ts - nearest) <= _TS_TOL else math.floor(ts)
+    t*s of the float t and any integer s, in integers: with t = num/den, t*s is
+    floor + rest/den, 0 <= rest < den, and only floor + 1 can lie within
+    _TS_TOL above it.  So the order is 2 or more exactly where t*s >= 2 - _TS_TOL,
+    check_condition's t*s >= 2 test."""
+    num, den = t.as_integer_ratio()
+    floor, rest = divmod(num * s, den)
+    tol_num, tol_den = _TS_TOL.as_integer_ratio()
+    return floor + 1 if (den - rest) * tol_den <= tol_num * den else floor
 
 
 def check_condition(delta: float, t: float, s: int) -> ConditionReport:
