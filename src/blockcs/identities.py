@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _checks
 from .blocks import BlockSignal, SensingMatrix, _check_signal, mixed_norm_2_1, mixed_norm_2_inf
-from .ric import DEFAULT_ENUMERATION_CAP, _check_cap
+from .ric import DEFAULT_ENUMERATION_CAP, _check_cap, _check_order
 
 __all__ = [
     "PolytopeDecomposition",
@@ -53,7 +53,7 @@ def subset_sum_residual(vectors, m: int) -> float:
     fam = _as_vector_family(vectors)
     s = len(fam)
     m = _checks.count("m", m, 1, s)
-    _check_cap(math.comb(s, m), DEFAULT_ENUMERATION_CAP, f"C({s}, {m})")
+    _check_order(s, m)
     lhs = np.zeros_like(fam[0])
     for sub in itertools.combinations(range(s), m):
         for j in sub:
@@ -77,7 +77,7 @@ def subset_inner_product_residual(vectors, m: int) -> float:
     if s < 2:
         raise ValueError("the identity needs at least two vectors")
     m = _checks.count("m", m, 2, s)
-    _check_cap(math.comb(s, m), DEFAULT_ENUMERATION_CAP, f"C({s}, {m})")
+    _check_order(s, m)
     gram = np.array([[float(np.dot(a, b)) for b in fam] for a in fam])
     off_diag_total = float(gram.sum() - np.trace(gram))
     lhs_terms = []

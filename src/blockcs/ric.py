@@ -72,22 +72,24 @@ class RicCertificate:
 
 
 def _check_cap(count: int, cap: int, what: str) -> None:
-    """Raise EnumerationCapError when `count` supports (named by `what`) exceed `cap`."""
+    """Raise EnumerationCapError when `count` supports (named by `what`) exceed `cap`;
+    a count of more digits than Python converts to text is named by its digits."""
     cap = _checks.count("cap", cap, 0)
     if count > cap:
         raise EnumerationCapError(
-            f"{what} = {count} block supports exceeds the enumeration cap {cap}", count
+            f"{what} = {_checks._shown(count)} block supports exceeds the enumeration cap {cap}", count
         )
 
 
 def _check_order(l: int, k: int) -> None:
-    """_check_cap at the default cap on the C(l, k) supports of order k, 0 <= k <= l, of
-    l blocks.  Where min(k, l - k) > 64 the count, at least 2**64, is refused uncounted:
-    C(10**6, 5 * 10**5) alone takes seconds to compute."""
+    """_check_cap at the default cap on the C(l, k) k-subsets of l blocks (or vectors),
+    0 <= k <= l.  Where min(k, l - k) > 64 the count, at least 2**64, is refused
+    uncounted: C(10**6, 5 * 10**5) alone takes seconds to compute."""
+    what = f"C({_checks._shown(l)}, {_checks._shown(k)})"
     if min(k, l - k) > 64:
-        raise EnumerationCapError(f"C({l}, {k}) > 2**64 block supports exceeds the enumeration cap "
+        raise EnumerationCapError(f"{what} > 2**64 block supports exceeds the enumeration cap "
                                   f"{DEFAULT_ENUMERATION_CAP}", 2**64)
-    _check_cap(math.comb(l, k), DEFAULT_ENUMERATION_CAP, f"C({l}, {k})")
+    _check_cap(math.comb(l, k), DEFAULT_ENUMERATION_CAP, what)
 
 
 _CHUNK = 128  # block supports per chunk of the enumeration kernel

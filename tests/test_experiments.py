@@ -205,6 +205,8 @@ def test_counterexample_rejects_small_l():
     (1.0, 2, 2000, "C(2000, 2) = 1999000 block supports exceeds"),
     (1.0, 2, 10**400, f"C({10**400}, 2) = {math.comb(10**400, 2)} block supports exceeds"),
     (1.2, 60, 200, "C(200, 72) > 2**64 block supports exceeds"),  # never counted
+    # a count beyond Python's 4300-digit text conversion is named by its digits
+    (1.0, 2, 10**3000, f"C({10**3000}, 2) = an integer of 6000 digits block supports exceeds"),
 ])
 def test_counterexample_checks_its_ric_cap_before_building_the_instance(t, s, l, text):
     with mock.patch.object(experiments, "sharpness_instance") as build:
